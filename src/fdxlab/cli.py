@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from . import experiments, gronwall, profiles, trace_estimator, ulmorrey
 from .exponents import ProblemParams, classify_regime, derive_exponents
 from .solver import SolverConfig, simulate
 
-ENV_THREADS = "FDXLAB_THREADS"
 SUBCOMMANDS = ("exponents", "norms", "simulate", "threshold", "decay", "trace", "gronwall-check")
 
 
@@ -59,7 +57,6 @@ class RunConfig:
     raw: dict
     out_dir: Path
     seed: int = 0
-    threads: int = 1
     file_stem: Optional[str] = None  # default: the subcommand name
     params: Optional[ProblemParams] = None
     profile: Optional[profiles.RadialProfile] = None
@@ -116,7 +113,7 @@ _INT_KEYS = {"N", "solver.n_cells", "threshold.bisect_steps", "gronwall.n_draws"
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
 
 
-def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int, threads: int) -> RunConfig:
+def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> RunConfig:
     """Full validation pass; collects every violation before failing."""
     violations = []
 
@@ -133,7 +130,7 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int, thread
     if violations:
         raise ConfigError(violations)
 
-    cfg = RunConfig(subcommand=subcommand, raw=raw, out_dir=out_dir, seed=seed, threads=threads)
+    cfg = RunConfig(subcommand=subcommand, raw=raw, out_dir=out_dir, seed=seed)
 
     params = None
     if subcommand != "gronwall-check":
@@ -244,7 +241,7 @@ def run_norms(cfg: RunConfig) -> int:
         centers=centers,
         radii_per_decade=cfg.get_int("scan.radii_per_decade", 64),
     )
-    result = ulmorrey.norm(cfg.profile, spec, scan, threads=cfg.threads)
+    result = ulmorrey.norm(cfg.profile, spec, scan)
     path = _out_path(cfg)
     write_csv(
         path,
@@ -357,17 +354,17 @@ def run_gronwall_check(cfg: RunConfig) -> int:
     n_draws = cfg.get_int("gronwall.n_draws", 200)
     n_steps = cfg.get_int("gronwall.n_steps", 1000)
     T = cfg.get_float("gronwall.T", 1.0)
+    if n_draws < 1:
+        raise ValueError("key 'gronwall.n_draws': must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    worst = -math.inf
-    for k in range(n_draws):
+    draws = []
+    for _ in range(n_draws):
         a1, a2, a3 = rng.uniform(0.0, 2.0, size=3)
         m = float(rng.choice([0.3, 0.5, 0.9]))
-        coeffs = gronwall.GronwallCoeffs(A1=float(a1), A2=float(a2), A3=float(a3), m=m, T=T)
-        report = gronwall.verify_against_ode(coeffs, n_steps=n_steps)
-        ok = report.max_rel_gap <= 1e-8
-        worst = max(worst, report.max_rel_gap)
-        rows.append([k, a1, a2, a3, m, report.max_rel_gap, ok])
+        draws.append(gronwall.GronwallCoeffs(A1=float(a1), A2=float(a2), A3=float(a3), m=m, T=T))
+    gaps = [r.max_rel_gap for r in gronwall.verify_against_ode(draws, n_steps=n_steps)]
+    rows = [[k, c.A1, c.A2, c.A3, c.m, gap, gap <= 1e-8] for k, (c, gap) in enumerate(zip(draws, gaps))]
+    worst = max(gaps)
     all_ok = all(bool(r[-1]) for r in rows)
     write_csv(
         _out_path(cfg),
@@ -400,7 +397,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file")
     parser.add_argument("--out", type=Path, default=None, help="output directory for CSV artifacts")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override or supply a single config entry")
 
@@ -408,13 +404,6 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(ENV_THREADS, "1"))
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
 
     raw = {}
     try:
@@ -436,7 +425,7 @@ def main(argv: Optional[list] = None) -> int:
         out_dir, stem = Path("."), f"{args.subcommand}-{int(time.time())}"
 
     try:
-        cfg = validate_config(args.subcommand, raw, out_dir, args.seed, threads)
+        cfg = validate_config(args.subcommand, raw, out_dir, args.seed)
         cfg.file_stem = stem
     except ConfigError as exc:
         for v in exc.violations:

@@ -39,12 +39,13 @@ def gronwall_bound(c: GronwallCoeffs, t: float) -> float:
     """e^{A3 t} (A1^{1-m} + (1-m) A2 t)^{1/(1-m)} for t in (0, T)."""
     if not (0.0 < t < c.T):
         raise ValueError(f"t={t} outside (0, T={c.T})")
-    return _bound_values(c, np.asarray([t]))[0]
+    return _bound_values(c.A1, c.A2, c.A3, c.m, np.asarray([t]))[0]
 
 
-def _bound_values(c: GronwallCoeffs, t: np.ndarray) -> np.ndarray:
-    base = (0.0 if c.A1 == 0.0 else c.A1 ** (1.0 - c.m)) + (1.0 - c.m) * c.A2 * t
-    return np.exp(c.A3 * t) * base ** (1.0 / (1.0 - c.m))
+def _bound_values(A1, A2, A3, m, t):
+    """The envelope at times t; coefficients and t broadcast (0^{1-m} = 0 for m < 1)."""
+    base = A1 ** (1.0 - m) + (1.0 - m) * A2 * t
+    return np.exp(A3 * t) * base ** (1.0 / (1.0 - m))
 
 
 def integrate_comparison_ode(A1, A2, A3, m, T: float, n_steps: int):
@@ -88,14 +89,26 @@ class GronwallReport:
     n_steps: int
 
 
-def verify_against_ode(c: GronwallCoeffs, n_steps: int = 2000) -> GronwallReport:
-    """Integrate the comparison ODE and report the worst excess over the bound."""
+def verify_against_ode(coeffs, n_steps: int = 2000):
+    """Integrate the comparison ODE and report the worst excess over the bound.
+
+    coeffs is one GronwallCoeffs (returns one GronwallReport) or a non-empty
+    sequence sharing one T (returns a list of reports in input order); every
+    draw is advanced in a single lockstep RK4 batch.
+    """
     if n_steps < 100:
         raise ValueError("n_steps must be >= 100")
-    times, g = integrate_comparison_ode(c.A1, c.A2, c.A3, c.m, c.T, n_steps)
-    g = g[:, 0]
-    bounds = _bound_values(c, times)
-    gap = g - bounds
-    rel = gap / np.maximum(1.0, bounds)
-    k = int(np.argmax(rel))
-    return GronwallReport(max_gap=float(gap[k]), max_rel_gap=float(rel[k]), n_steps=n_steps)
+    batch = [coeffs] if isinstance(coeffs, GronwallCoeffs) else list(coeffs)
+    if len({c.T for c in batch}) != 1:
+        raise ValueError("need a non-empty batch of GronwallCoeffs sharing one T")
+    A1, A2, A3, m = (np.array([getattr(c, k) for c in batch]) for k in ("A1", "A2", "A3", "m"))
+    times, g = integrate_comparison_ode(A1, A2, A3, m, batch[0].T, n_steps)
+    reports = []
+    for j, c in enumerate(batch):
+        # one column at a time: no second (steps x batch) envelope matrix
+        bounds = _bound_values(c.A1, c.A2, c.A3, c.m, times)
+        gap = g[:, j] - bounds
+        rel = gap / np.maximum(1.0, bounds)
+        k = int(np.argmax(rel))
+        reports.append(GronwallReport(max_gap=float(gap[k]), max_rel_gap=float(rel[k]), n_steps=n_steps))
+    return reports[0] if isinstance(coeffs, GronwallCoeffs) else reports

@@ -365,7 +365,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     )
 
 
-def energy_diagnostics(field: GridField, beta: float, sigma: float, m: float = 0.5) -> tuple[float, float]:
+def energy_diagnostics(field: GridField, beta: float, sigma: float, m: float) -> tuple[float, float]:
     """(integral of u^beta, integral of u^{m+beta-3} |grad u|^2) over B(0, sigma).
 
     The gradient uses central differences, one-sided at the ends; the ball is

@@ -136,8 +136,12 @@ def orlicz_ball_average(
         avg = _grid_psi_average(f, alpha, z, sigma, scale)
         return psi_inv(alpha, avg)
     profile: RadialProfile = f
-    if profile.kind == "constant" and (profile.cutoff is None or _offset(z) + sigma <= profile.cutoff):
+    d = _offset(z)
+    if profile.kind == "constant" and (profile.cutoff is None or d + sigma <= profile.cutoff):
         return scale * profile.c
+    if profile.kind == "critical_log" and min(profile.c, scale) > 0.0 and alpha >= profile.N / 2.0 and d <= sigma:
+        # psi_alpha(scale f) rho^{N-1} d rho ~ L^{alpha-N/2-1} dL, L = log(1/rho): diverges at the origin
+        return math.inf
     from .profiles import radial_ball_integral
 
     def g(rho: float) -> float:
@@ -148,7 +152,7 @@ def orlicz_ball_average(
     total = radial_ball_integral(
         g,
         profile.N,
-        _offset(z),
+        d,
         sigma,
         quad_tol,
         breakpoints=pts,
@@ -217,7 +221,6 @@ def norm(
     scan: ScanGrid,
     scale: float = 1.0,
     quad_tol: float = 1e-8,
-    threads: int = 1,
 ) -> NormResult:
     """Max of the spec's weighted ball quantity over the scan grid.
 
@@ -257,16 +260,7 @@ def norm(
                 best_v, best_s = v, s
         return best_v, d, best_s
 
-    results = []
-    if threads > 1 and len(scan.centers) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(column_max, scan.centers))
-    else:
-        results = [column_max(d) for d in scan.centers]
-
-    value, center, radius = max(results, key=lambda t: t[0])
+    value, center, radius = max((column_max(d) for d in scan.centers), key=lambda t: t[0])
     res = f"{len(scan.centers)} centers x {len(radii)} radii in [{radii[0]:.3g}, {radii[-1]:.3g}]"
     return NormResult(value=float(value), arg_center=float(center), arg_radius=float(radius), grid_resolution=res)
 

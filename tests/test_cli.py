@@ -37,7 +37,7 @@ def test_parse_minimal_config():
     raw = parse_config_text(MINIMAL)
     assert raw["N"] == "1"
     assert raw["profile.kind"] == "power"
-    cfg = validate_config("norms", raw, Path("."), seed=0, threads=1)
+    cfg = validate_config("norms", raw, Path("."), seed=0)
     assert cfg.params.N == 1
     assert cfg.profile.kind == "power"
 
@@ -51,14 +51,14 @@ def test_parse_reports_line_numbers():
 def test_validation_names_offending_key():
     raw = parse_config_text(MINIMAL.replace("m = 0.5", "m = 1.2"))
     with pytest.raises(ConfigError) as err:
-        validate_config("norms", raw, Path("."), seed=0, threads=1)
+        validate_config("norms", raw, Path("."), seed=0)
     assert any("'m'" in v for v in err.value.violations)
 
 
 def test_validation_collects_all_violations():
     raw = parse_config_text("N = 1\nm = 1.2\np = 0.5\nprofile.kind = power\nprofile.c = 0.1\nprofile.a = 0.8")
     with pytest.raises(ConfigError) as err:
-        validate_config("norms", raw, Path("."), seed=0, threads=1)
+        validate_config("norms", raw, Path("."), seed=0)
     assert len(err.value.violations) >= 1  # first params failure reported with its key
 
 
@@ -123,13 +123,10 @@ def test_gronwall_check_deterministic(tmp_path):
     assert b"# status: pass" in b1
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("FDXLAB_THREADS", "2")
-    code, out = _run(tmp_path, "exponents", "N = 1\nm = 0.5\np = 3.0\n")
-    assert code == 0
-    monkeypatch.setenv("FDXLAB_THREADS", "0")
-    code2, _ = _run(tmp_path / "c", "exponents", "N = 1\nm = 0.5\np = 3.0\n")
-    assert code2 == 2
+def test_gronwall_check_rejects_zero_draws(tmp_path, capsys):
+    code, _ = _run(tmp_path, "gronwall-check", "gronwall.n_draws = 0\n")
+    assert code == 1
+    assert "gronwall.n_draws" in capsys.readouterr().err
 
 
 def test_set_overrides_config(tmp_path):

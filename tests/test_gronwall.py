@@ -86,3 +86,22 @@ def test_bound_monotone_in_each_argument():
 def test_verify_requires_enough_steps():
     with pytest.raises(ValueError):
         verify_against_ode(GronwallCoeffs(1.0, 1.0, 1.0, 0.5, 1.0), n_steps=10)
+
+
+def test_batch_reports_equal_single_draw_reports():
+    rng = np.random.default_rng(2026)
+    A = rng.uniform(0.0, 2.0, size=(3, 200))
+    ms = rng.choice([0.3, 0.5, 0.9], size=200)
+    draws = [GronwallCoeffs(float(a1), float(a2), float(a3), float(m), 1.0) for a1, a2, a3, m in zip(*A, ms)]
+    reports = verify_against_ode(draws, n_steps=100)
+    assert isinstance(reports, list) and len(reports) == 200
+    for c, rep in zip(draws, reports):
+        assert rep == verify_against_ode(c, n_steps=100)
+
+
+def test_batch_rejects_empty_and_mixed_T():
+    with pytest.raises(ValueError):
+        verify_against_ode([], n_steps=100)
+    mixed = [GronwallCoeffs(1.0, 1.0, 1.0, 0.5, 1.0), GronwallCoeffs(1.0, 1.0, 1.0, 0.5, 2.0)]
+    with pytest.raises(ValueError):
+        verify_against_ode(mixed, n_steps=100)

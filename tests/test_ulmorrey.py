@@ -185,6 +185,20 @@ def test_check_condition_critical_uses_orlicz():
     assert v.met
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_check_condition_critical_log_alpha_above_half_n_is_infinite(N):
+    # alpha = 1 >= N/2: psi_alpha of the data behaves like L^{alpha-N/2-1} dL at the origin
+    params = ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N)
+    prof = critical_log(0.02, N)
+    v = check_condition(params, prof, T=1.0, delta=1.0, beta_or_alpha=1.0)
+    assert v.regime is Regime.CRITICAL
+    assert math.isinf(v.condition_value)
+    assert not v.met
+    # only balls reaching the origin diverge
+    assert math.isinf(orlicz_ball_average(prof, 1.0, 0.1, 0.1))
+    assert 0.0 < orlicz_ball_average(prof, 1.0, 0.5, 0.1) < math.inf
+
+
 def test_check_condition_infinite_T_needs_supercritical():
     params = ProblemParams(N=1, m=0.5, p=1.2)
     with pytest.raises(ValueError):
