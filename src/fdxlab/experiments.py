@@ -2,8 +2,10 @@
 no-global-solution probe for p <= p_m.
 
 Bisection labels follow the trace status: Completed counts as survival to the
-horizon, BlewUp (or a dt underflow, which the explicit scheme hits shortly
-after a genuine blow-up) counts as blow-up.  Each sample also records the
+horizon; BlewUp, or a dt underflow (the source bound 1/(2 u^{p-1}) shrinking
+below 1e-14 t_end as the sup runs away), counts as blow-up.  A stiff underflow
+(the diffusion step controller shrinking below that floor) is never a blow-up
+label: it says nothing about the source.  Each sample also records the
 boundedness proxy sup_{last decade} t^{1/(p-1)} sup_norm against 10x its
 window median; the proxy flags slow blow-ups just past the horizon but does
 not flip the bisection label.

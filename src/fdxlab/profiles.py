@@ -281,7 +281,8 @@ def radial_ball_integral(
     return val
 
 
-def _as_offset(z) -> float:
+def radial_offset(z) -> float:
+    """|z| for a scalar radial offset or a center vector."""
     if np.isscalar(z):
         return abs(float(z))
     return float(np.linalg.norm(np.asarray(z, dtype=float)))
@@ -296,7 +297,7 @@ def ball_average_power(
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
-    d = _as_offset(z)
+    d = radial_offset(z)
     N = profile.N
     inside_cutoff = profile.cutoff is None or d + sigma <= profile.cutoff
     if profile.kind == "constant" and inside_cutoff:

@@ -3,14 +3,27 @@
 The scheme is conservative in the radial variable: with v = u^m, the flux
 through the face at radius r is r^{N-1} (v_right - v_left)/dr, cell volumes
 are exact ((r_+^N - r_-^N)/N per unit solid angle), and the origin face has
-zero area by symmetry.  Time stepping is explicit Euler with the adaptive
-stability bound
+zero area by symmetry.  Call the resulting flux divergence A v.
 
-    dt = dt_safety * min( dr^2 / (2 N max_i m u_i^{m-1}),  1 / (2 max_i u_i^{p-1}) ),
+One time step is the Strang split S(dt/2) D(dt) S(dt/2):
 
-where the diffusivity max includes the fixed-floor ghost value when that
-boundary is active (the singular diffusivity m u^{m-1} is what makes the
-regularization floor u_floor = 1/n necessary in the first place).
+- S(h) is the exact flow of u' = u^p per cell,
+  u <- (u^{1-p} - (p-1) h)^{1/(1-p)}, stopped at u_blowup;
+- D(h) is one step of the ROS2 W-method (Verwer, Spee, Blom & Hundsdorfer,
+  SIAM J. Sci. Comput. 20, 1999; gamma = 1 + 1/sqrt(2)) for u' = A(u^m),
+  linearised with J = A diag(m u^{m-1}).  One tridiagonal I - gamma dt J per
+  step serves both stages and the error filter.  Every stage is in flux
+  form, so zero-flux runs conserve mass to rounding.
+
+Diffusion is linearly implicit and L-stable, so the singular diffusivity
+m u^{m-1} sets no step bound.  The step is
+
+    dt = min( dt_safety / (2 max_i u_i^{p-1}),  controller step,  output clipping ),
+
+where the controller keeps the filtered embedded error of D,
+max |est| / (w + 1e-8 max w), below ERR_TOL_CELLS2 / n_cells^2.  Under
+"fixedfloor" the stages are clamped at u_floor; under "zeroflux" a stage
+that leaves positivity rejects the step.
 
 Initial data are projected by exact cell averages of the profile, then
 regularized as min(., n) + 1/n with n = 1/u_floor.
@@ -23,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .exponents import ProblemParams, derive_exponents
 from .profiles import SPHERE_AREA, RadialProfile, cell_averages
@@ -30,8 +44,12 @@ from .profiles import SPHERE_AREA, RadialProfile, cell_averages
 STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
 STATUS_DT_UNDERFLOW = "dt_underflow"
+STATUS_STIFF_UNDERFLOW = "stiff_underflow"
 
 _DT_UNDERFLOW_FRACTION = 1e-14
+ERR_TOL_CELLS2 = 25.6  # the step controller's tolerance is ERR_TOL_CELLS2 / n_cells^2
+_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)  # ROS2, L-stable
+_FAC_MIN, _FAC_MAX = 0.2, 5.0  # bounds on the controller's step-size ratio
 
 
 @dataclass
@@ -109,8 +127,8 @@ class GridField:
             return self.ball_mass(sigma)
         if self.N == 1:
             inner = self._interval_integral(0.0, max(sigma - d, 0.0))
-            outer = self._interval_integral(abs(sigma - d) if d < sigma else d - sigma, d + sigma)
-            return 2.0 * inner + outer if d < sigma else outer + 2.0 * inner
+            outer = self._interval_integral(abs(sigma - d), d + sigma)
+            return 2.0 * inner + outer
         from .profiles import cap_measure  # local import keeps module load light
 
         nodes, weights = np.polynomial.legendre.leggauss(6)
@@ -233,23 +251,19 @@ def project_initial(profile: RadialProfile, cfg: SolverConfig) -> GridField:
 
 
 def stable_dt(field: GridField, cfg: SolverConfig) -> float:
-    """The explicit-scheme bound; returns 0 when the diffusivity is unbounded."""
-    m, p = cfg.params.m, cfg.params.p
-    u_min = float(field.u.min())
-    if cfg.boundary == "fixedfloor":
-        u_min = min(u_min, cfg.u_floor)
-    if u_min <= 0.0:
-        return 0.0
-    diff_bound = field.dr**2 * u_min ** (1.0 - m) / (2.0 * field.N * m)
-    if cfg.source_on:
-        u_max = float(field.u.max())
-        src_bound = 0.5 * u_max ** (1.0 - p) if u_max > 0.0 else math.inf
-        return cfg.dt_safety * min(diff_bound, src_bound)
-    return cfg.dt_safety * diff_bound
+    """The source bound dt_safety / (2 max u^{p-1}).
+
+    Diffusion is linearly implicit and sets no stability bound, so with the
+    source off this is the output interval, the longest step simulate takes.
+    """
+    if not cfg.source_on:
+        return cfg.output_interval()
+    u_max = float(field.u.max())
+    return cfg.dt_safety * 0.5 * u_max ** (1.0 - cfg.params.p) if u_max > 0.0 else math.inf
 
 
 class _Stepper:
-    """Preallocated work arrays for the inner update; one instance per run."""
+    """The face-flux operator of one run and its Strang step S(dt/2) D(dt) S(dt/2)."""
 
     def __init__(self, field: GridField, cfg: SolverConfig):
         N, dr, M = field.N, field.dr, len(field.u)
@@ -262,49 +276,96 @@ class _Stepper:
         self.coef_l = areas[:-1] * scale
         self.cfg = cfg
         self.m, self.p = cfg.params.m, cfg.params.p
-        self.v = np.empty(M)
-        self.lap = np.empty(M)
-        self.src = np.empty(M)
-        self.ghost_v = cfg.u_floor**self.m if cfg.boundary == "fixedfloor" else None
+        self.floor = cfg.u_floor if cfg.boundary == "fixedfloor" else None
+        if self.floor is None:
+            self.coef_r[-1] = 0.0  # zero flux through the domain boundary
+        self.ghost_v = cfg.u_floor**self.m if self.floor is not None else 0.0
+        self.ab = np.zeros((3, M))  # banded I - gamma dt J, rebuilt every step
+        self.flow_cap = cfg.u_blowup ** (1.0 - self.p)
 
-    def apply(self, u: np.ndarray, dt: float) -> None:
-        m, p = self.m, self.p
-        v, lap = self.v, self.lap
-        np.power(u, m, out=v)
-        dv = v[1:] - v[:-1]
-        np.multiply(self.coef_r[:-1], dv, out=lap[:-1])
-        lap[-1] = 0.0
-        lap[1:] -= self.coef_l[1:] * dv
-        if self.ghost_v is not None:
-            lap[-1] += self.coef_r[-1] * (self.ghost_v - v[-1])
-        if self.cfg.source_on:
-            np.power(u, p, out=self.src)
-            self.src += lap
-            u += dt * self.src
-        else:
-            u += dt * lap
-        if self.cfg.boundary == "fixedfloor":
-            np.maximum(u, self.cfg.u_floor, out=u)
-        elif u.min() < 0.0:
-            raise RuntimeError("negative cell value: dt exceeded the stability bound")
+    def div(self, v: np.ndarray) -> np.ndarray:
+        """A v: the conservative flux divergence of v = u^m (fixed-floor ghost outside)."""
+        g = np.diff(v, append=self.ghost_v)  # v_{i+1} - v_i at the outer face of cell i
+        out = self.coef_r * g
+        out[1:] -= self.coef_l[1:] * g[:-1]
+        return out
+
+    def source_flow(self, u: np.ndarray, h: float) -> np.ndarray:
+        """Exact flow of u' = u^p over time h per cell, stopped at u_blowup."""
+        p = self.p
+        g = u ** (p - 1.0)
+        reach = g * self.flow_cap  # the flow hits u_blowup within h where s <= reach
+        s = np.maximum(1.0 - (p - 1.0) * h * g, reach)
+        return np.where(s > reach, u * s ** (1.0 / (1.0 - p)), self.cfg.u_blowup)
+
+    def _admissible(self, u: np.ndarray) -> Optional[np.ndarray]:
+        """Clamp a stage at the floor (fixedfloor); None if a cell is not positive (zeroflux)."""
+        if self.floor is not None:
+            return np.maximum(u, self.floor, out=u)
+        return None if u.min() <= 0.0 else u
+
+    def diffuse(self, u: np.ndarray, h: float) -> tuple[Optional[np.ndarray], float]:
+        """One ROS2 W-method step for u' = A(u^m) with J = A diag(m u^{m-1}).
+
+        Returns the new state and the error norm max |est| / (w + 1e-8 max w)
+        of the embedded estimate est = (I - gamma h J)^{-1} h (k1 + k2) / 2; the
+        state is None and the norm inf when a stage leaves positivity.
+        """
+        if u.min() <= 0.0:  # the diffusivity m u^{m-1} is unbounded
+            return None, math.inf
+        m, gh, ab = self.m, _GAMMA * h, self.ab
+        v = u**m
+        d = m * v / u
+        ab[0, 1:] = -gh * self.coef_r[:-1] * d[1:]
+        ab[1] = 1.0 + gh * (self.coef_r + self.coef_l) * d
+        ab[2, :-1] = -gh * self.coef_l[1:] * d[:-1]
+
+        def solve(b):
+            return solve_banded((1, 1), ab, b, overwrite_b=True, check_finite=False)
+
+        k1 = solve(self.div(v))
+        stage = self._admissible(u + h * k1)
+        if stage is None:
+            return None, math.inf
+        k2 = solve(self.div(stage**m) - 2.0 * k1)
+        new = self._admissible(u + h * (1.5 * k1 + 0.5 * k2))
+        if new is None:
+            return None, math.inf
+        est = solve(0.5 * h * (k1 + k2))
+        return new, float(np.max(np.abs(est) / (new + 1e-8 * new.max())))
+
+    def apply(self, u: np.ndarray, dt: float) -> tuple[Optional[np.ndarray], float]:
+        """One Strang step S(dt/2) D(dt) S(dt/2) from u (left unchanged).
+
+        Returns the new state and the error norm of D (see diffuse).
+        """
+        if not self.cfg.source_on:
+            return self.diffuse(u, dt)
+        new, err = self.diffuse(self.source_flow(u, 0.5 * dt), dt)
+        return (None if new is None else self.source_flow(new, 0.5 * dt)), err
 
 
 def step(field: GridField, cfg: SolverConfig, dt: float) -> GridField:
-    """One explicit finite-volume update; validates dt against the stability bound."""
+    """One Strang step S(dt/2) D(dt) S(dt/2); validates dt against stable_dt."""
     bound = stable_dt(field, cfg)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} exceeds the stability bound {bound}")
-    out = field.copy()
-    _Stepper(out, cfg).apply(out.u, dt)
-    return out
+    u, _ = _Stepper(field, cfg).apply(field.u, dt)
+    if u is None:
+        raise RuntimeError(f"a diffusion stage left positivity at dt={dt}")
+    return GridField(field.N, field.dr, u, field.R_dom)
 
 
 def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:
     """Integrate from the regularized projection of the profile.
 
-    Terminates at t_end (completed), at sup >= u_blowup (blew_up), or when the
-    adaptive dt underflows below 1e-14 * t_end (dt_underflow).  Samples are
-    recorded at t = 0 and every output interval.
+    Each step is min(source bound, controller step, output clipping).  The
+    controller keeps D's error norm below ERR_TOL_CELLS2 / n_cells^2, starting
+    from the output interval; a rejected step is retried with a smaller dt.
+    Terminates at t_end (completed), at sup >= u_blowup (blew_up), when the
+    source bound underflows below 1e-14 * t_end (dt_underflow), or when the
+    controller step does (stiff_underflow).  Samples are recorded at t = 0 and
+    every output interval.  A non-finite state raises RuntimeError.
     """
     probes = tuple(float(s) for s in probes)
     if any(s <= 0.0 for s in probes):
@@ -331,6 +392,8 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     record(0.0)
     status, t_event = STATUS_COMPLETED, None
     dt_min = _DT_UNDERFLOW_FRACTION * cfg.t_end
+    tol = ERR_TOL_CELLS2 / len(u) ** 2
+    dt_ctrl = out_dt
 
     while t < cfg.t_end:
         if float(u.max()) >= cfg.u_blowup:
@@ -340,8 +403,20 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         if dt < dt_min:
             status, t_event = STATUS_DT_UNDERFLOW, t
             break
-        dt = min(dt, cfg.t_end - t, next_out - t)
-        stepper.apply(u, dt)
+        dt = min(dt, dt_ctrl, cfg.t_end - t, next_out - t)
+        new, err = stepper.apply(u, dt)
+        fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * math.sqrt(tol / err))) if err > 0.0 else _FAC_MAX
+        if err > tol:
+            dt_ctrl = dt * fac
+            if dt_ctrl < dt_min:
+                status, t_event = STATUS_STIFF_UNDERFLOW, t
+                break
+            continue
+        if math.isnan(err) or not np.isfinite(new).all():
+            raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
+        # a step clipped by the source bound or an output time does not shrink the controller
+        dt_ctrl = dt * fac if dt >= dt_ctrl else max(dt_ctrl, dt * fac)
+        u[:] = new
         t += dt
         if t >= next_out - 1e-12 * cfg.t_end:
             record(t)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ProblemParams, Regime, classify_regime, derive_exponents, validate_beta
-from .profiles import RadialProfile, ball_average_power, ball_volume
+from .profiles import RadialProfile, ball_average_power, ball_volume, radial_offset
 from .special_functions import eta, psi, psi_inv
 from .solver import GridField
 
@@ -83,10 +83,7 @@ class ScanGrid:
         r_max = spec.radius_cap() * (1.0 - 1e-9)  # sup runs over the open interval (0, R)
         if r_min <= 0.0 or r_min >= r_max:
             raise ValueError("need 0 < r_min < radius cap")
-        decades = math.log10(r_max / r_min)
-        n = max(2, int(math.ceil(decades * radii_per_decade)) + 1)
-        radii = np.logspace(math.log10(r_min), math.log10(r_max), n)
-        return cls(centers=tuple(float(c) for c in centers), radii=tuple(radii))
+        return cls(centers=tuple(float(c) for c in centers), radii=_log_radii(r_min, r_max, radii_per_decade))
 
     @classmethod
     def for_field(cls, field: GridField, spec: NormSpec, radii_per_decade: int = 16) -> "ScanGrid":
@@ -94,10 +91,13 @@ class ScanGrid:
         r_min = field.dr
         if r_min >= r_max:
             raise ValueError("radius cap below the grid spacing")
-        decades = math.log10(r_max / r_min)
-        n = max(2, int(math.ceil(decades * radii_per_decade)) + 1)
-        radii = np.logspace(math.log10(r_min), math.log10(r_max), n)
-        return cls(centers=tuple(field.r), radii=tuple(radii))
+        return cls(centers=tuple(field.r), radii=_log_radii(r_min, r_max, radii_per_decade))
+
+
+def _log_radii(r_min: float, r_max: float, radii_per_decade: int) -> tuple:
+    """Log-spaced radii from r_min to r_max, at least radii_per_decade per decade."""
+    n = max(2, int(math.ceil(math.log10(r_max / r_min) * radii_per_decade)) + 1)
+    return tuple(np.logspace(math.log10(r_min), math.log10(r_max), n))
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def orlicz_ball_average(
         avg = _grid_psi_average(f, alpha, z, sigma, scale)
         return psi_inv(alpha, avg)
     profile: RadialProfile = f
-    d = _offset(z)
+    d = radial_offset(z)
     if profile.kind == "constant" and (profile.cutoff is None or d + sigma <= profile.cutoff):
         return scale * profile.c
     if profile.kind == "critical_log" and min(profile.c, scale) > 0.0 and alpha >= profile.N / 2.0 and d <= sigma:
@@ -184,12 +184,6 @@ def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float):
     return gw
 
 
-def _offset(z) -> float:
-    if np.isscalar(z):
-        return abs(float(z))
-    return float(np.linalg.norm(np.asarray(z, dtype=float)))
-
-
 def _grid_power_average(field: GridField, expo: float, d: float, sigma: float) -> float:
     powered = GridField(field.N, field.dr, field.u**expo, field.R_dom)
     return powered.ball_mass_at(d, sigma) / ball_volume(field.N, sigma)
@@ -197,7 +191,7 @@ def _grid_power_average(field: GridField, expo: float, d: float, sigma: float) -
 
 def _grid_psi_average(field: GridField, alpha: float, z, sigma: float, scale: float) -> float:
     transformed = GridField(field.N, field.dr, np.asarray(psi(alpha, scale * field.u)), field.R_dom)
-    return transformed.ball_mass_at(_offset(z), sigma) / ball_volume(field.N, sigma)
+    return transformed.ball_mass_at(radial_offset(z), sigma) / ball_volume(field.N, sigma)
 
 
 def _ball_quantity(f, spec: NormSpec, d: float, sigma: float, scale: float, quad_tol: float) -> float:
@@ -296,7 +290,7 @@ def check_condition(
         sigma = T**ex.theta
         centers = scan.centers if scan is not None else (0.0,)
         if isinstance(f, GridField):
-            mass = max(f.ball_mass_at(_offset(d), sigma) for d in centers)
+            mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
         else:
             from .profiles import ball_mass
 

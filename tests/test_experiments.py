@@ -169,3 +169,14 @@ def test_nonexistence_probe_floor_data_blows_up():
     )
     report = global_nonexistence_probe(PSUB, constant(0.0, 1), [2.0, 20.0, 200.0], cfg)
     assert report.consistent_with_nonexistence
+
+
+# -- labels ------------------------------------------------------------------------------
+
+
+def test_stiff_underflow_is_not_a_blowup_label():
+    from fdxlab.experiments import _blew
+    from fdxlab.solver import STATUS_BLEW_UP, STATUS_DT_UNDERFLOW, STATUS_STIFF_UNDERFLOW
+
+    assert _blew(STATUS_STIFF_UNDERFLOW) is False
+    assert _blew(STATUS_BLEW_UP) and _blew(STATUS_DT_UNDERFLOW)

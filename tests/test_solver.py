@@ -7,8 +7,10 @@ from fdxlab.solver import (
     STATUS_BLEW_UP,
     STATUS_COMPLETED,
     STATUS_DT_UNDERFLOW,
+    STATUS_STIFF_UNDERFLOW,
     GridField,
     SolverConfig,
+    _Stepper,
     energy_diagnostics,
     linfty_decay_check,
     make_grid,
@@ -92,7 +94,9 @@ def test_step_constant_field_source_exact():
     c = field.u[0]
     dt = stable_dt(field, cfg)
     out = step(field, cfg, dt)
-    assert np.allclose(out.u, c + dt * c**cfg.params.p, rtol=1e-15)
+    p = cfg.params.p
+    exact = (c ** (1.0 - p) - (p - 1.0) * dt) ** (1.0 / (1.0 - p))
+    assert np.allclose(out.u, exact, rtol=1e-14, atol=0.0)
 
 
 def test_step_rejects_unstable_dt():
@@ -114,22 +118,54 @@ def test_step_barenblatt_locally_consistent():
 
 
 def test_constant_field_matches_scalar_ode_stepper():
-    # full simulate on constant data reproduces the identical scalar recursion
-    # (same stability rule, same output-time clipping)
+    # constant data see no diffusion, and the source flow is exact, so simulate
+    # reproduces the closed-form solution of w' = w^p
     cfg = _cfg(t_end=0.5)
     trace = simulate(constant(1.0, 1), cfg, probes=[1.0])
-    w = 1.0 + cfg.u_floor  # regularized start
-    t, out_dt = 0.0, cfg.output_interval()
-    next_out = out_dt
-    dr = cfg.domain_radius() / cfg.n_cells
-    while t < cfg.t_end:
-        shadow = GridField(N=1, dr=dr, u=np.full(4, w), R_dom=cfg.domain_radius())
-        dt = min(stable_dt(shadow, cfg), cfg.t_end - t, next_out - t)
-        w = w + dt * w**cfg.params.p
-        t += dt
-        if t >= next_out - 1e-12 * cfg.t_end:
-            next_out = min(next_out + out_dt, cfg.t_end)
+    w0, p = 1.0 + cfg.u_floor, cfg.params.p  # regularized start
+    w = (w0 ** (1.0 - p) - (p - 1.0) * cfg.t_end) ** (1.0 / (1.0 - p))
     assert trace.sup_norm[-1] == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_mass_conserved_to_rounding_source_free_zeroflux(N):
+    params = ProblemParams(N=N, m=0.5, p=3.0)
+    cfg = _cfg(params, source_on=False, t_end=0.2, n_cells=64, r_dom=4.0, u_floor=1e-6)
+    prof = power_law(0.3, 0.8, N, cutoff=2.0)
+    trace = simulate(prof, cfg, probes=[1.0])
+    assert trace.status == STATUS_COMPLETED
+    initial = project_initial(prof, cfg)
+    assert trace.final_field.total_mass() == pytest.approx(initial.total_mass(), rel=1e-12)
+
+
+def test_tiny_fixed_floor_run_completes():
+    # a 1e-22 floor makes the diffusivity ~1e11 outside the data; the linearly
+    # implicit step takes it in stride instead of underflowing at t = 0
+    cfg = _cfg(P3, t_end=1.0, n_cells=200, r_dom=8.0, boundary="fixedfloor", u_floor=1e-22)
+    trace = simulate(constant(1e-3, 1, cutoff=1.0), cfg, probes=[1.0])
+    assert trace.status == STATUS_COMPLETED
+    assert trace.times[-1] == pytest.approx(1.0)
+    assert np.all(trace.final_field.u >= 1e-22)
+
+
+def test_zero_cells_end_as_stiff_underflow():
+    # without a floor a zero cell has unbounded diffusivity: no step is admissible,
+    # and the run says so instead of reporting a source-driven underflow
+    cfg = _cfg(P3, t_end=0.5, u_floor=0.0)
+    trace = simulate(constant(0.5, 1, cutoff=1.0), cfg, probes=[1.0])
+    assert trace.status == STATUS_STIFF_UNDERFLOW
+    assert trace.t_event == 0.0
+
+
+def test_non_finite_state_raises(monkeypatch):
+    def poisoned(self, u, h):
+        out = u.copy()
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(_Stepper, "source_flow", poisoned)
+    with pytest.raises(RuntimeError, match="non-finite state .* t=0.0"):
+        simulate(constant(0.5, 1), _cfg(P3, t_end=0.1), probes=[1.0])
 
 
 # -- simulate -------------------------------------------------------------------------
@@ -141,6 +177,17 @@ def test_simulate_reaction_blowup_time():
     assert trace.t_event == pytest.approx(1.0, rel=0.05)
     if trace.status == STATUS_BLEW_UP:
         assert trace.sup_norm[-1] >= _cfg().u_blowup
+
+
+def test_source_flow_stops_at_blowup_threshold():
+    # for p = 5 the source bound admits steps longer than the time left to blow-up;
+    # the exact flow then stops at u_blowup instead of leaving the reals
+    params = ProblemParams(N=1, m=0.5, p=5.0)
+    trace = simulate(constant(1.0, 1), _cfg(params, t_end=0.5), probes=[1.0])
+    assert trace.status == STATUS_BLEW_UP
+    assert trace.sup_norm[-1] == _cfg().u_blowup
+    assert 0.25 <= trace.t_event <= 0.25 * 1.05  # t_b = u0^{1-p} / (p - 1)
+    assert np.all(np.isfinite(trace.final_field.u))
 
 
 def test_simulate_zero_profile_follows_floor_ode():
