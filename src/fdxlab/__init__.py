@@ -41,7 +41,7 @@ from .solver import (
     simulate,
     step,
 )
-from .special_functions import GammaFn, c_eta, eta, gamma_fn, psi, psi_inv
+from .special_functions import GammaFn, c_eta, eta, psi, psi_inv
 from .trace_estimator import TraceEstimate, estimate_trace, fit_trace_bounds
 from .experiments import decay_fit, global_nonexistence_probe, threshold_sweep
 from .ulmorrey import NormResult, NormSpec, ScanGrid, SolvabilityVerdict, check_condition, norm, orlicz_ball_average

@@ -18,6 +18,9 @@ radial integral against the sphere-cap measure
 with d = |z|.  This is exact in the angular variable for every N, so only one
 1-D adaptive quadrature remains, with breakpoints at the cap kink |sigma - d|
 and at the profile cutoff.
+
+The same cap measure gives the exact lens volume |B(0, r) intersected with
+B(z, sigma)| (lens_volume), from which gridded fields weight their cells.
 """
 
 from __future__ import annotations
@@ -210,6 +213,22 @@ def cap_measure(N: int, rho: float, d: float, sigma: float) -> float:
     if N == 2:
         return 2.0 * rho * math.acos(cos_t)
     return 2.0 * math.pi * rho * rho * (1.0 - cos_t)
+
+
+def lens_volume(N: int, r: float, d: float, sigma: float) -> float:
+    """|B(0, r) intersected with B(z, sigma)| for |z| = d, in the lens case |r - sigma| < d < r + sigma.
+
+    The divergence theorem for the field x (div x = N) over the lens boundary
+    gives N V = r s_N(r; d, sigma) + sigma s_N(sigma; d, r) - d |D|: x.n = r on
+    the cap of {|x| = r}, x.n = sigma + z.n on the cap of {|x - z| = sigma},
+    and z.n integrates to -d |D| there, D being the flat disk spanned by the
+    rim.  |D| is 1, 2a, pi a^2 for N = 1, 2, 3 with rim radius a.  The N = 2
+    caps go through acos, so V is only sqrt(eps)-accurate near tangency.
+    """
+    cos_t = (d * d + r * r - sigma * sigma) / (2.0 * d * r)
+    a2 = max(0.0, r * r * (1.0 - cos_t * cos_t))
+    disk = 1.0 if N == 1 else (2.0 * math.sqrt(a2) if N == 2 else math.pi * a2)
+    return (r * cap_measure(N, r, d, sigma) + sigma * cap_measure(N, sigma, d, r) - d * disk) / N
 
 
 def log_rho_of_w(w: float) -> float:

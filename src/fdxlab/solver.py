@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .exponents import ProblemParams, derive_exponents
-from .profiles import SPHERE_AREA, RadialProfile, cell_averages
+from .profiles import BALL_VOLUME, SPHERE_AREA, RadialProfile, cell_averages, lens_volume
 
 STATUS_COMPLETED = "completed"
 STATUS_BLEW_UP = "blew_up"
@@ -95,61 +95,33 @@ class GridField:
     def total_mass(self) -> float:
         return SPHERE_AREA[self.N] * float(np.dot(self.u, self.volumes))
 
-    def ball_mass(self, sigma: float) -> float:
-        """Exact mass of B(0, sigma) for the piecewise-constant field."""
+    def ball_weights(self, d: float, sigma: float) -> np.ndarray:
+        """Measure of each cell's shell inside B(z, sigma), |z| = d, in closed form for every N.
+
+        The overlap |B(0, e) intersected with B(z, sigma)| at the cell edges e is
+        BALL_VOLUME[N] min(e, sigma)^N where one ball holds the other, 0 where
+        they are apart, and profiles.lens_volume in between; the weights are its
+        differences, so nothing beyond the last edge is counted.  Only the
+        lens edges lose accuracy, near tangency (see lens_volume).
+        """
         if sigma <= 0.0:
             raise ValueError("sigma must be > 0")
-        sigma = min(sigma, self.R_dom)
-        e, N = self.edges, self.N
-        j = int(np.searchsorted(e, sigma) - 1)  # straddling cell index
-        vols = self.volumes
-        full = float(np.dot(self.u[:j], vols[:j]))
-        partial = self.u[j] * (sigma**N - e[j] ** N) / N if j < len(self.u) else 0.0
-        return SPHERE_AREA[N] * (full + partial)
-
-    def _interval_integral(self, lo: float, hi: float) -> float:
-        """integral of u(rho) drho over [lo, hi] subset [0, R_dom], exact per cell."""
-        lo, hi = max(lo, 0.0), min(hi, self.R_dom)
-        if hi <= lo:
-            return 0.0
+        d, sigma = float(d), float(sigma)  # numpy scalars would slow the scalar lens_volume
         e = self.edges
-        i0 = min(int(np.searchsorted(e, lo, side="right") - 1), len(self.u) - 1)
-        i1 = min(int(np.searchsorted(e, hi, side="left") - 1), len(self.u) - 1)
-        if i0 == i1:
-            return self.u[i0] * (hi - lo)
-        total = self.u[i0] * (e[i0 + 1] - lo) + self.u[i1] * (hi - e[i1])
-        total += float(np.sum(self.u[i0 + 1 : i1])) * self.dr
-        return total
+        vol = BALL_VOLUME[self.N] * np.minimum(e, sigma) ** self.N
+        apart, lo = e.searchsorted((d - sigma, abs(sigma - d)), side="right")
+        hi = e.searchsorted(sigma + d)  # the lens edges |sigma - d| < e < sigma + d; none for d = 0
+        vol[:apart] = 0.0
+        vol[lo:hi] = [lens_volume(self.N, r, d, sigma) for r in e[lo:hi].tolist()]
+        return np.diff(vol)
+
+    def ball_mass(self, sigma: float) -> float:
+        """Exact mass of B(0, sigma) for the piecewise-constant field."""
+        return self.ball_mass_at(0.0, sigma)
 
     def ball_mass_at(self, d: float, sigma: float) -> float:
-        """Mass of B(z, sigma) for |z| = d; exact in 1-D, cell-wise Gauss for N >= 2."""
-        if d == 0.0:
-            return self.ball_mass(sigma)
-        if self.N == 1:
-            inner = self._interval_integral(0.0, max(sigma - d, 0.0))
-            outer = self._interval_integral(abs(sigma - d), d + sigma)
-            return 2.0 * inner + outer
-        from .profiles import cap_measure  # local import keeps module load light
-
-        nodes, weights = np.polynomial.legendre.leggauss(6)
-        lo, hi = max(0.0, d - sigma), min(d + sigma, self.R_dom)
-        total = 0.0
-        e = self.edges
-        kink = abs(sigma - d)
-        for i, ui in enumerate(self.u):
-            a, b = max(e[i], lo), min(e[i + 1], hi)
-            if b <= a or ui == 0.0:
-                continue
-            segs = [(a, kink), (kink, b)] if a < kink < b else [(a, b)]
-            for sa, sb in segs:
-                if sb <= sa:
-                    continue
-                mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
-                val = sum(
-                    w * cap_measure(self.N, mid + half * x, d, sigma) for x, w in zip(nodes, weights)
-                )
-                total += ui * half * val
-        return total
+        """Mass of B(z, sigma) for |z| = d and the piecewise-constant field (see ball_weights)."""
+        return float(np.dot(self.u, self.ball_weights(d, sigma)))
 
 
 def make_grid(N: int, n_cells: int, R_dom: float) -> GridField:
@@ -365,11 +337,14 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     Terminates at t_end (completed), at sup >= u_blowup (blew_up), when the
     source bound underflows below 1e-14 * t_end (dt_underflow), or when the
     controller step does (stiff_underflow).  Samples are recorded at t = 0 and
-    every output interval.  A non-finite state raises RuntimeError.
+    every output interval.  A probe radius beyond R_dom raises ValueError; a
+    non-finite state raises RuntimeError.
     """
     probes = tuple(float(s) for s in probes)
-    if any(s <= 0.0 for s in probes):
-        raise ValueError("probe radii must be > 0")
+    R_dom = cfg.domain_radius()
+    for s in probes:
+        if not 0.0 < s <= R_dom:
+            raise ValueError(f"probe radius {s!r} must lie in (0, R_dom={R_dom!r}]")
     field = project_initial(profile, cfg)
     stepper = _Stepper(field, cfg)
     u = field.u
@@ -444,29 +419,21 @@ def energy_diagnostics(field: GridField, beta: float, sigma: float, m: float) ->
     """(integral of u^beta, integral of u^{m+beta-3} |grad u|^2) over B(0, sigma).
 
     The gradient uses central differences, one-sided at the ends; the ball is
-    weighted by exact cell volumes with a partial straddling cell.
+    weighted by GridField.ball_weights.
     """
     if beta <= 1.0:
         raise ValueError("beta must be > 1")
     if np.any(field.u <= 0.0):
         raise ValueError("energy diagnostics require a strictly positive field")
-    u, dr, N = field.u, field.dr, field.N
+    u, dr = field.u, field.dr
     grad = np.empty_like(u)
     grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
     grad[0] = (u[1] - u[0]) / dr
     grad[-1] = (u[-1] - u[-2]) / dr
 
-    vols = field.volumes
-    e = field.edges
-    sigma = min(sigma, field.R_dom)
-    j = int(np.searchsorted(e, sigma) - 1)
-    w = np.zeros_like(u)
-    w[:j] = vols[:j]
-    if j < len(u):
-        w[j] = (sigma**N - e[j] ** N) / N
-
-    mass_beta = SPHERE_AREA[N] * float(np.dot(u**beta, w))
-    dirichlet = SPHERE_AREA[N] * float(np.dot(u ** (m + beta - 3.0) * grad**2, w))
+    w = field.ball_weights(0.0, sigma)
+    mass_beta = float(np.dot(u**beta, w))
+    dirichlet = float(np.dot(u ** (m + beta - 3.0) * grad**2, w))
     return mass_beta, dirichlet
 
 

@@ -46,41 +46,30 @@ def _psi_derivative(alpha: float, x: float) -> float:
     return lg**alpha + x * alpha * lg ** (alpha - 1.0) / (_E + x)
 
 
-def psi_inv(alpha: float, y: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Inverse of psi_alpha by bisection on [0, y] plus one Newton polish.
+def psi_inv(alpha: float, y: float) -> float:
+    """Inverse of psi_alpha by Newton's method, exact to rounding.
 
-    The bracket is valid because psi_alpha(y) >= y for alpha >= 0.  Returns x
-    with |psi_alpha(x) - y| <= tol * max(1, y).
+    The start x0 = y / log(e + y)^alpha has psi_alpha(x0) <= y, and psi_alpha
+    is increasing and convex, so the first step lands at or above the root
+    and every later step decreases x monotonically onto it.  The iteration
+    stops when a step no longer lowers x.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
     if y < 0.0:
         raise ValueError("psi_inv requires y >= 0")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
-    if y == 0.0:
-        return 0.0
-    lo, hi = 0.0, y
-    target = tol * max(1.0, y)
-    x = 0.5 * y
-    for _ in range(max_iter):
-        x = 0.5 * (lo + hi)
-        fx = psi(alpha, x)
-        if abs(fx - y) <= target:
-            break
-        if fx < y:
-            lo = x
-        else:
-            hi = x
-    else:
-        raise RuntimeError(f"psi_inv failed to converge for alpha={alpha}, y={y}")
-    # one Newton step sharpens the bisection result; psi is smooth and monotone
-    d = _psi_derivative(alpha, x)
-    if d > 0.0:
-        x_new = x - (psi(alpha, x) - y) / d
-        if 0.0 <= x_new and abs(psi(alpha, x_new) - y) <= abs(psi(alpha, x) - y):
-            x = x_new
-    return x
+    if y == 0.0 or math.isinf(y):
+        return y
+
+    def newton(x: float) -> float:
+        return x - (x * math.log(_E + x) ** alpha - y) / _psi_derivative(alpha, x)
+
+    x = newton(y / math.log(_E + y) ** alpha)
+    while True:
+        x_new = newton(x)
+        if not x_new < x:
+            return x
+        x = x_new
 
 
 def eta(N: int, xi):
@@ -200,7 +189,3 @@ class GammaFn:
 
         return brentq(resid, 0.0, 1.0, xtol=1e-15, rtol=max(rel_tol, 4e-16))
 
-
-def gamma_fn(g: GammaFn, xi: float) -> float:
-    """Table-backed evaluation of gamma(xi); see GammaFn.value_exact for the oracle."""
-    return g(xi)

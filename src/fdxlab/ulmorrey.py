@@ -133,8 +133,7 @@ def orlicz_ball_average(
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
     if isinstance(f, GridField):
-        avg = _grid_psi_average(f, alpha, z, sigma, scale)
-        return psi_inv(alpha, avg)
+        return psi_inv(alpha, _grid_average(f, psi(alpha, scale * f.u), radial_offset(z), sigma))
     profile: RadialProfile = f
     d = radial_offset(z)
     if profile.kind == "constant" and (profile.cutoff is None or d + sigma <= profile.cutoff):
@@ -184,14 +183,9 @@ def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float):
     return gw
 
 
-def _grid_power_average(field: GridField, expo: float, d: float, sigma: float) -> float:
-    powered = GridField(field.N, field.dr, field.u**expo, field.R_dom)
-    return powered.ball_mass_at(d, sigma) / ball_volume(field.N, sigma)
-
-
-def _grid_psi_average(field: GridField, alpha: float, z, sigma: float, scale: float) -> float:
-    transformed = GridField(field.N, field.dr, np.asarray(psi(alpha, scale * field.u)), field.R_dom)
-    return transformed.ball_mass_at(radial_offset(z), sigma) / ball_volume(field.N, sigma)
+def _grid_average(field: GridField, values: np.ndarray, d: float, sigma: float) -> float:
+    """Average over B(z, sigma), |z| = d, of per-cell values of the field's grid."""
+    return float(np.dot(values, field.ball_weights(d, sigma))) / ball_volume(field.N, sigma)
 
 
 def _ball_quantity(f, spec: NormSpec, d: float, sigma: float, scale: float, quad_tol: float) -> float:
@@ -199,8 +193,7 @@ def _ball_quantity(f, spec: NormSpec, d: float, sigma: float, scale: float, quad
     if spec.kind == MORREY:
         N = f.N
         if isinstance(f, GridField):
-            avg = _grid_power_average(f, spec.alpha, d, sigma)
-            avg *= scale**spec.alpha
+            avg = _grid_average(f, f.u**spec.alpha, d, sigma) * scale**spec.alpha
         else:
             avg = ball_average_power(f, spec.alpha, d, sigma, quad_tol) * scale**spec.alpha
         return sigma ** (N / spec.q) * avg ** (1.0 / spec.alpha)

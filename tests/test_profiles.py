@@ -16,8 +16,10 @@ from fdxlab.profiles import (
     constant,
     critical_log,
     critical_profile,
+    lens_volume,
     power_law,
 )
+from fdxlab.solver import GridField
 
 E = math.e
 
@@ -176,6 +178,51 @@ def test_cap_measure_consistency():
             )
             assert vol == pytest.approx(ball_volume(N, sigma), rel=1e-9)
 
+
+
+def _overlap_closed_form(N, r, d, sigma):
+    """|B(0, r) intersected with B(z, sigma)|, |z| = d, from the textbook lens formulas."""
+    if d <= abs(r - sigma):
+        return ball_volume(N, min(r, sigma))
+    if d >= r + sigma:
+        return 0.0
+    if N == 1:
+        return r + sigma - d
+    if N == 2:
+        kite = 0.5 * math.sqrt((-d + r + sigma) * (d + r - sigma) * (d - r + sigma) * (d + r + sigma))
+        return (
+            r * r * math.acos((d * d + r * r - sigma * sigma) / (2.0 * d * r))
+            + sigma * sigma * math.acos((d * d + sigma * sigma - r * r) / (2.0 * d * sigma))
+            - kite
+        )
+    return math.pi * (r + sigma - d) ** 2 * (d * d + 2.0 * d * (r + sigma) - 3.0 * (r - sigma) ** 2) / (12.0 * d)
+
+
+def test_lens_volume_matches_closed_forms():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        r = float(rng.uniform(0.1, 3.0))
+        sigma = r * math.exp(float(rng.uniform(-math.log(4.0), math.log(4.0))))
+        d = float(rng.uniform(abs(r - sigma), r + sigma))
+        if not abs(r - sigma) < d < r + sigma:
+            continue
+        for N in (1, 2, 3):
+            tol = 1e-10 * ball_volume(N, min(r, sigma))
+            assert abs(lens_volume(N, r, d, sigma) - _overlap_closed_form(N, r, d, sigma)) <= tol, (N, r, d, sigma)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_grid_ball_mass_matches_closed_form_overlaps(N):
+    rng = np.random.default_rng(20 + N)
+    f = GridField(N=N, dr=0.1, u=rng.uniform(0.0, 1.0, size=40), R_dom=4.0)
+    e = f.edges
+    # In the last two, |sigma - d| lands one ulp below the edges 12 * 0.1 and 24 * 0.1,
+    # where the N = 2 lens goes through acos near 1 and is only sqrt(eps)-accurate.
+    tangent = ((2.25, 1.05), (3.3, 0.9))
+    for d, sigma in ((0.0, 1.234), (0.5, 1.3), (1.3, 0.45), (2.27, 1.05), (3.31, 0.9), *tangent):
+        overlap = np.array([_overlap_closed_form(N, r, d, sigma) for r in e])
+        rel = 1e-7 if N == 2 and (d, sigma) in tangent else 1e-12
+        assert f.ball_mass_at(d, sigma) == pytest.approx(float(np.dot(f.u, np.diff(overlap))), rel=rel), (d, sigma)
 
 # -- cell averages -----------------------------------------------------------------
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdxlab.exponents import ProblemParams
-from fdxlab.profiles import barenblatt, barenblatt_value, constant, power_law
+from fdxlab.profiles import SPHERE_AREA, ball_volume, barenblatt, barenblatt_value, constant, power_law
 from fdxlab.solver import (
     STATUS_BLEW_UP,
     STATUS_COMPLETED,
@@ -75,6 +75,27 @@ def test_grid_off_center_mass_2d_matches_quadrature():
     prof = gridded(f)
     for d, sigma in ((0.5, 0.4), (1.3, 0.7), (0.0, 1.1)):
         assert f.ball_mass_at(d, sigma) == pytest.approx(ball_mass(prof, d, sigma, 1e-9), rel=2e-3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_ball_weights_sum_to_the_ball_volume(N):
+    f = GridField(N=N, dr=0.125, u=np.ones(32), R_dom=4.0)
+    # centered, d < sigma, d > sigma, and |sigma - d| and sigma + d on cell edges
+    for d, sigma in ((0.0, 1.3), (0.0, 1.25), (0.4, 1.3), (2.1, 0.7), (1.0, 0.625), (0.25, 0.75)):
+        w = f.ball_weights(d, sigma)
+        assert w.sum() == pytest.approx(ball_volume(N, sigma), rel=1e-12), (d, sigma)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_centered_ball_mass_matches_the_straddling_cell_closed_form(N):
+    rng = np.random.default_rng(N)
+    f = GridField(N=N, dr=0.1, u=rng.uniform(0.0, 1.0, size=40), R_dom=4.0)
+    e = f.edges
+    for sigma in (0.05, 0.3, 1.234, 2.0, 3.999, 4.0):
+        j = int(np.searchsorted(e, sigma) - 1)
+        partial = f.u[j] * (sigma**N - e[j] ** N) / N if j < len(f.u) else 0.0
+        closed = SPHERE_AREA[N] * (float(np.dot(f.u[:j], f.volumes[:j])) + partial)
+        assert f.ball_mass(sigma) == pytest.approx(closed, rel=1e-14), sigma
 
 
 # -- stepping -------------------------------------------------------------------------
@@ -231,6 +252,13 @@ def test_trace_csv_rows_shape():
     header, rows = trace.csv_rows()
     assert header == ["t", "sup_norm", "mass_sigma_0", "mass_sigma_1"]
     assert len(rows) == len(trace.times)
+
+
+def test_probe_beyond_the_domain_is_rejected():
+    cfg = _cfg(t_end=0.05, r_dom=4.0)
+    with pytest.raises(ValueError, match=r"probe radius 10\.0 .*R_dom=4\.0"):
+        simulate(constant(0.5, 1), cfg, probes=[1.0, 10.0])
+    assert simulate(constant(0.5, 1), cfg, probes=[4.0]).status == STATUS_COMPLETED
 
 
 # -- energy diagnostics ----------------------------------------------------------------

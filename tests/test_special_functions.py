@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fdxlab.exponents import ProblemParams
-from fdxlab.special_functions import GammaFn, c_eta, eta, gamma_fn, psi, psi_inv
+from fdxlab.special_functions import GammaFn, c_eta, eta, psi, psi_inv
 
 E = math.e
 
@@ -45,8 +45,14 @@ def test_psi_inv_round_trip_examples():
 def test_psi_inv_errors():
     with pytest.raises(ValueError):
         psi_inv(1.0, -1.0)
-    with pytest.raises(ValueError):
-        psi_inv(1.0, 1.0, tol=0.0)
+
+
+def test_psi_inv_residual_over_the_float_range():
+    for alpha in np.linspace(0.0, 4.0, 17):
+        for y in [*np.logspace(-300.0, 308.0, 153), 1.5e308]:
+            x = psi_inv(float(alpha), float(y))
+            assert abs(x * math.log(E + x) ** alpha - y) <= 1e-12 * max(1.0, y), (alpha, y)
+    assert psi_inv(1.0, math.inf) == math.inf
 
 
 def test_psi_round_trip_random():
@@ -130,8 +136,8 @@ def gamma_n2_m05():
 
 
 def test_gamma_endpoints_exact(gamma_n2_m05):
-    assert gamma_fn(gamma_n2_m05, 0.0) == 0.0
-    assert gamma_fn(gamma_n2_m05, 1.0) == 1.0
+    assert gamma_n2_m05(0.0) == 0.0
+    assert gamma_n2_m05(1.0) == 1.0
 
 
 def test_gamma_midpoint_oracle(gamma_n2_m05):
