@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -54,29 +54,16 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     subcommand: str
-    raw: dict
+    values: dict  # the parsed value of every key that is set
     out_dir: Path
     seed: int = 0
     file_stem: Optional[str] = None  # default: the subcommand name
     params: Optional[ProblemParams] = None
     profile: Optional[profiles.RadialProfile] = None
+    solver: Optional[SolverConfig] = None
 
     def get(self, key: str, default=None):
-        return self.raw.get(key, default)
-
-    def get_float(self, key: str, default=None) -> Optional[float]:
-        v = self.raw.get(key)
-        return default if v is None else float(v)
-
-    def get_int(self, key: str, default=None) -> Optional[int]:
-        v = self.raw.get(key)
-        return default if v is None else int(v)
-
-    def get_bool(self, key: str, default=None):
-        v = self.raw.get(key)
-        if v is None:
-            return default
-        return v.strip().lower() in ("1", "true", "yes", "on")
+        return self.values.get(key, default)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -100,63 +87,97 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return out
 
 
-_FLOAT_KEYS = {
-    "m", "p", "profile.c", "profile.a", "profile.cutoff", "profile.cb", "profile.t0",
-    "solver.dt_safety", "solver.u_blowup", "solver.u_floor", "solver.t_end",
-    "solver.r_dom", "solver.out_interval", "norm.q", "norm.alpha", "norm.beta",
-    "norm.r_cap", "norm.T", "norm.delta", "threshold.horizon", "threshold.c_start",
-    "decay.window_lo", "decay.window_hi", "decay.t_offset", "gronwall.T",
-    "scan.r_min",
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(value: str) -> bool:
+    return _BOOLS[value.lower()]  # a KeyError is a parse failure
+
+
+def _floats(value: str) -> tuple:
+    return tuple(float(s) for s in value.split(",") if s.strip())
+
+
+_EXPECTED = {float: "a number", int: "an integer", _bool: "/".join(_BOOLS), _floats: "comma-separated numbers"}
+
+# every config key and its parser; solver.* keys are the SolverConfig fields of the same name
+_KEYS = {
+    "N": int, "m": float, "p": float,
+    "profile.kind": str, "profile.c": float, "profile.a": float, "profile.cutoff": float,
+    "profile.cb": float, "profile.t0": float,
+    "solver.t_end": float, "solver.n_cells": int, "solver.r_dom": float, "solver.dt_safety": float,
+    "solver.u_floor": float, "solver.u_blowup": float, "solver.boundary": str,
+    "solver.source_on": _bool, "solver.out_interval": float,
+    "probes": _floats,
+    "norm.kind": str, "norm.q": float, "norm.alpha": float, "norm.beta": float,
+    "norm.r_cap": float, "norm.T": float, "norm.delta": float,
+    "scan.centers": _floats, "scan.r_min": float, "scan.radii_per_decade": int,
+    "threshold.horizon": float, "threshold.c_start": float, "threshold.bisect_steps": int,
+    "decay.window_lo": float, "decay.window_hi": float, "decay.t_offset": float,
+    "gronwall.n_draws": int, "gronwall.n_steps": int, "gronwall.T": float,
 }
-_INT_KEYS = {"N", "solver.n_cells", "threshold.bisect_steps", "gronwall.n_draws",
-             "gronwall.n_steps", "scan.radii_per_decade"}
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
+_NORM_KINDS = ("morrey", "orlicz_eta")
+_SOLVER_RUNS = ("simulate", "threshold", "decay", "trace")
 
 
 def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> RunConfig:
     """Full validation pass; collects every violation before failing."""
     violations = []
-
-    for key in sorted(set(raw) & _FLOAT_KEYS):
+    values = {}
+    for key in sorted(raw):
+        parse = _KEYS.get(key)
+        if parse is None:
+            violations.append(f"key {key!r}: unknown key")
+            continue
         try:
-            float(raw[key])
-        except ValueError:
-            violations.append(f"key {key!r}: not a number: {raw[key]!r}")
-    for key in sorted(set(raw) & _INT_KEYS):
-        try:
-            int(raw[key])
-        except ValueError:
-            violations.append(f"key {key!r}: not an integer: {raw[key]!r}")
+            values[key] = parse(raw[key])
+        except (ValueError, KeyError):
+            violations.append(f"key {key!r}: expected {_EXPECTED[parse]}, got {raw[key]!r}")
     if violations:
         raise ConfigError(violations)
 
-    cfg = RunConfig(subcommand=subcommand, raw=raw, out_dir=out_dir, seed=seed)
+    cfg = RunConfig(subcommand=subcommand, values=values, out_dir=out_dir, seed=seed)
 
     params = None
     if subcommand != "gronwall-check":
         for key in ("N", "m", "p"):
-            if key not in raw:
+            if key not in values:
                 violations.append(f"key {key!r}: required for subcommand {subcommand!r}")
         if not violations:
             try:
-                params = ProblemParams(N=int(raw["N"]), m=float(raw["m"]), p=float(raw["p"]))
+                params = ProblemParams(N=values["N"], m=values["m"], p=values["p"])
             except ValueError as exc:
                 key = "m" if "m must" in str(exc) else ("p" if "p must" in str(exc) else "N")
                 violations.append(f"key {key!r}: {exc}")
     cfg.params = params
 
-    needs_profile = subcommand in ("norms", "simulate", "threshold", "decay", "trace")
+    if subcommand == "norms" and values.get("norm.kind", "morrey") not in _NORM_KINDS:
+        violations.append(f"key 'norm.kind': unknown kind {values['norm.kind']!r}")
+
+    needs_profile = subcommand in ("norms", *_SOLVER_RUNS)
     if needs_profile and params is not None:
-        kind = raw.get("profile.kind")
+        kind = values.get("profile.kind")
         if kind is None:
             violations.append("key 'profile.kind': required")
         elif kind not in _PROFILE_KINDS:
             violations.append(f"key 'profile.kind': unknown kind {kind!r}")
+        elif subcommand == "threshold" and kind == "barenblatt":
+            violations.append("key 'profile.kind': barenblatt has no amplitude profile.c to bisect")
         else:
             try:
                 cfg.profile = build_profile(kind, cfg, params)
             except ValueError as exc:
                 violations.append(f"profile: {exc}")
+
+    if subcommand in _SOLVER_RUNS and params is not None:
+        t_key = "threshold.horizon" if subcommand == "threshold" else "solver.t_end"
+        fields = {k[len("solver."):]: v for k, v in values.items() if k.startswith("solver.")}
+        fields["t_end"] = values.get(t_key, 2e-3 if subcommand == "trace" else 1.0)
+        try:
+            cfg.solver = SolverConfig(params=params, **fields)
+        except ValueError as exc:
+            violations.append(f"solver: {exc}")
 
     if violations:
         raise ConfigError(violations)
@@ -164,39 +185,21 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
 
 
 def build_profile(kind: str, cfg: RunConfig, params: ProblemParams) -> profiles.RadialProfile:
-    c = cfg.get_float("profile.c", 1.0)
-    cutoff = cfg.get_float("profile.cutoff")
+    c = cfg.get("profile.c", 1.0)
+    cutoff = cfg.get("profile.cutoff")
     if kind == "constant":
         return profiles.constant(c, params.N, cutoff)
     if kind == "power":
-        return profiles.power_law(c, cfg.get_float("profile.a", 2.0 / (params.p - params.m)), params.N, cutoff)
+        return profiles.power_law(c, cfg.get("profile.a", 2.0 / (params.p - params.m)), params.N, cutoff)
     if kind == "critical_log":
         return profiles.critical_log(c, params.N, cutoff)
     if kind == "barenblatt":
-        return profiles.barenblatt(
-            cfg.get_float("profile.cb", 1.0), cfg.get_float("profile.t0", 1.0), params.N, params.m, cutoff
-        )
+        return profiles.barenblatt(cfg.get("profile.cb", 1.0), cfg.get("profile.t0", 1.0), params.N, params.m, cutoff)
     return profiles.critical_profile(params, c)
 
 
-def build_solver_config(cfg: RunConfig, t_end: float) -> SolverConfig:
-    return SolverConfig(
-        params=cfg.params,
-        t_end=t_end,
-        dt_safety=cfg.get_float("solver.dt_safety", 0.9),
-        u_blowup=cfg.get_float("solver.u_blowup", 1e8),
-        u_floor=cfg.get_float("solver.u_floor", 1e-4),
-        boundary=cfg.get("solver.boundary", "zeroflux"),
-        source_on=cfg.get_bool("solver.source_on", True),
-        n_cells=cfg.get_int("solver.n_cells", 400),
-        r_dom=cfg.get_float("solver.r_dom"),
-        out_interval=cfg.get_float("solver.out_interval"),
-    )
-
-
-def _probes(cfg: RunConfig) -> list:
-    spec = cfg.get("probes", "1.0")
-    return [float(s) for s in spec.split(",") if s.strip()]
+def _probes(cfg: RunConfig) -> tuple:
+    return cfg.get("probes", (1.0,))
 
 
 def _out_path(cfg: RunConfig, suffix: str = "") -> Path:
@@ -226,20 +229,16 @@ def run_exponents(cfg: RunConfig) -> int:
 
 
 def run_norms(cfg: RunConfig) -> int:
-    kind = cfg.get("norm.kind", "morrey")
-    r_cap = cfg.get_float("norm.r_cap", math.inf)
-    if kind == "morrey":
-        spec = ulmorrey.morrey(cfg.get_float("norm.q", 1.0), cfg.get_float("norm.alpha", 1.0), r_cap)
-    elif kind == "orlicz_eta":
-        spec = ulmorrey.orlicz_eta(cfg.get_float("norm.alpha", 1.0), r_cap)
+    r_cap = cfg.get("norm.r_cap", math.inf)
+    if cfg.get("norm.kind", "morrey") == "morrey":
+        spec = ulmorrey.morrey(cfg.get("norm.q", 1.0), cfg.get("norm.alpha", 1.0), r_cap)
     else:
-        raise ValueError(f"unknown norm.kind {kind!r}")
-    centers = tuple(float(s) for s in cfg.get("scan.centers", "0").split(",") if s.strip())
+        spec = ulmorrey.orlicz_eta(cfg.get("norm.alpha", 1.0), r_cap)
     scan = ulmorrey.ScanGrid.build(
         spec,
-        r_min=cfg.get_float("scan.r_min", 1e-3),
-        centers=centers,
-        radii_per_decade=cfg.get_int("scan.radii_per_decade", 64),
+        r_min=cfg.get("scan.r_min", 1e-3),
+        centers=cfg.get("scan.centers", (0.0,)),
+        radii_per_decade=cfg.get("scan.radii_per_decade", 64),
     )
     result = ulmorrey.norm(cfg.profile, spec, scan)
     path = _out_path(cfg)
@@ -251,10 +250,10 @@ def run_norms(cfg: RunConfig) -> int:
     )
     print(f"norm value = {fmt(result.value)} at center {fmt(result.arg_center)}, radius {fmt(result.arg_radius)}")
 
-    delta = cfg.get_float("norm.delta")
+    delta = cfg.get("norm.delta")
     if delta is not None:
-        T = cfg.get_float("norm.T", 1.0)
-        beta_or_alpha = cfg.get_float("norm.beta", cfg.get_float("norm.alpha", 1.0))
+        T = cfg.get("norm.T", 1.0)
+        beta_or_alpha = cfg.get("norm.beta", cfg.get("norm.alpha", 1.0))
         verdict = ulmorrey.check_condition(cfg.params, cfg.profile, T, delta, beta_or_alpha, scan=scan)
         write_csv(
             _out_path(cfg, "verdict"),
@@ -267,9 +266,7 @@ def run_norms(cfg: RunConfig) -> int:
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    t_end = cfg.get_float("solver.t_end", 1.0)
-    scfg = build_solver_config(cfg, t_end)
-    trace = simulate(cfg.profile, scfg, _probes(cfg))
+    trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
     header, rows = trace.csv_rows()
     status = trace.status if trace.t_event is None else f"{trace.status} t={fmt(trace.t_event)}"
     write_csv(_out_path(cfg), header, rows, status)
@@ -278,24 +275,14 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_threshold(cfg: RunConfig) -> int:
-    horizon = cfg.get_float("threshold.horizon", 1.0)
-    scfg = build_solver_config(cfg, horizon)
-    kind = cfg.get("profile.kind")
-    params = cfg.params
-
-    def family(c: float) -> profiles.RadialProfile:
-        sub = RunConfig(cfg.subcommand, dict(cfg.raw, **{"profile.c": repr(c)}), cfg.out_dir)
-        sub.params = params
-        return build_profile(kind, sub, params)
-
     result = experiments.threshold_sweep(
-        params,
-        family,
-        horizon,
-        cfg.get_int("threshold.bisect_steps", 8),
-        scfg,
+        cfg.params,
+        lambda c: replace(cfg.profile, c=c),
+        cfg.solver.t_end,
+        cfg.get("threshold.bisect_steps", 8),
+        cfg.solver,
         probes=_probes(cfg),
-        c_start=cfg.get_float("threshold.c_start", 1.0),
+        c_start=cfg.get("threshold.c_start", 1.0),
     )
     rows = [
         [s.c, s.status, "" if s.t_event is None else s.t_event, s.proxy_ratio, s.proxy_bounded, s.sup_final]
@@ -312,13 +299,12 @@ def run_threshold(cfg: RunConfig) -> int:
 
 
 def run_decay(cfg: RunConfig) -> int:
-    t_end = cfg.get_float("solver.t_end", 1.0)
-    scfg = build_solver_config(cfg, t_end)
-    trace = simulate(cfg.profile, scfg, _probes(cfg))
-    offset = cfg.get_float("decay.t_offset", 0.0)
-    lo = cfg.get_float("decay.window_lo", (t_end + offset) / 10.0)
-    hi = cfg.get_float("decay.window_hi", t_end + offset)
-    fit = experiments.decay_fit(trace, cfg.params, (lo, hi), t_offset=offset, T=cfg.get_float("norm.T"))
+    t_end = cfg.solver.t_end
+    trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
+    offset = cfg.get("decay.t_offset", 0.0)
+    lo = cfg.get("decay.window_lo", (t_end + offset) / 10.0)
+    hi = cfg.get("decay.window_hi", t_end + offset)
+    fit = experiments.decay_fit(trace, cfg.params, (lo, hi), t_offset=offset, T=cfg.get("norm.T"))
     write_csv(
         _out_path(cfg),
         ["slope", "n_points", "window_lo", "window_hi", "log_corrected_sup"],
@@ -331,14 +317,12 @@ def run_decay(cfg: RunConfig) -> int:
 
 
 def run_trace(cfg: RunConfig) -> int:
-    t_end = cfg.get_float("solver.t_end", 2e-3)
-    scfg = build_solver_config(cfg, t_end)
-    trace = simulate(cfg.profile, scfg, _probes(cfg))
+    trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
     est = trace_estimator.estimate_trace(trace)
     rows = [[s, m, flag] for s, m, flag in zip(est.radii, est.masses, est.converged)]
     status = "ok"
     try:
-        fit = trace_estimator.fit_trace_bounds(est, cfg.params, cfg.get_float("norm.T", t_end))
+        fit = trace_estimator.fit_trace_bounds(est, cfg.params, cfg.get("norm.T", cfg.solver.t_end))
         if fit.slope is not None:
             status = f"ok slope={fmt(fit.slope)} expected={fmt(fit.expected_slope)}"
         else:
@@ -351,9 +335,9 @@ def run_trace(cfg: RunConfig) -> int:
 
 
 def run_gronwall_check(cfg: RunConfig) -> int:
-    n_draws = cfg.get_int("gronwall.n_draws", 200)
-    n_steps = cfg.get_int("gronwall.n_steps", 1000)
-    T = cfg.get_float("gronwall.T", 1.0)
+    n_draws = cfg.get("gronwall.n_draws", 200)
+    n_steps = cfg.get("gronwall.n_steps", 1000)
+    T = cfg.get("gronwall.T", 1.0)
     if n_draws < 1:
         raise ValueError("key 'gronwall.n_draws': must be >= 1")
     rng = np.random.default_rng(cfg.seed)

@@ -204,15 +204,19 @@ def cap_measure(N: int, rho: float, d: float, sigma: float) -> float:
         return SPHERE_AREA[N] * rho ** (N - 1)
     if rho >= d + sigma or rho <= d - sigma:
         return 0.0
-    cos_t = (d * d + rho * rho - sigma * sigma) / (2.0 * d * rho)
-    cos_t = min(1.0, max(-1.0, cos_t))
     if N == 1:
         # points {+rho, -rho}: +rho is inside iff |rho - d| < sigma (true here),
         # -rho inside iff rho < sigma - d (handled above)
         return 1.0
+    h = _versine(rho, d, sigma)
     if N == 2:
-        return 2.0 * rho * math.acos(cos_t)
-    return 2.0 * math.pi * rho * rho * (1.0 - cos_t)
+        return 4.0 * rho * math.asin(math.sqrt(0.5 * h))  # 2 rho acos(1 - h)
+    return 2.0 * math.pi * rho * rho * h
+
+
+def _versine(rho: float, d: float, sigma: float) -> float:
+    """1 - cos of the cap's polar angle on {|x| = rho}, in factored form (no cancellation), clipped to [0, 2]."""
+    return min(2.0, max(0.0, (sigma - rho + d) * (sigma + rho - d) / (2.0 * d * rho)))
 
 
 def lens_volume(N: int, r: float, d: float, sigma: float) -> float:
@@ -222,11 +226,11 @@ def lens_volume(N: int, r: float, d: float, sigma: float) -> float:
     gives N V = r s_N(r; d, sigma) + sigma s_N(sigma; d, r) - d |D|: x.n = r on
     the cap of {|x| = r}, x.n = sigma + z.n on the cap of {|x - z| = sigma},
     and z.n integrates to -d |D| there, D being the flat disk spanned by the
-    rim.  |D| is 1, 2a, pi a^2 for N = 1, 2, 3 with rim radius a.  The N = 2
-    caps go through acos, so V is only sqrt(eps)-accurate near tangency.
+    rim.  |D| is 1, 2a, pi a^2 for N = 1, 2, 3 with rim radius a, and
+    a^2 = r^2 h (2 - h) with h = 1 - cos of the rim's polar angle.
     """
-    cos_t = (d * d + r * r - sigma * sigma) / (2.0 * d * r)
-    a2 = max(0.0, r * r * (1.0 - cos_t * cos_t))
+    h = _versine(r, d, sigma)
+    a2 = r * r * h * (2.0 - h)
     disk = 1.0 if N == 1 else (2.0 * math.sqrt(a2) if N == 2 else math.pi * a2)
     return (r * cap_measure(N, r, d, sigma) + sigma * cap_measure(N, sigma, d, r) - d * disk) / N
 

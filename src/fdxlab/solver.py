@@ -147,16 +147,23 @@ class SolverConfig:
     energy_sigma: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.dt_safety < 1.0):
-            raise ValueError("dt_safety must lie in (0, 1)")
-        if self.u_blowup <= 1.0:
-            raise ValueError("u_blowup must be > 1")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be > 0")
-        if self.u_floor < 0.0:
-            raise ValueError("u_floor must be >= 0")
+        # every check is written so that NaN fails it
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
+        if not 0.0 < self.dt_safety < 1.0:
+            raise ValueError(f"dt_safety must lie in (0, 1), got {self.dt_safety!r}")
+        if not self.u_blowup > 1.0:
+            raise ValueError(f"u_blowup must be > 1, got {self.u_blowup!r}")
+        if not self.u_floor >= 0.0:
+            raise ValueError(f"u_floor must be >= 0, got {self.u_floor!r}")
+        if not self.n_cells >= 2:
+            raise ValueError(f"n_cells must be >= 2, got {self.n_cells!r}")
+        if self.r_dom is not None and not 0.0 < self.r_dom < math.inf:
+            raise ValueError(f"r_dom must be finite and > 0, got {self.r_dom!r}")
+        if self.out_interval is not None and not self.out_interval > 0.0:
+            raise ValueError(f"out_interval must be > 0, got {self.out_interval!r}")
         if self.boundary not in ("zeroflux", "fixedfloor"):
-            raise ValueError("boundary must be 'zeroflux' or 'fixedfloor'")
+            raise ValueError(f"boundary must be 'zeroflux' or 'fixedfloor', got {self.boundary!r}")
         if self.boundary == "fixedfloor" and self.u_floor <= 0.0:
             raise ValueError("fixedfloor boundary requires u_floor > 0")
 

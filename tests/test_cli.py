@@ -1,8 +1,10 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from fdxlab.cli import (
+    _KEYS,
     ConfigError,
     fmt,
     main,
@@ -10,6 +12,9 @@ from fdxlab.cli import (
     validate_config,
     write_csv,
 )
+from fdxlab.solver import SolverConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 # minimal valid configuration
@@ -60,6 +65,72 @@ def test_validation_collects_all_violations():
     with pytest.raises(ConfigError) as err:
         validate_config("norms", raw, Path("."), seed=0)
     assert len(err.value.violations) >= 1  # first params failure reported with its key
+
+
+def test_key_table_is_the_documented_key_set():
+    assert set(_KEYS) == {
+        "N", "m", "p",
+        "profile.kind", "profile.c", "profile.a", "profile.cutoff", "profile.cb", "profile.t0",
+        "solver.t_end", "solver.n_cells", "solver.r_dom", "solver.dt_safety", "solver.u_floor",
+        "solver.u_blowup", "solver.boundary", "solver.source_on", "solver.out_interval", "probes",
+        "norm.kind", "norm.q", "norm.alpha", "norm.beta", "norm.r_cap", "norm.T", "norm.delta",
+        "scan.centers", "scan.r_min", "scan.radii_per_decade",
+        "threshold.horizon", "threshold.c_start", "threshold.bisect_steps",
+        "decay.window_lo", "decay.window_hi", "decay.t_offset",
+        "gronwall.n_draws", "gronwall.n_steps", "gronwall.T",
+    }
+
+
+def test_readme_config_block_validates_and_every_key_is_documented():
+    text = README.read_text()
+    block = re.search(r"```\n(# supercritical.*?)```", text, re.S).group(1)
+    cfg = validate_config("norms", parse_config_text(block), Path("."), seed=0)
+    assert cfg.profile.kind == "power"
+    assert [key for key in _KEYS if f"`{key}`" not in text] == []
+
+
+@pytest.mark.parametrize("subcommand, t_end", [("simulate", 1.0), ("decay", 1.0), ("threshold", 1.0), ("trace", 2e-3)])
+def test_solver_defaults_come_from_the_dataclass(subcommand, t_end):
+    cfg = validate_config(subcommand, parse_config_text(MINIMAL), Path("."), seed=0)
+    assert cfg.solver == SolverConfig(params=cfg.params, t_end=t_end)
+
+
+def test_threshold_horizon_is_the_run_length():
+    raw = parse_config_text(MINIMAL + "threshold.horizon = 0.5\nsolver.t_end = 3\nsolver.n_cells = 50\n")
+    cfg = validate_config("threshold", raw, Path("."), seed=0)
+    assert (cfg.solver.t_end, cfg.solver.n_cells) == (0.5, 50)
+
+
+@pytest.mark.parametrize("spelling, value", [(s, s in ("1", "true", "yes", "on")) for s in
+                                             ("1", "true", "yes", "on", "0", "false", "no", "off")])
+def test_bool_keys_take_exactly_eight_spellings(spelling, value):
+    for written in (spelling, spelling.upper()):
+        raw = parse_config_text(MINIMAL + f"solver.source_on = {written}\n")
+        assert validate_config("simulate", raw, Path("."), seed=0).solver.source_on is value
+
+
+@pytest.mark.parametrize(
+    "subcommand, extra, named",
+    [
+        ("simulate", "solver.ncells = 64", "'solver.ncells': unknown key"),
+        ("simulate", "solver.source_on = flase", "'solver.source_on'"),
+        ("simulate", "solver.boundary = fixed", "solver: boundary"),
+        ("simulate", "solver.out_interval = 0", "solver: out_interval"),
+        ("simulate", "solver.t_end = nan", "solver: t_end"),
+        ("simulate", "solver.u_floor = nan", "solver: u_floor"),
+        ("simulate", "solver.n_cells = 1", "solver: n_cells"),
+        ("simulate", "solver.n_cells = 64.0", "'solver.n_cells': expected an integer"),
+        ("threshold", "threshold.horizon = inf", "solver: t_end"),
+        ("threshold", "profile.kind = barenblatt", "'profile.kind'"),
+        ("norms", "probes = 0.5, x", "'probes'"),
+        ("norms", "norm.kind = orlicz", "'norm.kind': unknown kind 'orlicz'"),
+    ],
+)
+def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):
+    code, out = _run(tmp_path, subcommand, MINIMAL + extra + "\n")
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()  # nothing ran, so no CSV was written
 
 
 def test_missing_subcommand_is_usage_error():

@@ -189,12 +189,13 @@ def _overlap_closed_form(N, r, d, sigma):
     if N == 1:
         return r + sigma - d
     if N == 2:
-        kite = 0.5 * math.sqrt((-d + r + sigma) * (d + r - sigma) * (d - r + sigma) * (d + r + sigma))
-        return (
-            r * r * math.acos((d * d + r * r - sigma * sigma) / (2.0 * d * r))
-            + sigma * sigma * math.acos((d * d + sigma * sigma - r * r) / (2.0 * d * sigma))
-            - kite
-        )
+        # Half angles, acos(1 - h) = 2 asin(sqrt(h / 2)) with h in factored form, so tangency costs
+        # no digits; the sectors and the kite share the three factors, or their cancellation would not hold.
+        t_r, t_s, t_d = d - r + sigma, d + r - sigma, r + sigma - d
+        half_r = math.asin(math.sqrt(min(1.0, t_r * t_d / (4.0 * d * r))))
+        half_s = math.asin(math.sqrt(min(1.0, t_s * t_d / (4.0 * d * sigma))))
+        kite = 0.5 * math.sqrt(t_r * t_s * t_d * (d + r + sigma))
+        return 2.0 * r * r * half_r + 2.0 * sigma * sigma * half_s - kite
     return math.pi * (r + sigma - d) ** 2 * (d * d + 2.0 * d * (r + sigma) - 3.0 * (r - sigma) ** 2) / (12.0 * d)
 
 
@@ -216,13 +217,17 @@ def test_grid_ball_mass_matches_closed_form_overlaps(N):
     rng = np.random.default_rng(20 + N)
     f = GridField(N=N, dr=0.1, u=rng.uniform(0.0, 1.0, size=40), R_dom=4.0)
     e = f.edges
-    # In the last two, |sigma - d| lands one ulp below the edges 12 * 0.1 and 24 * 0.1,
-    # where the N = 2 lens goes through acos near 1 and is only sqrt(eps)-accurate.
-    tangent = ((2.25, 1.05), (3.3, 0.9))
-    for d, sigma in ((0.0, 1.234), (0.5, 1.3), (1.3, 0.45), (2.27, 1.05), (3.31, 0.9), *tangent):
+    # In the last two, |sigma - d| lands one ulp below the edges 12 * 0.1 and 24 * 0.1 (near tangency).
+    for d, sigma in ((0.0, 1.234), (0.5, 1.3), (1.3, 0.45), (2.27, 1.05), (3.31, 0.9), (2.25, 1.05), (3.3, 0.9)):
         overlap = np.array([_overlap_closed_form(N, r, d, sigma) for r in e])
-        rel = 1e-7 if N == 2 and (d, sigma) in tangent else 1e-12
-        assert f.ball_mass_at(d, sigma) == pytest.approx(float(np.dot(f.u, np.diff(overlap))), rel=rel), (d, sigma)
+        assert f.ball_mass_at(d, sigma) == pytest.approx(float(np.dot(f.u, np.diff(overlap))), rel=1e-12), (d, sigma)
+
+
+def test_ball_weights_near_tangency_are_nonnegative():
+    # |sigma - d| = 0.3 sits within rounding of the edge 30 * 0.01; the N = 2 weight there was -1.8e-9
+    for N in (2, 3):
+        f = GridField(N=N, dr=0.01, u=np.ones(120), R_dom=1.2)
+        assert f.ball_weights(0.7, 0.4).min() >= 0.0
 
 # -- cell averages -----------------------------------------------------------------
 

@@ -254,6 +254,24 @@ def test_trace_csv_rows_shape():
     assert len(rows) == len(trace.times)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_end", float("nan")), ("t_end", float("inf")), ("t_end", 0.0),
+        ("out_interval", 0.0), ("out_interval", -0.01), ("out_interval", float("nan")),
+        ("r_dom", 0.0), ("r_dom", -1.0), ("r_dom", float("nan")),
+        ("u_floor", float("nan")), ("u_floor", -1e-6),
+        ("u_blowup", float("nan")), ("u_blowup", 1.0),
+        ("dt_safety", float("nan")), ("dt_safety", 1.0),
+        ("n_cells", 1), ("n_cells", 0),
+        ("boundary", "fixed"),
+    ],
+)
+def test_solver_config_rejects_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        _cfg(**{field: value})
+
+
 def test_probe_beyond_the_domain_is_rejected():
     cfg = _cfg(t_end=0.05, r_dom=4.0)
     with pytest.raises(ValueError, match=r"probe radius 10\.0 .*R_dom=4\.0"):
