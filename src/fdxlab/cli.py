@@ -195,7 +195,7 @@ def build_profile(kind: str, cfg: RunConfig, params: ProblemParams) -> profiles.
         return profiles.critical_log(c, params.N, cutoff)
     if kind == "barenblatt":
         return profiles.barenblatt(cfg.get("profile.cb", 1.0), cfg.get("profile.t0", 1.0), params.N, params.m, cutoff)
-    return profiles.critical_profile(params, c)
+    return profiles.critical_profile(params, c, cutoff)
 
 
 def _probes(cfg: RunConfig) -> tuple:

@@ -15,9 +15,16 @@ radial integral against the sphere-cap measure
 
     s_N(rho; d, sigma) = measure of {|x| = rho} intersected with B(z, sigma),
 
-with d = |z|.  This is exact in the angular variable for every N, so only one
-1-D adaptive quadrature remains, with breakpoints at the cap kink |sigma - d|
-and at the profile cutoff.
+with d = |z|.  This is exact in the angular variable for every N.  The radial
+integrals of a whole scan column (one center, many radii) are taken in one
+batched adaptive Gauss-Kronrod (G7/K15) pass: every active panel of every
+radius sits in one flat array, and each round evaluates all 15 nodes of all
+of them in one array call to the integrand.  The initial panels break at the
+cap kink |sigma - d| and at the profile cutoff.  A ball that contains a
+singular origin has its slice [0, eps] integrated in w = log(e + 1/rho),
+where the singularity becomes an exponential or algebraic tail, mapped onto
+t in (0, 1].  A radius that misses its tolerance within the panel budget
+falls back to scipy's quad, alone, and the fallback is logged at DEBUG.
 
 The same cap measure gives the exact lens volume |B(0, r) intersected with
 B(z, sigma)| (lens_volume), from which gridded fields weight their cells.
@@ -25,9 +32,10 @@ B(z, sigma)| (lens_volume), from which gridded fields weight their cells.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,10 +46,19 @@ SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{N-1}|
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}  # |B(0,1)|
 
 _E = math.e
+_log = logging.getLogger(__name__)
 
 
-def ball_volume(N: int, sigma: float) -> float:
+def ball_volume(N: int, sigma):
     return BALL_VOLUME[N] * sigma**N
+
+
+def as_radii(sigma) -> tuple[np.ndarray, bool]:
+    """sigma as a 1-D array of ball radii, and whether it was one number; every radius must be > 0."""
+    s = np.asarray(sigma, dtype=float)
+    if not np.all(s > 0.0):
+        raise ValueError("sigma must be > 0")
+    return np.atleast_1d(s), s.ndim == 0
 
 
 def barenblatt_value(r, t: float, N: int, m: float, cb: float):
@@ -58,6 +75,18 @@ def barenblatt_value(r, t: float, N: int, m: float, cb: float):
     r_arr = np.asarray(r, dtype=float)
     out = t ** (-N / kappa) * (cb + k1 * r_arr * r_arr * t ** (-2.0 / kappa)) ** (-1.0 / (1.0 - m))
     return float(out) if np.isscalar(r) or r_arr.ndim == 0 else out
+
+
+class WSlice(NamedTuple):
+    """A radial integrand near a singular origin, in the variable w = log(e + 1/rho).
+
+    log_gw(w) is log(g(rho) rho^N) at rho(w), written in closed form so that
+    neither the huge g nor the tiny rho^N is formed (array in, array out);
+    tail is the q of gw ~ w^{-q} as w -> inf, or inf for exponential decay.
+    """
+
+    log_gw: Callable
+    tail: float
 
 
 @dataclass(frozen=True)
@@ -106,13 +135,14 @@ class RadialProfile:
         if self.kind == "power":
             if self.a == 0.0:
                 return np.full_like(r, self.c)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):  # +inf at and next to r = 0
                 return np.where(r > 0.0, self.c * r ** (-self.a), np.inf if self.c > 0 else 0.0)
         if self.kind == "critical_log":
             out = np.full_like(r, np.inf if self.c > 0 else 0.0)
             pos = r > 0.0
             rp = r[pos]
-            out[pos] = self.c * rp ** (-self.N) * np.log(_E + 1.0 / rp) ** (-self.N / 2.0 - 1.0)
+            with np.errstate(over="ignore"):
+                out[pos] = self.c * rp ** (-self.N) * np.log(_E + 1.0 / rp) ** (-self.N / 2.0 - 1.0)
             return out
         if self.kind == "barenblatt":
             return np.asarray(barenblatt_value(r, self.t0, self.N, self.m, self.cb))
@@ -126,33 +156,39 @@ class RadialProfile:
             self.kind == "critical_log" and self.c > 0.0
         )
 
-    def log_value_w(self, w: float) -> float:
+    def log_value_w(self, w):
         """log f at rho(w), w = log(e + 1/rho); singular kinds only, stable for huge w."""
         lr = log_rho_of_w(w)
         if self.kind == "power":
             return math.log(self.c) - self.a * lr
         if self.kind == "critical_log":
-            return math.log(self.c) - self.N * lr - (self.N / 2.0 + 1.0) * math.log(w)
+            return math.log(self.c) - self.N * lr - (self.N / 2.0 + 1.0) * np.log(w)
         raise ValueError(f"log_value_w is defined for singular kinds, not {self.kind!r}")
 
-    def power_times_vol_w(self, expo: float):
-        """gw(w) = f(rho(w))^expo * rho(w)^N for the origin-slice integrator.
+    def power_times_vol_w(self, expo: float) -> Optional[WSlice]:
+        """f(rho(w))^expo rho(w)^N for the origin slice, as a WSlice.
 
-        Returns None for kinds that are regular at the origin; raises when
-        f^expo is not locally integrable there.
+        The log is taken per kind in closed form, so the rho^N that cancels the
+        singularity never meets the singularity in floating point:
+        power gives expo log c + (N - a expo) log rho (an exponential tail in w),
+        critical_log gives expo log c + N (1 - expo) log rho - expo (N/2 + 1) log w
+        (an algebraic tail w^{-(N/2 + 1)} at expo = 1).  Returns None for kinds
+        that are regular at the origin; raises when f^expo is not locally
+        integrable there.
         """
         if not self.is_singular_at_origin():
             return None
-        N = self.N
-        if self.kind == "power" and self.a * expo >= N:
-            raise ValueError("power profile with a*expo >= N is not locally integrable")
-        if self.kind == "critical_log" and expo > 1.0:
+        N, log_c = self.N, math.log(self.c)
+        if self.kind == "power":
+            if self.a * expo >= N:
+                raise ValueError("power profile with a*expo >= N is not locally integrable")
+            return WSlice(lambda w: expo * log_c + (N - self.a * expo) * log_rho_of_w(w), math.inf)
+        if expo > 1.0:
             raise ValueError("critical-log profile to a power > 1 is not locally integrable")
-
-        def gw(w: float) -> float:
-            return math.exp(expo * self.log_value_w(w) + N * log_rho_of_w(w))
-
-        return gw
+        q = expo * (N / 2.0 + 1.0)
+        if expo == 1.0:
+            return WSlice(lambda w: log_c - q * np.log(w), q)
+        return WSlice(lambda w: expo * log_c + N * (1.0 - expo) * log_rho_of_w(w) - q * np.log(w), math.inf)
 
 
 def constant(c: float, N: int, cutoff: float | None = None) -> RadialProfile:
@@ -179,7 +215,9 @@ def gridded(field: object) -> RadialProfile:
     return RadialProfile(kind="gridded", N=field.N, field=field)
 
 
-def critical_profile(params: ProblemParams, c: float, rel_tol: float = 1e-12) -> RadialProfile:
+def critical_profile(
+    params: ProblemParams, c: float, cutoff: float | None = None, rel_tol: float = 1e-12
+) -> RadialProfile:
     """The sharp singular family: log-corrected at p = p_m, pure power for p > p_m."""
     if c < 0.0:
         raise ValueError("c must be >= 0")
@@ -187,121 +225,230 @@ def critical_profile(params: ProblemParams, c: float, rel_tol: float = 1e-12) ->
     if regime is Regime.SUBCRITICAL:
         raise ValueError("no sharp singular profile in the subcritical regime")
     if regime is Regime.CRITICAL:
-        return critical_log(c, params.N)
-    return power_law(c, 2.0 / (params.p - params.m), params.N)
+        return critical_log(c, params.N, cutoff)
+    return power_law(c, 2.0 / (params.p - params.m), params.N, cutoff)
 
 
 # -- sphere-cap slice measure and radial quadrature ---------------------------
 
 
-def cap_measure(N: int, rho: float, d: float, sigma: float) -> float:
-    """Measure of the sphere {|x| = rho} inside B(z, sigma) with d = |z|."""
-    if rho <= 0.0:
-        return 0.0
+def cap_measure(N: int, rho, d: float, sigma):
+    """Measure of the sphere {|x| = rho} inside B(z, sigma) with d = |z|; rho >= 0 and sigma broadcast."""
+    rho = np.asarray(rho, dtype=float)
     if d == 0.0:
-        return SPHERE_AREA[N] * rho ** (N - 1) if rho < sigma else 0.0
-    if rho <= sigma - d:
-        return SPHERE_AREA[N] * rho ** (N - 1)
-    if rho >= d + sigma or rho <= d - sigma:
-        return 0.0
-    if N == 1:
-        # points {+rho, -rho}: +rho is inside iff |rho - d| < sigma (true here),
-        # -rho inside iff rho < sigma - d (handled above)
-        return 1.0
-    h = _versine(rho, d, sigma)
-    if N == 2:
-        return 4.0 * rho * math.asin(math.sqrt(0.5 * h))  # 2 rho acos(1 - h)
-    return 2.0 * math.pi * rho * rho * h
+        out = np.where((rho > 0.0) & (rho < sigma), SPHERE_AREA[N] * rho ** (N - 1), 0.0)
+    elif N == 1:
+        # points {+rho, -rho}: +rho is inside iff |rho - d| < sigma, -rho iff rho <= sigma - d
+        out = np.where(rho > 0.0, (np.abs(rho - d) < sigma) + (rho <= sigma - d) * 1.0, 0.0)
+    else:
+        # 1 - cos clips to 2 on a sphere inside the ball (rho <= sigma - d) and to 0 on one outside it
+        h = _versine(rho, d, sigma)
+        out = 4.0 * rho * np.arcsin(np.sqrt(0.5 * h)) if N == 2 else 2.0 * math.pi * rho * rho * h
+    return float(out) if out.ndim == 0 else out
 
 
-def _versine(rho: float, d: float, sigma: float) -> float:
+def _versine(rho, d: float, sigma):
     """1 - cos of the cap's polar angle on {|x| = rho}, in factored form (no cancellation), clipped to [0, 2]."""
-    return min(2.0, max(0.0, (sigma - rho + d) * (sigma + rho - d) / (2.0 * d * rho)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 has no cap: fmax takes its nan to 0
+        h = (sigma - rho + d) * (sigma + rho - d) / (2.0 * d * rho)
+    return np.fmin(2.0, np.fmax(0.0, h))
 
 
-def lens_volume(N: int, r: float, d: float, sigma: float) -> float:
+def lens_volume(N: int, r, d: float, sigma):
     """|B(0, r) intersected with B(z, sigma)| for |z| = d, in the lens case |r - sigma| < d < r + sigma.
 
-    The divergence theorem for the field x (div x = N) over the lens boundary
-    gives N V = r s_N(r; d, sigma) + sigma s_N(sigma; d, r) - d |D|: x.n = r on
-    the cap of {|x| = r}, x.n = sigma + z.n on the cap of {|x - z| = sigma},
-    and z.n integrates to -d |D| there, D being the flat disk spanned by the
-    rim.  |D| is 1, 2a, pi a^2 for N = 1, 2, 3 with rim radius a, and
+    r and sigma broadcast.  For N = 1 the lens is the interval [d - sigma, r].
+    Otherwise the divergence theorem for the field x (div x = N) over the lens
+    boundary gives
+    N V = r s_N(r; d, sigma) + sigma s_N(sigma; d, r) - d |D|: x.n = r on the
+    cap of {|x| = r}, x.n = sigma + z.n on the cap of {|x - z| = sigma}, and
+    z.n integrates to -d |D| there, D being the flat disk spanned by the rim.
+    |D| is 2a, pi a^2 for N = 2, 3 with rim radius a, and
     a^2 = r^2 h (2 - h) with h = 1 - cos of the rim's polar angle.
     """
+    if N == 1:
+        return r + sigma - d
     h = _versine(r, d, sigma)
     a2 = r * r * h * (2.0 - h)
-    disk = 1.0 if N == 1 else (2.0 * math.sqrt(a2) if N == 2 else math.pi * a2)
+    disk = 2.0 * np.sqrt(a2) if N == 2 else math.pi * a2
     return (r * cap_measure(N, r, d, sigma) + sigma * cap_measure(N, sigma, d, r) - d * disk) / N
 
 
-def log_rho_of_w(w: float) -> float:
-    """log rho for w = log(e + 1/rho), stable for all w >= 1."""
-    if w > 40.0:
-        return -w  # log1p(-e^{1-w}) below double precision
-    return -w - math.log1p(-math.exp(1.0 - w))
+def log_rho_of_w(w):
+    """log rho for w = log(e + 1/rho), stable for all w > 1 (log1p(-e^{1-w}) vanishes below rounding past w = 40)."""
+    return -w - np.log1p(-np.exp(1.0 - w))
 
 
-def singular_slice_integral(gw, N: int, eps: float, quad_tol: float = 1e-8) -> tuple[float, float]:
-    """S_{N-1} int_0^eps g(rho) rho^{N-1} drho in the variable w = log(e + 1/rho).
+# Gauss-Kronrod G7/K15 on [-1, 1] (the QUADPACK QK15 rule): the 15 Kronrod
+# nodes, and as columns the K15 weights and the K15 - G7 weights (G7 uses
+# every other node).
+_GK_XK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_GK_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_GK_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_GK_X = np.array([-x for x in _GK_XK] + [0.0] + list(_GK_XK[::-1]))
+_K15 = np.array(_GK_WK + _GK_WK[-2::-1])
+_G7 = np.zeros(15)
+_G7[1::2] = _GK_WG + _GK_WG[-2::-1]
+_GK_W = np.column_stack([_K15, _K15 - _G7])
+PANEL_BUDGET = 400  # panels per radius (quad's subinterval limit here) before that radius falls back to quad
+_LOG_W_MAX = 690.0  # the origin slice is taken as 0 beyond w = e^690, i.e. rho < exp(-1e299)
 
-    gw(w) must return g(rho(w)) * rho(w)^N evaluated stably (log space), so a
-    power singularity of g appears here as an exponential tail and the
-    critical log-power singularity as an algebraic tail; both are resolved by
-    the adaptive quadrature's infinite-interval transform.
+
+def _gk_panels(f, a, b, owner, n: int, tol: float):
+    """Adaptive G7/K15 integrals over the panels [a, b], summed per radius owner (0 <= owner < n).
+
+    Each round calls f(x, k) once, with the (P, 15) nodes x of all P active
+    panels and their owners k, and accepts a panel when
+    |K15 - G7| <= 0.1 tol |running total of its radius|; the others are
+    bisected.  A radius whose partition grows past PANEL_BUDGET panels stops.
+    Returns per radius the summed K15 value, the summed |K15 - G7|, and whether
+    it stayed within the budget with error <= tol |value|.
     """
-    if not 0.0 < eps <= 1.0:
+    val, err = np.zeros(n), np.zeros(n)
+    count = np.bincount(owner, minlength=n)
+    while len(a):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fx = f(mid[:, None] + half[:, None] * _GK_X, owner)
+        bad = ~np.isfinite(fx).all(axis=1)
+        if bad.any():  # the integrand overflows next to a singular endpoint: leave that radius to quad
+            count[owner[bad]] = PANEL_BUDGET + 1
+            fx[bad] = 0.0
+        kg = half[:, None] * (fx @ _GK_W)
+        k15, e = kg[:, 0], np.abs(kg[:, 1])
+        total = val + np.bincount(owner, k15, n)
+        done = e <= 0.1 * tol * np.abs(total[owner])
+        val += np.bincount(owner[done], k15[done], n)
+        err += np.bincount(owner[done], e[done], n)
+        count += np.bincount(owner[~done], minlength=n)  # a bisection adds one panel
+        split = ~done & (count[owner] <= PANEL_BUDGET)
+        a, mid, b, owner = a[split], mid[split], b[split], owner[split]
+        a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
+    return val, err, (count <= PANEL_BUDGET) & (err <= tol * np.abs(val))
+
+
+def _log_fallbacks(where: str, missed: np.ndarray, detail: str) -> None:
+    if missed.size:
+        _log.debug("%s: %d radii missed the G7/K15 tolerance or panel budget, fell back to quad: %s",
+                   where, missed.size, detail)
+
+
+def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = 1e-8):
+    """S_{N-1} int_0^eps g(rho) rho^{N-1} drho for one eps or an array of them, in w = log(e + 1/rho).
+
+    Since drho/rho = -dw / (1 - e^{1-w}), the slice is
+    int_{w_lo}^inf gw(w) / (1 - e^{1-w}) dw with gw = g rho^N and
+    w_lo = log(e + 1/eps); gw is given by its closed-form log (see WSlice), so
+    a power singularity of g appears as an exponential tail and the critical
+    log-power singularity as an algebraic tail w^{-q}.  The map w = w_lo t^{-k}
+    takes [w_lo, inf) onto t in (0, 1], with k = 1 for an exponential tail and
+    k = ceil(2 / (q - 1)) for an algebraic one, so the t-integrand vanishes at
+    t = 0 like t^{k (q - 1) - 1}.  Returns (values, error estimates) in the
+    shape of eps.
+    """
+    e = np.asarray(eps, dtype=float)
+    scalar = e.ndim == 0
+    e = np.atleast_1d(e)
+    if not np.all((0.0 < e) & (e <= 1.0)):
         raise ValueError("singular slice requires 0 < eps <= 1")
-    w_lo = math.log(_E + 1.0 / eps)
+    if not gw.tail > 1.0:
+        raise ValueError(f"origin slice with tail w^-{gw.tail} is not integrable")
+    k = 1 if math.isinf(gw.tail) else math.ceil(2.0 / (gw.tail - 1.0))
+    log_w_lo, log_k = np.log(np.log(_E + 1.0 / e)), math.log(k)
 
-    def fw(w: float) -> float:
-        jac = 1.0 if w > 40.0 else 1.0 / (1.0 - math.exp(1.0 - w))
-        return gw(w) * jac
+    def integrand(t, j):
+        log_t_far = (log_w_lo[j, None] - _LOG_W_MAX) / k  # log t at w = e^690
+        log_t = np.maximum(np.log(t), log_t_far)
+        log_w = log_w_lo[j, None] - k * log_t
+        w = np.exp(log_w)
+        f = np.exp(gw.log_gw(w) - np.log1p(-np.exp(1.0 - w)) + log_k + log_w - log_t)
+        return np.where(log_t > log_t_far, f, 0.0)
 
-    val, err = quad(fw, w_lo, np.inf, limit=400, epsrel=quad_tol, epsabs=0.0)
-    return SPHERE_AREA[N] * val, SPHERE_AREA[N] * err
+    n = len(e)
+    val, err, met = _gk_panels(integrand, np.zeros(n), np.ones(n), np.arange(n), n, quad_tol)
+    missed = np.flatnonzero(~met)
+    for j in missed:
+        val[j], err[j] = quad(
+            lambda t: float(integrand(np.array([[t]]), np.array([j]))[0, 0]),
+            0.0, 1.0, limit=PANEL_BUDGET, epsrel=quad_tol, epsabs=0.0,
+        )
+    _log_fallbacks("singular_slice_integral", missed, f"eps={e[missed].tolist()}")
+    val, err = SPHERE_AREA[N] * val, SPHERE_AREA[N] * err
+    return (float(val[0]), float(err[0])) if scalar else (val, err)
 
 
 def radial_ball_integral(
     g,
     N: int,
     d: float,
-    sigma: float,
+    sigma,
     quad_tol: float = 1e-8,
-    breakpoints: tuple[float, ...] = (),
-    gw=None,
-    gw_eps_cap: float = math.inf,
-) -> float:
-    """integral over B(z, sigma) of g(|x|) dx via the cap-slice reduction.
+    gw: Optional[WSlice] = None,
+    cutoff: Optional[float] = None,
+):
+    """integral over B(z, sigma) of g(|x|) dx via the cap-slice reduction, |z| = d.
 
-    g must be integrable against the cap measure.  When g is singular at the
-    origin and the ball contains it, pass gw(w) = g(rho) rho^N (with
-    w = log(e + 1/rho)) and the slice [0, eps] is integrated in w-space; see
-    singular_slice_integral.  gw_eps_cap bounds the slice when gw is only
-    valid near the origin (e.g. inside a cutoff radius).
+    sigma is one radius or a 1-D array of them (a scan column); the result has
+    its shape, and every radius is integrated in the same batched G7/K15 pass
+    to relative tolerance quad_tol.  g maps an array of radii rho (any shape)
+    to g(rho) elementwise, and must be integrable against the cap measure.
+    When g is singular at the origin and a ball contains it, pass gw, the
+    WSlice of g rho^N, and the slice [0, eps] is integrated in w-space; see
+    singular_slice_integral.  cutoff is a radius beyond which g vanishes: it
+    bounds the slice, where gw ignores it.  The initial panels break at
+    |sigma - d| and at the cutoff.  A radius that misses
+    the tolerance within PANEL_BUDGET panels is integrated again by scipy's
+    quad, alone; a miss there raises.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    lo, hi = max(0.0, d - sigma), d + sigma
+    s, scalar = as_radii(sigma)
+    n = len(s)
+    lo, hi = np.maximum(0.0, d - s), d + s
+    val, err = np.zeros(n), np.zeros(n)
+    if gw is not None:
+        inner = np.flatnonzero(d < s)  # balls holding a neighborhood of the origin, where the cap is the full sphere
+        if inner.size:
+            eps = np.minimum(np.minimum(0.5, 0.5 * (s[inner] - d)), math.inf if cutoff is None else 0.5 * cutoff)
+            val[inner], err[inner] = singular_slice_integral(gw, N, eps, quad_tol)
+            lo[inner] = eps
 
-    def integrand(rho: float) -> float:
-        return g(rho) * cap_measure(N, rho, d, sigma)
+    cuts = np.column_stack([lo, hi, np.abs(s - d), hi if cutoff is None else np.full(n, cutoff)])
+    pts = np.sort(np.clip(cuts, lo[:, None], hi[:, None]), axis=1)
+    a, b = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+    owner = np.repeat(np.arange(n), pts.shape[1] - 1)
+    wide = b > a
 
-    val, err = 0.0, 0.0
-    if gw is not None and d < sigma:
-        # the ball contains a neighborhood of the origin, where the cap is the full sphere
-        eps = min(0.5, 0.5 * (sigma - d), 0.5 * gw_eps_cap)
-        v0, e0 = singular_slice_integral(gw, N, eps, quad_tol)
-        val, err, lo = val + v0, err + e0, eps
+    def integrand(rho, k):
+        return g(rho) * cap_measure(N, rho, d, s[k, None])
 
-    pts = sorted({p for p in (*breakpoints, abs(sigma - d)) if lo < p < hi})
-    v1, e1 = quad(integrand, lo, hi, points=pts or None, limit=400, epsrel=quad_tol, epsabs=0.0)
+    v1, e1, met = _gk_panels(integrand, a[wide], b[wide], owner[wide], n, quad_tol)
+    missed = np.flatnonzero(~met)
+    for k in missed:
+        inside = sorted({p for p in pts[k].tolist() if lo[k] < p < hi[k]})
+        v1[k], e1[k] = quad(
+            lambda rho: g(rho) * cap_measure(N, rho, d, s[k]),
+            lo[k], hi[k], points=inside or None, limit=PANEL_BUDGET, epsrel=quad_tol, epsabs=0.0,
+        )
+    _log_fallbacks("radial_ball_integral", missed, f"d={d!r}, sigma={s[missed].tolist()}")
     val, err = val + v1, err + e1
-    if not math.isfinite(val):
+    if not np.all(np.isfinite(val)):
         raise ValueError("ball integral diverged (non-integrable profile?)")
-    if err > 10.0 * quad_tol * max(1.0, abs(val)):
-        raise RuntimeError(f"ball integral did not reach tol {quad_tol}: value={val}, err={err}")
-    return val
+    bad = np.flatnonzero(err > 10.0 * quad_tol * np.maximum(1.0, np.abs(val)))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(f"ball integral did not reach tol {quad_tol}: sigma={s[k]}, value={val[k]}, err={err[k]}")
+    return float(val[0]) if scalar else val
 
 
 def radial_offset(z) -> float:
@@ -311,52 +458,46 @@ def radial_offset(z) -> float:
     return float(np.linalg.norm(np.asarray(z, dtype=float)))
 
 
-def ball_average_power(
-    profile: RadialProfile, expo: float, z, sigma: float, quad_tol: float = 1e-8
-) -> float:
-    """Average of profile^expo over B(z, sigma); closed form when possible.
+def ball_average_power(profile: RadialProfile, expo: float, z, sigma, quad_tol: float = 1e-8):
+    """Average of profile^expo over B(z, sigma) for one radius or an array of them; closed form when possible.
 
     expo >= 1 in norm usage, but any expo > 0 with an integrable power works.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
+    s, scalar = as_radii(sigma)
     d = radial_offset(z)
     N = profile.N
-    inside_cutoff = profile.cutoff is None or d + sigma <= profile.cutoff
-    if profile.kind == "constant" and inside_cutoff:
-        return profile.c**expo
-    if profile.kind == "power" and d == 0.0 and inside_cutoff:
-        ae = profile.a * expo
-        if ae >= N:
-            raise ValueError(f"power profile with a*alpha = {ae} >= N = {N} is not locally integrable")
-        return (profile.c**expo) * N / (N - ae) * sigma ** (-ae)
-    if profile.kind == "power" and profile.a * expo >= N:
-        raise ValueError(f"power profile with a*alpha >= N is not locally integrable")
-
-    def g(rho: float) -> float:
-        v = profile.value(rho)
-        return v**expo if np.isfinite(v) else np.inf
-
-    pts = (profile.cutoff,) if profile.cutoff is not None else ()
-    total = radial_ball_integral(
-        g,
-        N,
-        d,
-        sigma,
-        quad_tol,
-        breakpoints=pts,
-        gw=profile.power_times_vol_w(expo),
-        gw_eps_cap=profile.cutoff if profile.cutoff is not None else math.inf,
-    )
-    return total / ball_volume(N, sigma)
+    ae = profile.a * expo
+    if profile.kind == "power" and ae >= N:
+        raise ValueError(f"power profile with a*alpha = {ae} >= N = {N} is not locally integrable")
+    out = np.empty(len(s))
+    inside_cutoff = np.full(len(s), True) if profile.cutoff is None else d + s <= profile.cutoff
+    rest = np.full(len(s), True)
+    if profile.kind == "constant":
+        out[inside_cutoff], rest = profile.c**expo, ~inside_cutoff
+    elif profile.kind == "power" and d == 0.0:
+        # in Python floats (libm pow), so a flat column keeps the bits, and the first-max radius, of a scalar scan
+        out[inside_cutoff] = [(profile.c**expo) * N / (N - ae) * x ** (-ae) for x in s[inside_cutoff].tolist()]
+        rest = ~inside_cutoff
+    if rest.any():
+        total = radial_ball_integral(
+            lambda rho: profile.value(rho) ** expo,
+            N,
+            d,
+            s[rest],
+            quad_tol,
+            gw=profile.power_times_vol_w(expo),
+            cutoff=profile.cutoff,
+        )
+        out[rest] = total / ball_volume(N, s[rest])
+    return float(out[0]) if scalar else out
 
 
-def ball_average(profile: RadialProfile, z, sigma: float, quad_tol: float = 1e-8) -> float:
+def ball_average(profile: RadialProfile, z, sigma, quad_tol: float = 1e-8):
     """Average of the profile over the ball B(z, sigma)."""
     return ball_average_power(profile, 1.0, z, sigma, quad_tol)
 
 
-def ball_mass(profile: RadialProfile, z, sigma: float, quad_tol: float = 1e-8) -> float:
+def ball_mass(profile: RadialProfile, z, sigma, quad_tol: float = 1e-8):
     """integral of the profile over B(z, sigma) (full N-dimensional measure)."""
     return ball_average(profile, z, sigma, quad_tol) * ball_volume(profile.N, sigma)
 
@@ -368,8 +509,9 @@ def cell_averages(profile: RadialProfile, edges: np.ndarray, N: int) -> np.ndarr
     """Exact-volume cell averages of the profile on radial cells.
 
     edges is the increasing array of cell faces starting at 0.  Averages use
-    the r^{N-1} metric weight; singular first cells are handled by adaptive
-    quadrature, smooth cells by fixed Gauss-Legendre panels.
+    the r^{N-1} metric weight; a singular first cell goes through
+    radial_ball_integral, every other cell through 12-point Gauss-Legendre up
+    to the cutoff, beyond which the profile vanishes.
     """
     if profile.N != N:
         raise ValueError("profile dimension does not match the grid")
@@ -383,19 +525,11 @@ def cell_averages(profile: RadialProfile, edges: np.ndarray, N: int) -> np.ndarr
         ints = profile.c * (edges[1:] ** e - edges[:-1] ** e) / e
         return ints / vols
 
-    # generic path: 12-point Gauss per cell, scipy quad on cells touching a
-    # singular origin or the cutoff radius
     nodes, weights = np.polynomial.legendre.leggauss(12)
     out = np.empty(len(vols))
     cut = profile.cutoff
-
-    def integrand(rho: float) -> float:
-        return profile.value(rho) * rho ** (N - 1)
-
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        singular = lo == 0.0 and profile.is_singular_at_origin()
-        crosses_cut = cut is not None and lo < cut < hi
-        if singular:
+        if lo == 0.0 and profile.is_singular_at_origin():
             val = radial_ball_integral(
                 profile.value,
                 N,
@@ -403,12 +537,11 @@ def cell_averages(profile: RadialProfile, edges: np.ndarray, N: int) -> np.ndarr
                 hi,
                 quad_tol=1e-10,
                 gw=profile.power_times_vol_w(1.0),
-                gw_eps_cap=cut if cut is not None else math.inf,
+                cutoff=cut,
             ) / SPHERE_AREA[N]
-        elif crosses_cut:
-            val, _ = quad(integrand, lo, hi, points=[cut], limit=200)
         else:
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            top = hi if cut is None or cut >= hi else max(lo, cut)
+            mid, half = 0.5 * (lo + top), 0.5 * (top - lo)
             rs = mid + half * nodes
             val = half * float(np.dot(weights, profile.value(rs) * rs ** (N - 1)))
         out[i] = val / vols[i]

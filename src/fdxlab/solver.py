@@ -95,25 +95,29 @@ class GridField:
     def total_mass(self) -> float:
         return SPHERE_AREA[self.N] * float(np.dot(self.u, self.volumes))
 
-    def ball_weights(self, d: float, sigma: float) -> np.ndarray:
+    def ball_weights(self, d: float, sigma) -> np.ndarray:
         """Measure of each cell's shell inside B(z, sigma), |z| = d, in closed form for every N.
 
         The overlap |B(0, e) intersected with B(z, sigma)| at the cell edges e is
         BALL_VOLUME[N] min(e, sigma)^N where one ball holds the other, 0 where
-        they are apart, and profiles.lens_volume in between; the weights are its
-        differences, so nothing beyond the last edge is counted.  Only the
-        lens edges lose accuracy, near tangency (see lens_volume).
+        they are apart, and profiles.lens_volume in between, in one array call
+        over the lens edges of every ball (none when d = 0); the weights are
+        its differences, so nothing beyond the last edge is counted.  sigma is
+        one radius or a 1-D array of them, with one row of weights per radius.
         """
-        if sigma <= 0.0:
+        s = np.asarray(sigma, dtype=float)
+        if not (s > 0.0).all():
             raise ValueError("sigma must be > 0")
-        d, sigma = float(d), float(sigma)  # numpy scalars would slow the scalar lens_volume
         e = self.edges
-        vol = BALL_VOLUME[self.N] * np.minimum(e, sigma) ** self.N
-        apart, lo = e.searchsorted((d - sigma, abs(sigma - d)), side="right")
-        hi = e.searchsorted(sigma + d)  # the lens edges |sigma - d| < e < sigma + d; none for d = 0
-        vol[:apart] = 0.0
-        vol[lo:hi] = [lens_volume(self.N, r, d, sigma) for r in e[lo:hi].tolist()]
-        return np.diff(vol)
+        s = s[..., None]
+        vol = BALL_VOLUME[self.N] * np.minimum(e, s) ** self.N
+        if d != 0.0:
+            lens = (e > np.abs(s - d)) & (e < s + d)
+            vol = np.where(e <= d - s, 0.0, vol)
+            if lens.any():
+                r, rs = np.broadcast_arrays(e, s)
+                vol[lens] = lens_volume(self.N, r[lens], d, rs[lens])
+        return np.diff(vol, axis=-1)
 
     def ball_mass(self, sigma: float) -> float:
         """Exact mass of B(0, sigma) for the piecewise-constant field."""

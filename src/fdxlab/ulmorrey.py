@@ -25,7 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .exponents import ProblemParams, Regime, classify_regime, derive_exponents, validate_beta
-from .profiles import RadialProfile, ball_average_power, ball_volume, radial_offset
+from .profiles import (
+    RadialProfile,
+    WSlice,
+    as_radii,
+    ball_average_power,
+    ball_volume,
+    radial_ball_integral,
+    radial_offset,
+)
 from .special_functions import eta, psi, psi_inv
 from .solver import GridField
 
@@ -125,78 +133,78 @@ def orlicz_ball_average(
     f,
     alpha: float,
     z,
-    sigma: float,
+    sigma,
     scale: float = 1.0,
     quad_tol: float = 1e-8,
-) -> float:
-    """psi_alpha^{-1} of the ball average of psi_alpha(scale * f) over B(z, sigma)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    if isinstance(f, GridField):
-        return psi_inv(alpha, _grid_average(f, psi(alpha, scale * f.u), radial_offset(z), sigma))
-    profile: RadialProfile = f
+):
+    """psi_alpha^{-1} of the ball average of psi_alpha(scale * f) over B(z, sigma).
+
+    sigma is one radius or a 1-D array of them (a scan column, integrated in
+    one batched pass); the result has its shape.
+    """
+    s, scalar = as_radii(sigma)
     d = radial_offset(z)
-    if profile.kind == "constant" and (profile.cutoff is None or d + sigma <= profile.cutoff):
-        return scale * profile.c
-    if profile.kind == "critical_log" and min(profile.c, scale) > 0.0 and alpha >= profile.N / 2.0 and d <= sigma:
+    if isinstance(f, GridField):
+        out = np.array([psi_inv(alpha, y) for y in _grid_average(f, psi(alpha, scale * f.u), d, s).tolist()])
+        return float(out[0]) if scalar else out
+    profile: RadialProfile = f
+    out = np.empty(len(s))
+    rest = np.full(len(s), True)
+    if profile.kind == "constant":
+        closed = np.full(len(s), True) if profile.cutoff is None else d + s <= profile.cutoff
+        out[closed], rest = scale * profile.c, ~closed
+    elif profile.kind == "critical_log" and min(profile.c, scale) > 0.0 and alpha >= profile.N / 2.0:
         # psi_alpha(scale f) rho^{N-1} d rho ~ L^{alpha-N/2-1} dL, L = log(1/rho): diverges at the origin
-        return math.inf
-    from .profiles import radial_ball_integral
-
-    def g(rho: float) -> float:
-        v = profile.value(rho)
-        return psi(alpha, scale * v) if np.isfinite(v) else np.inf
-
-    pts = (profile.cutoff,) if profile.cutoff is not None else ()
-    total = radial_ball_integral(
-        g,
-        profile.N,
-        d,
-        sigma,
-        quad_tol,
-        breakpoints=pts,
-        gw=_orlicz_gw(profile, alpha, scale),
-        gw_eps_cap=profile.cutoff if profile.cutoff is not None else math.inf,
-    )
-    avg = total / ball_volume(profile.N, sigma)
-    return psi_inv(alpha, avg)
+        out[d <= s], rest = math.inf, d > s
+    if rest.any():
+        total = radial_ball_integral(
+            lambda rho: psi(alpha, scale * profile.value(rho)),
+            profile.N,
+            d,
+            s[rest],
+            quad_tol,
+            gw=_orlicz_gw(profile, alpha, scale),
+            cutoff=profile.cutoff,
+        )
+        out[rest] = [psi_inv(alpha, y) for y in (total / ball_volume(profile.N, s[rest])).tolist()]
+    return float(out[0]) if scalar else out
 
 
-def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float):
-    """Stable w-space integrand psi_alpha(scale f(rho)) rho^N for singular profiles.
+def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float) -> Optional[WSlice]:
+    """The w-space slice of psi_alpha(scale f(rho)) rho^N for singular profiles.
 
-    Written via logs so the huge f values near the origin never materialize:
-    psi(y) rho^N = exp(log y + N log rho) * [log(e + y)]^alpha.
+    Its log is log(scale) + log(f rho^N) + alpha log log(e + y), y = scale f,
+    with log(f rho^N) in closed form (power_times_vol_w), so the huge f near
+    the origin never meets the tiny rho^N.  log(e + y) grows like the
+    coefficient of w in log y, so the tail exponent drops by alpha.
     """
     if not profile.is_singular_at_origin() or scale <= 0.0:
         return None
-    from .profiles import log_rho_of_w
-
-    N = profile.N
+    log_mass, tail = profile.power_times_vol_w(1.0)
     log_scale = math.log(scale)
 
-    def gw(w: float) -> float:
+    def log_gw(w):
         ly = log_scale + profile.log_value_w(w)
-        log_e_plus_y = math.log(math.e + math.exp(ly)) if ly < 600.0 else ly
-        return math.exp(ly + N * log_rho_of_w(w)) * log_e_plus_y**alpha
+        return log_scale + log_mass(w) + alpha * np.log(np.logaddexp(1.0, ly))
 
-    return gw
-
-
-def _grid_average(field: GridField, values: np.ndarray, d: float, sigma: float) -> float:
-    """Average over B(z, sigma), |z| = d, of per-cell values of the field's grid."""
-    return float(np.dot(values, field.ball_weights(d, sigma))) / ball_volume(field.N, sigma)
+    return WSlice(log_gw, tail - alpha)
 
 
-def _ball_quantity(f, spec: NormSpec, d: float, sigma: float, scale: float, quad_tol: float) -> float:
-    """The weighted quantity whose (z, sigma)-sup defines the norm."""
+def _grid_average(field: GridField, values: np.ndarray, d: float, sigma: np.ndarray) -> np.ndarray:
+    """Averages over B(z, sigma), |z| = d, of per-cell values of the field's grid, for an array of radii."""
+    return field.ball_weights(d, sigma) @ values / ball_volume(field.N, sigma)
+
+
+def _ball_quantity(f, spec: NormSpec, d: float, sigma: np.ndarray, scale: float, quad_tol: float) -> np.ndarray:
+    """The weighted quantity whose (z, sigma)-sup defines the norm, for one center and an array of radii."""
     if spec.kind == MORREY:
         N = f.N
         if isinstance(f, GridField):
             avg = _grid_average(f, f.u**spec.alpha, d, sigma) * scale**spec.alpha
         else:
             avg = ball_average_power(f, spec.alpha, d, sigma, quad_tol) * scale**spec.alpha
-        return sigma ** (N / spec.q) * avg ** (1.0 / spec.alpha)
+        # libm pow, as in ball_average_power's closed form
+        return np.array([x ** (N / spec.q) * a ** (1.0 / spec.alpha) for x, a in zip(sigma.tolist(), avg.tolist())])
     # orlicz_eta: weight eta(sigma / R) with R = T^theta playing the reference scale
     w = eta(f.N, sigma / spec.R)
     return w * orlicz_ball_average(f, spec.alpha, d, sigma, scale=scale, quad_tol=quad_tol)
@@ -240,12 +248,9 @@ def norm(
             )
 
     def column_max(d: float) -> tuple[float, float, float]:
-        best_v, best_s = -math.inf, radii[0]
-        for s in radii:
-            v = _ball_quantity(f, spec, d, s, scale, quad_tol)
-            if v > best_v:
-                best_v, best_s = v, s
-        return best_v, d, best_s
+        values = _ball_quantity(f, spec, d, np.array(radii), scale, quad_tol)
+        best = int(np.argmax(values))  # the first of equal maxima
+        return float(values[best]), d, radii[best]
 
     value, center, radius = max((column_max(d) for d in scan.centers), key=lambda t: t[0])
     res = f"{len(scan.centers)} centers x {len(radii)} radii in [{radii[0]:.3g}, {radii[-1]:.3g}]"

@@ -101,6 +101,12 @@ def test_threshold_horizon_is_the_run_length():
     assert (cfg.solver.t_end, cfg.solver.n_cells) == (0.5, 50)
 
 
+@pytest.mark.parametrize("kind", ["power", "critical_log", "critical_profile"])
+def test_profile_cutoff_reaches_every_singular_kind(kind):
+    raw = parse_config_text(MINIMAL.replace("profile.kind = power", f"profile.kind = {kind}") + "profile.cutoff = 0.5\n")
+    assert validate_config("norms", raw, Path("."), seed=0).profile.cutoff == 0.5
+
+
 @pytest.mark.parametrize("spelling, value", [(s, s in ("1", "true", "yes", "on")) for s in
                                              ("1", "true", "yes", "on", "0", "false", "no", "off")])
 def test_bool_keys_take_exactly_eight_spellings(spelling, value):

@@ -1,5 +1,7 @@
+import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from fdxlab.profiles import (
     critical_profile,
     lens_volume,
     power_law,
+    radial_ball_integral,
 )
 from fdxlab.solver import GridField
+from fdxlab.ulmorrey import ScanGrid, _orlicz_gw, morrey
 
 E = math.e
 
@@ -155,6 +159,66 @@ def test_off_center_average_below_centered(N):
         previous = val
 
 
+def _n1_power_average(c, a, d, sigma):
+    """Average of c |x|^-a over the interval [d - sigma, d + sigma] of the line."""
+    e = 1.0 - a
+    ends = (d + sigma) ** e + (sigma - d) ** e if d < sigma else (d + sigma) ** e - (d - sigma) ** e
+    return c * ends / (e * 2.0 * sigma)
+
+
+def test_balls_grazing_the_singular_origin_match_the_n1_closed_form():
+    # the benchmark's off-center Morrey column at d = 1, where quad was silently off by 1.1% at
+    # sigma = 0.9999999996666661 and by 3.6% at 0.9999999 while reporting an error near 1e-11
+    scan = ScanGrid.build(morrey(q=1.25), r_min=1e-3, centers=(1.0,), radii_per_decade=16)
+    radii = np.array(scan.radii + (0.9999999, 0.999999999))
+    got = ball_average_power(power_law(0.1, 0.8, 1), 1.0, 1.0, radii)
+    want = [_n1_power_average(0.1, 0.8, 1.0, s) for s in radii]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    assert ball_average(power_law(0.1, 0.8, 1), 1.0, 0.9999999) == pytest.approx(want[-2], rel=1e-9)
+
+
+def test_budget_exhaustion_falls_back_to_quad_and_logs(caplog):
+    # without the w-space slice, r^-0.999 at the origin needs more bisections than the panel budget
+    prof = power_law(1.0, 0.999, 1)
+    with caplog.at_level(logging.DEBUG, logger="fdxlab.profiles"):
+        val = radial_ball_integral(prof.value, 1, 0.0, np.array([0.5, 1.0]), 1e-9)
+    np.testing.assert_allclose(val, [2.0 * s**0.001 / 0.001 for s in (0.5, 1.0)], rtol=1e-8)
+    assert "2 radii" in caplog.text and "fell back to quad" in caplog.text
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cutoff_critical_log_is_the_uncut_profile_inside_the_cutoff(N):
+    cut, uncut = critical_log(0.02, N, cutoff=0.5), critical_log(0.02, N)
+    radii = np.array([0.6, 1.0, 3.0])
+    np.testing.assert_allclose(ball_mass(cut, 0.0, radii), ball_mass(uncut, 0.0, 0.5), rtol=1e-9)
+    # a column mixing balls inside and across the cutoff
+    inside = ball_average(cut, 0.0, np.array([0.1, 0.5, 0.7]))
+    assert inside[:2] == pytest.approx(ball_average(uncut, 0.0, np.array([0.1, 0.5])), rel=1e-9)
+    assert inside[2] * ball_volume(N, 0.7) == pytest.approx(ball_mass(uncut, 0.0, 0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_origin_slice_integrands_are_cancellation_free(N):
+    # log(f rho^N) and log(psi_alpha(scale f) rho^N) at rho(w) against values built from f itself,
+    # with 40 digits beyond the log(e^w) that cancels; the difference of logs is the integrand's
+    # relative error
+    c, scale, alpha = 0.02, 1.7, N / 4.0
+    prof = critical_log(c, N)
+    morrey_gw, orlicz_gw = prof.power_times_vol_w(1.0), _orlicz_gw(prof, alpha, scale)
+    assert (morrey_gw.tail, orlicz_gw.tail) == (N / 2.0 + 1.0, N / 2.0 + 1.0 - alpha)
+    ws = np.logspace(1e-3, 300.0, 61)  # w = 1 is rho = inf
+    for w, lm, lo in zip(ws, morrey_gw.log_gw(ws), orlicz_gw.log_gw(ws)):
+        with mpmath.workdps(40 + int(math.log10(w))):
+            mw = mpmath.mpf(w)
+            rho = 1 / (mpmath.exp(mw) - mpmath.e)
+            f = c * rho ** (-N) * mpmath.log(mpmath.e + 1 / rho) ** (-N / 2.0 - 1.0)
+            y = scale * f
+            exact_m = mpmath.log(f * rho**N)
+            exact_o = mpmath.log(y * mpmath.log(mpmath.e + y) ** alpha * rho**N)
+            assert abs(lm - float(exact_m)) <= 1e-12, w
+            assert abs(lo - float(exact_o)) <= 1e-12, w
+
+
 def test_ball_mass_scales_with_volume():
     prof = constant(0.3, 1)
     assert ball_mass(prof, 0.0, 1.0) == pytest.approx(0.6)
@@ -177,7 +241,8 @@ def test_cap_measure_consistency():
                 limit=200,
             )
             assert vol == pytest.approx(ball_volume(N, sigma), rel=1e-9)
-
+            rhos = np.linspace(0.0, 2.5, 26)
+            np.testing.assert_array_equal(cap_measure(N, rhos, d, sigma), [cap_measure(N, r, d, sigma) for r in rhos])
 
 
 def _overlap_closed_form(N, r, d, sigma):

@@ -84,6 +84,8 @@ def test_ball_weights_sum_to_the_ball_volume(N):
     for d, sigma in ((0.0, 1.3), (0.0, 1.25), (0.4, 1.3), (2.1, 0.7), (1.0, 0.625), (0.25, 0.75)):
         w = f.ball_weights(d, sigma)
         assert w.sum() == pytest.approx(ball_volume(N, sigma), rel=1e-12), (d, sigma)
+        # one row per radius when sigma is an array (a norm-scan column)
+        np.testing.assert_array_equal(f.ball_weights(d, np.array([0.5, sigma, 3.0]))[1], w)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
