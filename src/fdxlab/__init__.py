@@ -39,7 +39,6 @@ from .solver import (
     regularize_initial,
     scaling_transform,
     simulate,
-    step,
 )
 from .special_functions import GammaFn, c_eta, eta, psi, psi_inv
 from .trace_estimator import TraceEstimate, estimate_trace, fit_trace_bounds

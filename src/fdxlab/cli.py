@@ -100,25 +100,39 @@ def _floats(value: str) -> tuple:
 
 _EXPECTED = {float: "a number", int: "an integer", _bool: "/".join(_BOOLS), _floats: "comma-separated numbers"}
 
-# every config key and its parser; solver.* keys are the SolverConfig fields of the same name
+_SOLVER_RUNS = ("simulate", "threshold", "decay", "trace")
+_PROFILE_RUNS = ("norms", *_SOLVER_RUNS)
+_PARAMS_RUNS = ("exponents", *_PROFILE_RUNS)
+_T_END_RUNS = ("simulate", "decay", "trace")  # threshold runs to threshold.horizon
+_BARENBLATT_RUNS = ("norms", "simulate", "decay", "trace")  # threshold rejects barenblatt data
+
+# every config key, its parser and the subcommands that read it; solver.* keys
+# are the SolverConfig fields of the same name
 _KEYS = {
-    "N": int, "m": float, "p": float,
-    "profile.kind": str, "profile.c": float, "profile.a": float, "profile.cutoff": float,
-    "profile.cb": float, "profile.t0": float,
-    "solver.t_end": float, "solver.n_cells": int, "solver.r_dom": float, "solver.dt_safety": float,
-    "solver.u_floor": float, "solver.u_blowup": float, "solver.boundary": str,
-    "solver.source_on": _bool, "solver.out_interval": float,
-    "probes": _floats,
-    "norm.kind": str, "norm.q": float, "norm.alpha": float, "norm.beta": float,
-    "norm.r_cap": float, "norm.T": float, "norm.delta": float,
-    "scan.centers": _floats, "scan.r_min": float, "scan.radii_per_decade": int,
-    "threshold.horizon": float, "threshold.c_start": float, "threshold.bisect_steps": int,
-    "decay.window_lo": float, "decay.window_hi": float, "decay.t_offset": float,
-    "gronwall.n_draws": int, "gronwall.n_steps": int, "gronwall.T": float,
+    "N": (int, _PARAMS_RUNS), "m": (float, _PARAMS_RUNS), "p": (float, _PARAMS_RUNS),
+    "profile.kind": (str, _PROFILE_RUNS), "profile.c": (float, _PROFILE_RUNS), "profile.a": (float, _PROFILE_RUNS),
+    "profile.cutoff": (float, _PROFILE_RUNS),
+    "profile.cb": (float, _BARENBLATT_RUNS), "profile.t0": (float, _BARENBLATT_RUNS),
+    "solver.t_end": (float, _T_END_RUNS), "solver.n_cells": (int, _SOLVER_RUNS), "solver.r_dom": (float, _SOLVER_RUNS),
+    "solver.dt_safety": (float, _SOLVER_RUNS), "solver.u_floor": (float, _SOLVER_RUNS),
+    "solver.u_blowup": (float, _SOLVER_RUNS), "solver.boundary": (str, _SOLVER_RUNS),
+    "solver.source_on": (_bool, _SOLVER_RUNS), "solver.out_interval": (float, _SOLVER_RUNS),
+    "probes": (_floats, _SOLVER_RUNS),
+    "norm.kind": (str, ("norms",)), "norm.q": (float, ("norms",)), "norm.alpha": (float, ("norms",)),
+    "norm.beta": (float, ("norms",)), "norm.r_cap": (float, ("norms",)), "norm.delta": (float, ("norms",)),
+    "norm.T": (float, ("norms", "decay", "trace")),
+    "scan.centers": (_floats, ("norms",)), "scan.r_min": (float, ("norms",)),
+    "scan.radii_per_decade": (int, ("norms",)),
+    "threshold.horizon": (float, ("threshold",)), "threshold.c_start": (float, ("threshold",)),
+    "threshold.bisect_steps": (int, ("threshold",)),
+    "decay.window_lo": (float, ("decay",)), "decay.window_hi": (float, ("decay",)),
+    "decay.t_offset": (float, ("decay",)),
+    "gronwall.n_draws": (int, ("gronwall-check",)), "gronwall.n_steps": (int, ("gronwall-check",)),
+    "gronwall.T": (float, ("gronwall-check",)),
 }
+_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1}  # integer keys with a lower bound
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
 _NORM_KINDS = ("morrey", "orlicz_eta")
-_SOLVER_RUNS = ("simulate", "threshold", "decay", "trace")
 
 
 def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> RunConfig:
@@ -126,9 +140,12 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
     violations = []
     values = {}
     for key in sorted(raw):
-        parse = _KEYS.get(key)
-        if parse is None:
+        if key not in _KEYS:
             violations.append(f"key {key!r}: unknown key")
+            continue
+        parse, readers = _KEYS[key]
+        if subcommand not in readers:
+            violations.append(f"key {key!r}: not read by subcommand {subcommand!r}")
             continue
         try:
             values[key] = parse(raw[key])
@@ -140,7 +157,7 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
     cfg = RunConfig(subcommand=subcommand, values=values, out_dir=out_dir, seed=seed)
 
     params = None
-    if subcommand != "gronwall-check":
+    if subcommand in _PARAMS_RUNS:
         for key in ("N", "m", "p"):
             if key not in values:
                 violations.append(f"key {key!r}: required for subcommand {subcommand!r}")
@@ -152,11 +169,14 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
                 violations.append(f"key {key!r}: {exc}")
     cfg.params = params
 
+    for key, low in _MINIMUM.items():
+        if values.get(key, low) < low:
+            violations.append(f"key {key!r}: must be >= {low}, got {values[key]!r}")
+
     if subcommand == "norms" and values.get("norm.kind", "morrey") not in _NORM_KINDS:
         violations.append(f"key 'norm.kind': unknown kind {values['norm.kind']!r}")
 
-    needs_profile = subcommand in ("norms", *_SOLVER_RUNS)
-    if needs_profile and params is not None:
+    if subcommand in _PROFILE_RUNS and params is not None:
         kind = values.get("profile.kind")
         if kind is None:
             violations.append("key 'profile.kind': required")
@@ -177,7 +197,9 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
         try:
             cfg.solver = SolverConfig(params=params, **fields)
         except ValueError as exc:
-            violations.append(f"solver: {exc}")
+            # a bad run length is reported under the key that set it
+            where = f"key {t_key!r}" if t_key != "solver.t_end" and str(exc).startswith("t_end") else "solver"
+            violations.append(f"{where}: {exc}")
 
     if violations:
         raise ConfigError(violations)
@@ -338,8 +360,6 @@ def run_gronwall_check(cfg: RunConfig) -> int:
     n_draws = cfg.get("gronwall.n_draws", 200)
     n_steps = cfg.get("gronwall.n_steps", 1000)
     T = cfg.get("gronwall.T", 1.0)
-    if n_draws < 1:
-        raise ValueError("key 'gronwall.n_draws': must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     draws = []
     for _ in range(n_draws):

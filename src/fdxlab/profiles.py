@@ -6,7 +6,6 @@ Profiles are radial functions on R^N (N in {1, 2, 3}):
     power          c * r^{-a},  0 <= a < N  (local integrability)
     critical_log   c * r^{-N} * [log(e + 1/r)]^{-N/2 - 1}
     barenblatt     source-free fast diffusion self-similar snapshot at t = t0
-    gridded        wraps a solver field (piecewise constant in r)
 
 An optional cutoff radius truncates any profile to zero outside.
 
@@ -24,10 +23,11 @@ cap kink |sigma - d| and at the profile cutoff.  A ball that contains a
 singular origin has its slice [0, eps] integrated in w = log(e + 1/rho),
 where the singularity becomes an exponential or algebraic tail, mapped onto
 t in (0, 1].  A radius that misses its tolerance within the panel budget
-falls back to scipy's quad, alone, and the fallback is logged at DEBUG.
+falls back to scipy's quad over its own initial panels, and one DEBUG line
+names the radii that did.
 
 The same cap measure gives the exact lens volume |B(0, r) intersected with
-B(z, sigma)| (lens_volume), from which gridded fields weight their cells.
+B(z, sigma)| (lens_volume), from which GridField weights its cells.
 """
 
 from __future__ import annotations
@@ -100,13 +100,12 @@ class RadialProfile:
     cb: float = 1.0
     t0: float = 1.0
     m: float = 0.5
-    field: Optional[object] = None  # gridded: any object with N, r, u, dr
     cutoff: Optional[float] = None
 
     def __post_init__(self):
         if self.N not in SPHERE_AREA:
             raise ValueError("profiles support N in {1, 2, 3}")
-        if self.kind not in ("constant", "power", "critical_log", "barenblatt", "gridded"):
+        if self.kind not in ("constant", "power", "critical_log", "barenblatt"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind in ("constant", "power", "critical_log") and self.c < 0.0:
             raise ValueError("amplitude c must be >= 0")
@@ -144,12 +143,7 @@ class RadialProfile:
             with np.errstate(over="ignore"):
                 out[pos] = self.c * rp ** (-self.N) * np.log(_E + 1.0 / rp) ** (-self.N / 2.0 - 1.0)
             return out
-        if self.kind == "barenblatt":
-            return np.asarray(barenblatt_value(r, self.t0, self.N, self.m, self.cb))
-        # gridded: piecewise constant on cells, floor value used beyond the grid
-        f = self.field
-        idx = np.minimum((r / f.dr).astype(int), len(f.u) - 1)
-        return f.u[idx]
+        return np.asarray(barenblatt_value(r, self.t0, self.N, self.m, self.cb))
 
     def is_singular_at_origin(self) -> bool:
         return (self.kind == "power" and self.a > 0.0 and self.c > 0.0) or (
@@ -209,10 +203,6 @@ def barenblatt(cb: float, t0: float, N: int, m: float, cutoff: float | None = No
     prof = RadialProfile(kind="barenblatt", N=N, cb=cb, t0=t0, m=m, cutoff=cutoff)
     barenblatt_value(0.0, t0, N, m, cb)  # validates kappa > 0, t0 > 0
     return prof
-
-
-def gridded(field: object) -> RadialProfile:
-    return RadialProfile(kind="gridded", N=field.N, field=field)
 
 
 def critical_profile(
@@ -303,20 +293,25 @@ _K15 = np.array(_GK_WK + _GK_WK[-2::-1])
 _G7 = np.zeros(15)
 _G7[1::2] = _GK_WG + _GK_WG[-2::-1]
 _GK_W = np.column_stack([_K15, _K15 - _G7])
+QUAD_TOL = 1e-8  # relative tolerance of every analytic ball average
 PANEL_BUDGET = 400  # panels per radius (quad's subinterval limit here) before that radius falls back to quad
 _LOG_W_MAX = 690.0  # the origin slice is taken as 0 beyond w = e^690, i.e. rho < exp(-1e299)
 
 
-def _gk_panels(f, a, b, owner, n: int, tol: float):
-    """Adaptive G7/K15 integrals over the panels [a, b], summed per radius owner (0 <= owner < n).
+def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str):
+    """Adaptive G7/K15 integrals over the panels [a, b], summed per radius owner (radii[owner]).
 
     Each round calls f(x, k) once, with the (P, 15) nodes x of all P active
     panels and their owners k, and accepts a panel when
     |K15 - G7| <= 0.1 tol |running total of its radius|; the others are
-    bisected.  A radius whose partition grows past PANEL_BUDGET panels stops.
-    Returns per radius the summed K15 value, the summed |K15 - G7|, and whether
-    it stayed within the budget with error <= tol |value|.
+    bisected.  A radius whose partition grows past PANEL_BUDGET panels stops,
+    and a radius that stopped or whose summed |K15 - G7| exceeds tol |value|
+    is integrated again by scipy's quad over its initial panels, their edges
+    as breakpoints; one DEBUG line from where names those radii.  Returns per
+    radius the value and its error estimate.
     """
+    n = len(radii)
+    a0, b0, owner0 = a, b, owner
     val, err = np.zeros(n), np.zeros(n)
     count = np.bincount(owner, minlength=n)
     while len(a):
@@ -336,16 +331,21 @@ def _gk_panels(f, a, b, owner, n: int, tol: float):
         split = ~done & (count[owner] <= PANEL_BUDGET)
         a, mid, b, owner = a[split], mid[split], b[split], owner[split]
         a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
-    return val, err, (count <= PANEL_BUDGET) & (err <= tol * np.abs(val))
 
-
-def _log_fallbacks(where: str, missed: np.ndarray, detail: str) -> None:
+    missed = np.flatnonzero((count > PANEL_BUDGET) | (err > tol * np.abs(val)))
+    for k in missed:
+        edges = np.unique(np.concatenate([a0[owner0 == k], b0[owner0 == k]]))
+        val[k], err[k] = quad(
+            lambda x: float(f(np.array([[x]]), np.array([k]))[0, 0]),
+            edges[0], edges[-1], points=edges[1:-1].tolist() or None, limit=PANEL_BUDGET, epsrel=tol, epsabs=0.0,
+        )
     if missed.size:
         _log.debug("%s: %d radii missed the G7/K15 tolerance or panel budget, fell back to quad: %s",
-                   where, missed.size, detail)
+                   where, missed.size, radii[missed].tolist())
+    return val, err
 
 
-def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = 1e-8):
+def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = QUAD_TOL):
     """S_{N-1} int_0^eps g(rho) rho^{N-1} drho for one eps or an array of them, in w = log(e + 1/rho).
 
     Since drho/rho = -dw / (1 - e^{1-w}), the slice is
@@ -377,14 +377,7 @@ def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = 1e-8):
         return np.where(log_t > log_t_far, f, 0.0)
 
     n = len(e)
-    val, err, met = _gk_panels(integrand, np.zeros(n), np.ones(n), np.arange(n), n, quad_tol)
-    missed = np.flatnonzero(~met)
-    for j in missed:
-        val[j], err[j] = quad(
-            lambda t: float(integrand(np.array([[t]]), np.array([j]))[0, 0]),
-            0.0, 1.0, limit=PANEL_BUDGET, epsrel=quad_tol, epsabs=0.0,
-        )
-    _log_fallbacks("singular_slice_integral", missed, f"eps={e[missed].tolist()}")
+    val, err = _gk_panels(integrand, np.zeros(n), np.ones(n), np.arange(n), e, quad_tol, "singular_slice_integral")
     val, err = SPHERE_AREA[N] * val, SPHERE_AREA[N] * err
     return (float(val[0]), float(err[0])) if scalar else (val, err)
 
@@ -394,7 +387,7 @@ def radial_ball_integral(
     N: int,
     d: float,
     sigma,
-    quad_tol: float = 1e-8,
+    quad_tol: float = QUAD_TOL,
     gw: Optional[WSlice] = None,
     cutoff: Optional[float] = None,
 ):
@@ -410,7 +403,7 @@ def radial_ball_integral(
     bounds the slice, where gw ignores it.  The initial panels break at
     |sigma - d| and at the cutoff.  A radius that misses
     the tolerance within PANEL_BUDGET panels is integrated again by scipy's
-    quad, alone; a miss there raises.
+    quad over those panels; a miss there raises.
     """
     s, scalar = as_radii(sigma)
     n = len(s)
@@ -432,15 +425,7 @@ def radial_ball_integral(
     def integrand(rho, k):
         return g(rho) * cap_measure(N, rho, d, s[k, None])
 
-    v1, e1, met = _gk_panels(integrand, a[wide], b[wide], owner[wide], n, quad_tol)
-    missed = np.flatnonzero(~met)
-    for k in missed:
-        inside = sorted({p for p in pts[k].tolist() if lo[k] < p < hi[k]})
-        v1[k], e1[k] = quad(
-            lambda rho: g(rho) * cap_measure(N, rho, d, s[k]),
-            lo[k], hi[k], points=inside or None, limit=PANEL_BUDGET, epsrel=quad_tol, epsabs=0.0,
-        )
-    _log_fallbacks("radial_ball_integral", missed, f"d={d!r}, sigma={s[missed].tolist()}")
+    v1, e1 = _gk_panels(integrand, a[wide], b[wide], owner[wide], s, quad_tol, f"radial_ball_integral(d={d!r})")
     val, err = val + v1, err + e1
     if not np.all(np.isfinite(val)):
         raise ValueError("ball integral diverged (non-integrable profile?)")
@@ -458,7 +443,7 @@ def radial_offset(z) -> float:
     return float(np.linalg.norm(np.asarray(z, dtype=float)))
 
 
-def ball_average_power(profile: RadialProfile, expo: float, z, sigma, quad_tol: float = 1e-8):
+def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
     """Average of profile^expo over B(z, sigma) for one radius or an array of them; closed form when possible.
 
     expo >= 1 in norm usage, but any expo > 0 with an integrable power works.
@@ -484,7 +469,6 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma, quad_tol: 
             N,
             d,
             s[rest],
-            quad_tol,
             gw=profile.power_times_vol_w(expo),
             cutoff=profile.cutoff,
         )
@@ -492,14 +476,14 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma, quad_tol: 
     return float(out[0]) if scalar else out
 
 
-def ball_average(profile: RadialProfile, z, sigma, quad_tol: float = 1e-8):
+def ball_average(profile: RadialProfile, z, sigma):
     """Average of the profile over the ball B(z, sigma)."""
-    return ball_average_power(profile, 1.0, z, sigma, quad_tol)
+    return ball_average_power(profile, 1.0, z, sigma)
 
 
-def ball_mass(profile: RadialProfile, z, sigma, quad_tol: float = 1e-8):
+def ball_mass(profile: RadialProfile, z, sigma):
     """integral of the profile over B(z, sigma) (full N-dimensional measure)."""
-    return ball_average(profile, z, sigma, quad_tol) * ball_volume(profile.N, sigma)
+    return ball_average(profile, z, sigma) * ball_volume(profile.N, sigma)
 
 
 # -- projection onto solver cells ---------------------------------------------

@@ -54,7 +54,7 @@ _FAC_MIN, _FAC_MAX = 0.2, 5.0  # bounds on the controller's step-size ratio
 
 @dataclass
 class GridField:
-    """Nonnegative radial field on uniform cells; r holds the cell centers."""
+    """Nonnegative radial field on uniform cells; r holds the cell centers, and R_dom = dr * len(u) the outer edge."""
 
     N: int
     dr: float
@@ -71,6 +71,8 @@ class GridField:
             raise ValueError("u must be a nonempty 1-D array")
         if not np.all(np.isfinite(self.u)) or np.any(self.u < 0.0):
             raise ValueError("field values must be finite and >= 0")
+        if not math.isclose(self.R_dom, self.dr * len(self.u), rel_tol=1e-12):
+            raise ValueError(f"R_dom={self.R_dom!r} must equal dr * len(u) = {self.dr * len(self.u)!r}")
 
     @property
     def r(self) -> np.ndarray:
@@ -85,12 +87,6 @@ class GridField:
         """Cell volumes per unit solid angle: (r_+^N - r_-^N)/N."""
         e = self.edges
         return (e[1:] ** self.N - e[:-1] ** self.N) / self.N
-
-    def copy(self) -> "GridField":
-        return GridField(self.N, self.dr, self.u.copy(), self.R_dom)
-
-    def sup(self) -> float:
-        return float(self.u.max())
 
     def total_mass(self) -> float:
         return SPHERE_AREA[self.N] * float(np.dot(self.u, self.volumes))
@@ -199,10 +195,6 @@ class SolverTrace:
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trace times must be strictly increasing")
 
-    @property
-    def t_blowup(self) -> Optional[float]:
-        return self.t_event if self.status == STATUS_BLEW_UP else None
-
     def csv_rows(self):
         header = ["t", "sup_norm"] + [f"mass_sigma_{j}" for j in range(len(self.probe_radii))]
         if self.energy_beta is not None:
@@ -249,12 +241,9 @@ class _Stepper:
     """The face-flux operator of one run and its Strang step S(dt/2) D(dt) S(dt/2)."""
 
     def __init__(self, field: GridField, cfg: SolverConfig):
-        N, dr, M = field.N, field.dr, len(field.u)
-        faces = np.arange(M + 1) * dr
-        areas = faces ** (N - 1)
+        areas = field.edges ** (field.N - 1)
         areas[0] = 0.0  # symmetry at the origin, also forces N=1 inner face off
-        vols = (faces[1:] ** N - faces[:-1] ** N) / N
-        scale = 1.0 / (dr * vols)
+        scale = 1.0 / (field.dr * field.volumes)
         self.coef_r = areas[1:] * scale  # multiplies flux through the outer face of cell i
         self.coef_l = areas[:-1] * scale
         self.cfg = cfg
@@ -263,7 +252,7 @@ class _Stepper:
         if self.floor is None:
             self.coef_r[-1] = 0.0  # zero flux through the domain boundary
         self.ghost_v = cfg.u_floor**self.m if self.floor is not None else 0.0
-        self.ab = np.zeros((3, M))  # banded I - gamma dt J, rebuilt every step
+        self.ab = np.zeros((3, len(field.u)))  # banded I - gamma dt J, rebuilt every step
         self.flow_cap = cfg.u_blowup ** (1.0 - self.p)
 
     def div(self, v: np.ndarray) -> np.ndarray:
@@ -326,17 +315,6 @@ class _Stepper:
             return self.diffuse(u, dt)
         new, err = self.diffuse(self.source_flow(u, 0.5 * dt), dt)
         return (None if new is None else self.source_flow(new, 0.5 * dt)), err
-
-
-def step(field: GridField, cfg: SolverConfig, dt: float) -> GridField:
-    """One Strang step S(dt/2) D(dt) S(dt/2); validates dt against stable_dt."""
-    bound = stable_dt(field, cfg)
-    if dt > bound * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds the stability bound {bound}")
-    u, _ = _Stepper(field, cfg).apply(field.u, dt)
-    if u is None:
-        raise RuntimeError(f"a diffusion stage left positivity at dt={dt}")
-    return GridField(field.N, field.dr, u, field.R_dom)
 
 
 def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:

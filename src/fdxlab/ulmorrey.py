@@ -129,14 +129,7 @@ class SolvabilityVerdict:
     T_used: float
 
 
-def orlicz_ball_average(
-    f,
-    alpha: float,
-    z,
-    sigma,
-    scale: float = 1.0,
-    quad_tol: float = 1e-8,
-):
+def orlicz_ball_average(f, alpha: float, z, sigma, scale: float = 1.0):
     """psi_alpha^{-1} of the ball average of psi_alpha(scale * f) over B(z, sigma).
 
     sigma is one radius or a 1-D array of them (a scan column, integrated in
@@ -162,7 +155,6 @@ def orlicz_ball_average(
             profile.N,
             d,
             s[rest],
-            quad_tol,
             gw=_orlicz_gw(profile, alpha, scale),
             cutoff=profile.cutoff,
         )
@@ -195,28 +187,22 @@ def _grid_average(field: GridField, values: np.ndarray, d: float, sigma: np.ndar
     return field.ball_weights(d, sigma) @ values / ball_volume(field.N, sigma)
 
 
-def _ball_quantity(f, spec: NormSpec, d: float, sigma: np.ndarray, scale: float, quad_tol: float) -> np.ndarray:
+def _ball_quantity(f, spec: NormSpec, d: float, sigma: np.ndarray, scale: float) -> np.ndarray:
     """The weighted quantity whose (z, sigma)-sup defines the norm, for one center and an array of radii."""
     if spec.kind == MORREY:
         N = f.N
         if isinstance(f, GridField):
             avg = _grid_average(f, f.u**spec.alpha, d, sigma) * scale**spec.alpha
         else:
-            avg = ball_average_power(f, spec.alpha, d, sigma, quad_tol) * scale**spec.alpha
+            avg = ball_average_power(f, spec.alpha, d, sigma) * scale**spec.alpha
         # libm pow, as in ball_average_power's closed form
         return np.array([x ** (N / spec.q) * a ** (1.0 / spec.alpha) for x, a in zip(sigma.tolist(), avg.tolist())])
     # orlicz_eta: weight eta(sigma / R) with R = T^theta playing the reference scale
     w = eta(f.N, sigma / spec.R)
-    return w * orlicz_ball_average(f, spec.alpha, d, sigma, scale=scale, quad_tol=quad_tol)
+    return w * orlicz_ball_average(f, spec.alpha, d, sigma, scale=scale)
 
 
-def norm(
-    f,
-    spec: NormSpec,
-    scan: ScanGrid,
-    scale: float = 1.0,
-    quad_tol: float = 1e-8,
-) -> NormResult:
+def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     """Max of the spec's weighted ball quantity over the scan grid.
 
     For analytic power-law profiles scanned at the origin with an uncapped
@@ -248,7 +234,7 @@ def norm(
             )
 
     def column_max(d: float) -> tuple[float, float, float]:
-        values = _ball_quantity(f, spec, d, np.array(radii), scale, quad_tol)
+        values = _ball_quantity(f, spec, d, np.array(radii), scale)
         best = int(np.argmax(values))  # the first of equal maxima
         return float(values[best]), d, radii[best]
 
@@ -264,7 +250,6 @@ def check_condition(
     delta: float,
     beta_or_alpha: float,
     scan: Optional[ScanGrid] = None,
-    quad_tol: float = 1e-8,
 ) -> SolvabilityVerdict:
     """Evaluate the regime's solvability condition left side against delta.
 
@@ -292,7 +277,7 @@ def check_condition(
         else:
             from .profiles import ball_mass
 
-            mass = max(ball_mass(f, d, sigma, quad_tol) for d in centers)
+            mass = max(ball_mass(f, d, sigma) for d in centers)
         threshold_scale = T ** (ex.theta * (params.N - 2.0 / (params.p - params.m)))
         value = mass / threshold_scale
     elif regime is Regime.CRITICAL:
@@ -303,7 +288,7 @@ def check_condition(
         if scan is None:
             scan = ScanGrid.build(spec, r_min=1e-3 * spec.R)
         scale = T ** (1.0 / (params.p - 1.0))
-        value = norm(f, spec, scan, scale=scale, quad_tol=quad_tol).value
+        value = norm(f, spec, scan, scale=scale).value
     else:
         beta = beta_or_alpha
         validate_beta(params, beta)
@@ -311,7 +296,7 @@ def check_condition(
         if scan is None:
             r_hi = spec.radius_cap()
             scan = ScanGrid.build(spec, r_min=1e-6 * min(r_hi, 1e3))
-        value = norm(f, spec, scan, quad_tol=quad_tol).value
+        value = norm(f, spec, scan).value
 
     return SolvabilityVerdict(
         regime=regime,

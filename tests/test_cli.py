@@ -96,9 +96,13 @@ def test_solver_defaults_come_from_the_dataclass(subcommand, t_end):
 
 
 def test_threshold_horizon_is_the_run_length():
-    raw = parse_config_text(MINIMAL + "threshold.horizon = 0.5\nsolver.t_end = 3\nsolver.n_cells = 50\n")
+    raw = parse_config_text(MINIMAL + "threshold.horizon = 0.5\nsolver.n_cells = 50\n")
     cfg = validate_config("threshold", raw, Path("."), seed=0)
     assert (cfg.solver.t_end, cfg.solver.n_cells) == (0.5, 50)
+    # threshold never reads solver.t_end, so setting it is an error
+    with pytest.raises(ConfigError) as err:
+        validate_config("threshold", parse_config_text(MINIMAL + "solver.t_end = 3\n"), Path("."), seed=0)
+    assert err.value.violations == ["key 'solver.t_end': not read by subcommand 'threshold'"]
 
 
 @pytest.mark.parametrize("kind", ["power", "critical_log", "critical_profile"])
@@ -126,7 +130,9 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("simulate", "solver.u_floor = nan", "solver: u_floor"),
         ("simulate", "solver.n_cells = 1", "solver: n_cells"),
         ("simulate", "solver.n_cells = 64.0", "'solver.n_cells': expected an integer"),
-        ("threshold", "threshold.horizon = inf", "solver: t_end"),
+        ("threshold", "threshold.horizon = inf", "'threshold.horizon': t_end must be finite"),
+        ("threshold", "threshold.bisect_steps = 3", "'threshold.bisect_steps': must be >= 4, got 3"),
+        ("simulate", "probes = 0.5, x", "'probes': expected comma-separated numbers"),
         ("threshold", "profile.kind = barenblatt", "'profile.kind'"),
         ("norms", "probes = 0.5, x", "'probes'"),
         ("norms", "norm.kind = orlicz", "'norm.kind': unknown kind 'orlicz'"),
@@ -201,9 +207,30 @@ def test_gronwall_check_deterministic(tmp_path):
 
 
 def test_gronwall_check_rejects_zero_draws(tmp_path, capsys):
-    code, _ = _run(tmp_path, "gronwall-check", "gronwall.n_draws = 0\n")
-    assert code == 1
-    assert "gronwall.n_draws" in capsys.readouterr().err
+    code, out = _run(tmp_path, "gronwall-check", "gronwall.n_draws = 0\n")
+    assert code == 2
+    assert "'gronwall.n_draws': must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, ignored",
+    [
+        ("exponents", "N = 1\nm = 0.5\np = 3.0\n", "profile.kind = power"),
+        ("norms", MINIMAL, "probes = 1.0"),
+        ("simulate", MINIMAL, "threshold.horizon = 0.5"),
+        ("threshold", MINIMAL, "solver.t_end = 3"),
+        ("decay", MINIMAL, "scan.r_min = 0.01"),
+        ("trace", MINIMAL, "decay.t_offset = 0.1"),
+        ("gronwall-check", "", "N = 1"),
+    ],
+)
+def test_a_key_the_subcommand_never_reads_exits_2(tmp_path, capsys, subcommand, config, ignored):
+    code, out = _run(tmp_path, subcommand, config + ignored + "\n")
+    assert code == 2
+    key = ignored.split(" = ")[0]
+    assert f"key {key!r}: not read by subcommand {subcommand!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_set_overrides_config(tmp_path):

@@ -153,7 +153,7 @@ def test_off_center_average_below_centered(N):
     centered = ball_average(prof, 0.0, sigma)
     previous = centered
     for d in np.linspace(0.2, 3.0, 8) * sigma:
-        val = ball_average(prof, d, sigma, quad_tol=1e-9)
+        val = ball_average(prof, d, sigma)
         assert val <= centered * (1.0 + 1e-9)
         assert val <= previous * (1.0 + 1e-6)  # decreasing in the offset as well
         previous = val
@@ -183,7 +183,8 @@ def test_budget_exhaustion_falls_back_to_quad_and_logs(caplog):
     with caplog.at_level(logging.DEBUG, logger="fdxlab.profiles"):
         val = radial_ball_integral(prof.value, 1, 0.0, np.array([0.5, 1.0]), 1e-9)
     np.testing.assert_allclose(val, [2.0 * s**0.001 / 0.001 for s in (0.5, 1.0)], rtol=1e-8)
-    assert "2 radii" in caplog.text and "fell back to quad" in caplog.text
+    fallbacks = [r.getMessage() for r in caplog.records if "fell back to quad" in r.getMessage()]
+    assert len(fallbacks) == 1 and "2 radii" in fallbacks[0] and fallbacks[0].endswith("[0.5, 1.0]")
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
