@@ -104,15 +104,15 @@ _SOLVER_RUNS = ("simulate", "threshold", "decay", "trace")
 _PROFILE_RUNS = ("norms", *_SOLVER_RUNS)
 _PARAMS_RUNS = ("exponents", *_PROFILE_RUNS)
 _T_END_RUNS = ("simulate", "decay", "trace")  # threshold runs to threshold.horizon
-_BARENBLATT_RUNS = ("norms", "simulate", "decay", "trace")  # threshold rejects barenblatt data
+_FIXED_DATA_RUNS = ("norms", "simulate", "decay", "trace")  # threshold bisects profile.c, rejects barenblatt
 
 # every config key, its parser and the subcommands that read it; solver.* keys
 # are the SolverConfig fields of the same name
 _KEYS = {
     "N": (int, _PARAMS_RUNS), "m": (float, _PARAMS_RUNS), "p": (float, _PARAMS_RUNS),
-    "profile.kind": (str, _PROFILE_RUNS), "profile.c": (float, _PROFILE_RUNS), "profile.a": (float, _PROFILE_RUNS),
+    "profile.kind": (str, _PROFILE_RUNS), "profile.c": (float, _FIXED_DATA_RUNS), "profile.a": (float, _PROFILE_RUNS),
     "profile.cutoff": (float, _PROFILE_RUNS),
-    "profile.cb": (float, _BARENBLATT_RUNS), "profile.t0": (float, _BARENBLATT_RUNS),
+    "profile.cb": (float, _FIXED_DATA_RUNS), "profile.t0": (float, _FIXED_DATA_RUNS),
     "solver.t_end": (float, _T_END_RUNS), "solver.n_cells": (int, _SOLVER_RUNS), "solver.r_dom": (float, _SOLVER_RUNS),
     "solver.dt_safety": (float, _SOLVER_RUNS), "solver.u_floor": (float, _SOLVER_RUNS),
     "solver.u_blowup": (float, _SOLVER_RUNS), "solver.boundary": (str, _SOLVER_RUNS),
@@ -130,7 +130,7 @@ _KEYS = {
     "gronwall.n_draws": (int, ("gronwall-check",)), "gronwall.n_steps": (int, ("gronwall-check",)),
     "gronwall.T": (float, ("gronwall-check",)),
 }
-_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1}  # integer keys with a lower bound
+_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1, "gronwall.n_steps": gronwall.MIN_STEPS}  # lower bounds
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
 _NORM_KINDS = ("morrey", "orlicz_eta")
 
@@ -172,6 +172,11 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
     for key, low in _MINIMUM.items():
         if values.get(key, low) < low:
             violations.append(f"key {key!r}: must be >= {low}, got {values[key]!r}")
+    if "gronwall.T" in values:
+        try:
+            gronwall.check_horizon(values["gronwall.T"])
+        except ValueError as exc:
+            violations.append(f"key 'gronwall.T': {exc}")
 
     if subcommand == "norms" and values.get("norm.kind", "morrey") not in _NORM_KINDS:
         violations.append(f"key 'norm.kind': unknown kind {values['norm.kind']!r}")

@@ -17,6 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_STEPS = 100  # the fewest RK4 steps verify_against_ode accepts
+
+
+def check_horizon(T: float) -> None:
+    """Reject a horizon T that is not finite and > 0 (NaN included)."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
+
 
 @dataclass(frozen=True)
 class GronwallCoeffs:
@@ -31,8 +39,7 @@ class GronwallCoeffs:
             raise ValueError("A1, A2, A3 must be >= 0")
         if not (0.0 < self.m < 1.0):
             raise ValueError("m must lie in (0, 1)")
-        if self.T <= 0.0:
-            raise ValueError("T must be > 0")
+        check_horizon(self.T)
 
 
 def gronwall_bound(c: GronwallCoeffs, t: float) -> float:
@@ -96,8 +103,8 @@ def verify_against_ode(coeffs, n_steps: int = 2000):
     sequence sharing one T (returns a list of reports in input order); every
     draw is advanced in a single lockstep RK4 batch.
     """
-    if n_steps < 100:
-        raise ValueError("n_steps must be >= 100")
+    if n_steps < MIN_STEPS:
+        raise ValueError(f"n_steps must be >= {MIN_STEPS}")
     batch = [coeffs] if isinstance(coeffs, GronwallCoeffs) else list(coeffs)
     if len({c.T for c in batch}) != 1:
         raise ValueError("need a non-empty batch of GronwallCoeffs sharing one T")

@@ -27,6 +27,13 @@ profile.a = 0.8
 """
 
 
+def _minimal(subcommand: str) -> str:
+    """MINIMAL as the subcommand reads it: gronwall-check reads none of it, threshold bisects profile.c."""
+    if subcommand == "gronwall-check":
+        return ""
+    return MINIMAL.replace("profile.c = 0.1\n", "") if subcommand == "threshold" else MINIMAL
+
+
 def _run(tmp_path, subcommand, config_text, *extra):
     tmp_path.mkdir(parents=True, exist_ok=True)
     cfg_file = tmp_path / "run.cfg"
@@ -91,17 +98,17 @@ def test_readme_config_block_validates_and_every_key_is_documented():
 
 @pytest.mark.parametrize("subcommand, t_end", [("simulate", 1.0), ("decay", 1.0), ("threshold", 1.0), ("trace", 2e-3)])
 def test_solver_defaults_come_from_the_dataclass(subcommand, t_end):
-    cfg = validate_config(subcommand, parse_config_text(MINIMAL), Path("."), seed=0)
+    cfg = validate_config(subcommand, parse_config_text(_minimal(subcommand)), Path("."), seed=0)
     assert cfg.solver == SolverConfig(params=cfg.params, t_end=t_end)
 
 
 def test_threshold_horizon_is_the_run_length():
-    raw = parse_config_text(MINIMAL + "threshold.horizon = 0.5\nsolver.n_cells = 50\n")
+    raw = parse_config_text(_minimal("threshold") + "threshold.horizon = 0.5\nsolver.n_cells = 50\n")
     cfg = validate_config("threshold", raw, Path("."), seed=0)
     assert (cfg.solver.t_end, cfg.solver.n_cells) == (0.5, 50)
     # threshold never reads solver.t_end, so setting it is an error
     with pytest.raises(ConfigError) as err:
-        validate_config("threshold", parse_config_text(MINIMAL + "solver.t_end = 3\n"), Path("."), seed=0)
+        validate_config("threshold", parse_config_text(_minimal("threshold") + "solver.t_end = 3\n"), Path("."), seed=0)
     assert err.value.violations == ["key 'solver.t_end': not read by subcommand 'threshold'"]
 
 
@@ -136,10 +143,12 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("threshold", "profile.kind = barenblatt", "'profile.kind'"),
         ("norms", "probes = 0.5, x", "'probes'"),
         ("norms", "norm.kind = orlicz", "'norm.kind': unknown kind 'orlicz'"),
+        ("gronwall-check", "gronwall.n_steps = 0", "'gronwall.n_steps': must be >= 100, got 0"),
+        ("gronwall-check", "gronwall.T = -1", "'gronwall.T': T must be finite and > 0, got -1.0"),
     ],
 )
 def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):
-    code, out = _run(tmp_path, subcommand, MINIMAL + extra + "\n")
+    code, out = _run(tmp_path, subcommand, _minimal(subcommand) + extra + "\n")
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()  # nothing ran, so no CSV was written
@@ -219,7 +228,8 @@ def test_gronwall_check_rejects_zero_draws(tmp_path, capsys):
         ("exponents", "N = 1\nm = 0.5\np = 3.0\n", "profile.kind = power"),
         ("norms", MINIMAL, "probes = 1.0"),
         ("simulate", MINIMAL, "threshold.horizon = 0.5"),
-        ("threshold", MINIMAL, "solver.t_end = 3"),
+        ("threshold", _minimal("threshold"), "solver.t_end = 3"),
+        ("threshold", _minimal("threshold"), "profile.c = 5"),
         ("decay", MINIMAL, "scan.r_min = 0.01"),
         ("trace", MINIMAL, "decay.t_offset = 0.1"),
         ("gronwall-check", "", "N = 1"),
@@ -241,7 +251,7 @@ def test_set_overrides_config(tmp_path):
 
 def test_threshold_subcommand(tmp_path):
     config = (
-        "N = 1\nm = 0.5\np = 2.0\nprofile.kind = constant\nprofile.c = 1.0\n"
+        "N = 1\nm = 0.5\np = 2.0\nprofile.kind = constant\n"
         "threshold.horizon = 1.0\nthreshold.bisect_steps = 4\n"
         "solver.n_cells = 50\nsolver.r_dom = 4\nsolver.u_floor = 1e-6\nsolver.dt_safety = 0.2\n"
     )

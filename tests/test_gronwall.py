@@ -35,8 +35,9 @@ def test_coeff_validation():
         GronwallCoeffs(-1.0, 0.0, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         GronwallCoeffs(1.0, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        GronwallCoeffs(1.0, 0.0, 0.0, 0.5, 0.0)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            GronwallCoeffs(1.0, 0.0, 0.0, 0.5, T)
 
 
 def test_linear_case_matches_exponential():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf
 
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import SPHERE_AREA, ball_volume, barenblatt, barenblatt_value, constant, power_law
@@ -183,6 +185,49 @@ def test_non_finite_state_raises(monkeypatch):
         simulate(constant(0.5, 1), _cfg(P3, t_end=0.1), probes=[1.0])
 
 
+def _dense_ros2(stepper: _Stepper, u: np.ndarray, h: float):
+    """The ROS2 step of _Stepper.diffuse with J assembled densely from div and solved by numpy."""
+    m, M = stepper.m, len(u)
+    ghost = stepper.div(np.zeros(M))  # the affine part of div (the fixed-floor ghost)
+    A = np.column_stack([stepper.div(e) - ghost for e in np.eye(M)])
+    J = A * (m * u ** (m - 1.0))  # A diag(m u^{m-1})
+    W = np.eye(M) - (1.0 + 1.0 / np.sqrt(2.0)) * h * J
+    clamp = (lambda x: np.maximum(x, stepper.floor)) if stepper.floor is not None else (lambda x: x)
+    k1 = np.linalg.solve(W, stepper.div(u**m))
+    stage = clamp(u + h * k1)
+    k2 = np.linalg.solve(W, stepper.div(stage**m) - 2.0 * k1)
+    new = clamp(u + h * (1.5 * k1 + 0.5 * k2))
+    est = np.linalg.solve(W, 0.5 * h * (k1 + k2))
+    return new, float(np.max(np.abs(est) / (new + 1e-8 * new.max())))
+
+
+@pytest.mark.parametrize("boundary", ["zeroflux", "fixedfloor"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_diffuse_matches_a_dense_ros2_step(N, boundary):
+    cfg = _cfg(ProblemParams(N=N, m=0.5, p=3.0), n_cells=12, r_dom=1.2, boundary=boundary, u_floor=1e-3)
+    r = (np.arange(12) + 0.5) * 0.1
+    u = 0.2 + np.exp(-4.0 * r**2) + 0.3 * np.sin(7.0 * r) ** 2  # non-uniform: swapping dl and du changes the matrix
+    stepper = _Stepper(GridField(N, 0.1, u, 1.2), cfg)
+    new, err = stepper.diffuse(u, 0.01)
+    ref_new, ref_err = _dense_ros2(stepper, u, 0.01)
+    assert new == pytest.approx(ref_new, rel=1e-12, abs=0.0)
+    assert err == pytest.approx(ref_err, rel=1e-12)
+    assert err > 0.0 and not np.allclose(new, u)  # the step moves the state
+
+
+def test_singular_diffusion_matrix_raises(monkeypatch):
+    # a valid factorization reported with a zero pivot (info > 0), as LAPACK does for a singular matrix
+    def singular(*args, **kw):
+        *lu, _ = dgttrf(*args, **kw)
+        return (*lu, 2)
+
+    monkeypatch.setattr("fdxlab.solver.dgttrf", singular)
+    cfg = _cfg()
+    field = project_initial(constant(1.0, 1), cfg)
+    with pytest.raises(LinAlgError, match="singular"):
+        _Stepper(field, cfg).diffuse(field.u, 0.01)
+
+
 # -- simulate -------------------------------------------------------------------------
 
 
@@ -257,7 +302,7 @@ def test_trace_csv_rows_shape():
         ("u_floor", float("nan")), ("u_floor", -1e-6),
         ("u_blowup", float("nan")), ("u_blowup", 1.0),
         ("dt_safety", float("nan")), ("dt_safety", 1.0),
-        ("n_cells", 1), ("n_cells", 0),
+        ("n_cells", 2), ("n_cells", 1), ("n_cells", 0),
         ("boundary", "fixed"),
     ],
 )
