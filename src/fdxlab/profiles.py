@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exponents import ProblemParams, Regime, classify_regime
 
@@ -333,13 +332,15 @@ def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str):
         a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
 
     missed = np.flatnonzero((count > PANEL_BUDGET) | (err > tol * np.abs(val)))
-    for k in missed:
-        edges = np.unique(np.concatenate([a0[owner0 == k], b0[owner0 == k]]))
-        val[k], err[k] = quad(
-            lambda x: float(f(np.array([[x]]), np.array([k]))[0, 0]),
-            edges[0], edges[-1], points=edges[1:-1].tolist() or None, limit=PANEL_BUDGET, epsrel=tol, epsabs=0.0,
-        )
     if missed.size:
+        from scipy.integrate import quad  # imported here, so a process that never falls back does not load it
+
+        for k in missed:
+            edges = np.unique(np.concatenate([a0[owner0 == k], b0[owner0 == k]]))
+            val[k], err[k] = quad(
+                lambda x: float(f(np.array([[x]]), np.array([k]))[0, 0]),
+                edges[0], edges[-1], points=edges[1:-1].tolist() or None, limit=PANEL_BUDGET, epsrel=tol, epsabs=0.0,
+            )
         _log.debug("%s: %d radii missed the G7/K15 tolerance or panel budget, fell back to quad: %s",
                    where, missed.size, radii[missed].tolist())
     return val, err
@@ -510,23 +511,22 @@ def cell_averages(profile: RadialProfile, edges: np.ndarray, N: int) -> np.ndarr
         return ints / vols
 
     nodes, weights = np.polynomial.legendre.leggauss(12)
-    out = np.empty(len(vols))
     cut = profile.cutoff
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if lo == 0.0 and profile.is_singular_at_origin():
-            val = radial_ball_integral(
-                profile.value,
-                N,
-                0.0,
-                hi,
-                quad_tol=1e-10,
-                gw=profile.power_times_vol_w(1.0),
-                cutoff=cut,
-            ) / SPHERE_AREA[N]
-        else:
-            top = hi if cut is None or cut >= hi else max(lo, cut)
-            mid, half = 0.5 * (lo + top), 0.5 * (top - lo)
-            rs = mid + half * nodes
-            val = half * float(np.dot(weights, profile.value(rs) * rs ** (N - 1)))
-        out[i] = val / vols[i]
-    return np.maximum(out, 0.0)
+    lo, hi = edges[:-1], edges[1:]
+    top = hi if cut is None else np.where(cut >= hi, hi, np.maximum(lo, cut))
+    mid, half = 0.5 * (lo + top), 0.5 * (top - lo)
+    rs = mid[:, None] + half[:, None] * nodes  # the 12 nodes of every cell, in one profile.value call
+    g = profile.value(rs) * rs ** (N - 1)
+    # one dot per cell: a (n, 12) @ (12,) product may sum in another order
+    out = np.array([h * float(np.dot(weights, row)) for h, row in zip(half, g)])
+    if edges[0] == 0.0 and profile.is_singular_at_origin():
+        out[0] = radial_ball_integral(
+            profile.value,
+            N,
+            0.0,
+            edges[1],
+            quad_tol=1e-10,
+            gw=profile.power_times_vol_w(1.0),
+            cutoff=cut,
+        ) / SPHERE_AREA[N]
+    return np.maximum(out / vols, 0.0)

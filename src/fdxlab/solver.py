@@ -33,7 +33,7 @@ regularized as min(., n) + 1/n with n = 1/u_floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,12 +56,17 @@ _FAC_MIN, _FAC_MAX = 0.2, 5.0  # bounds on the controller's step-size ratio
 
 @dataclass
 class GridField:
-    """Nonnegative radial field on uniform cells; r holds the cell centers, and R_dom = dr * len(u) the outer edge."""
+    """Nonnegative radial field on uniform cells; r holds the cell centers, and R_dom = dr * len(u) the outer edge.
+
+    The geometry (N, dr, R_dom and the cell count) is fixed once built, while
+    u may change in place: ball_mass keeps one centered weight row per radius.
+    """
 
     N: int
     dr: float
     u: np.ndarray
     R_dom: float
+    _centered_rows: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N not in (1, 2, 3):
@@ -118,8 +123,15 @@ class GridField:
         return np.diff(vol, axis=-1)
 
     def ball_mass(self, sigma: float) -> float:
-        """Exact mass of B(0, sigma) for the piecewise-constant field."""
-        return self.ball_mass_at(0.0, sigma)
+        """Exact mass of B(0, sigma) for the piecewise-constant field, equal to ball_mass_at(0.0, sigma).
+
+        The weight row of each radius is built on first use and kept, since
+        the geometry is fixed; u is read at every call, so it may change in place.
+        """
+        row = self._centered_rows.get(sigma)
+        if row is None:
+            row = self._centered_rows[sigma] = self.ball_weights(0.0, sigma)
+        return float(np.dot(self.u, row))
 
     def ball_mass_at(self, d: float, sigma: float) -> float:
         """Mass of B(z, sigma) for |z| = d and the piecewise-constant field (see ball_weights)."""

@@ -13,17 +13,19 @@ integrand equals s^{kappa-1} * [log(e + 1/s)]^{N(m-1)/2}; it is integrable at
 s = 0 exactly when kappa = N(m-1) + 2 > 0.  Quadrature is done after the
 substitution s = exp(-tau), which turns the endpoint grading into an
 exponentially decaying smooth integrand on [0, inf).
+
+scipy's quadrature, interpolation and root-finding are imported inside the
+functions that call them: no CLI subcommand evaluates gamma, so none pays for
+loading them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .exponents import ProblemParams, derive_exponents
 
@@ -104,6 +106,8 @@ def _tau_cutoff(kappa: float) -> float:
 
 def c_eta(params: ProblemParams, rel_tol: float = 1e-10) -> float:
     """C_eta = int_0^1 s * eta(s)^{m-1} ds by adaptive quadrature (rel err <= 1e-8)."""
+    from scipy.integrate import quad
+
     kappa = derive_exponents(params).kappa
     if kappa <= 0.0:
         raise ValueError("c_eta requires kappa = N(m-1) + 2 > 0")
@@ -125,6 +129,8 @@ def c_eta(params: ProblemParams, rel_tol: float = 1e-10) -> float:
 
 def _cumulative_weight(x: float, params: ProblemParams, kappa: float) -> float:
     """G(x) = int_0^x s * eta(s)^{m-1} ds for x in [0, 1]."""
+    from scipy.integrate import quad
+
     if x <= 0.0:
         return 0.0
     lo = -math.log(x)
@@ -147,10 +153,12 @@ class GammaFn:
 
     params: ProblemParams
     c_eta: float
-    _interp: PchipInterpolator = field(repr=False)
+    _interp: Callable[[np.ndarray], np.ndarray] = field(repr=False)  # a scipy PchipInterpolator
 
     @classmethod
     def build(cls, params: ProblemParams, table_size: int = 1024) -> "GammaFn":
+        from scipy.interpolate import PchipInterpolator
+
         kappa = derive_exponents(params).kappa
         if kappa <= 0.0:
             raise ValueError("gamma requires kappa > 0")
@@ -175,6 +183,8 @@ class GammaFn:
         return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
 
     def value_exact(self, xi: float, rel_tol: float = 1e-8) -> float:
+        from scipy.optimize import brentq
+
         if not 0.0 <= xi <= 1.0:
             raise ValueError("gamma is defined on [0, 1]")
         if xi == 0.0:

@@ -7,6 +7,7 @@ import pytest
 
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import (
+    SPHERE_AREA,
     ball_average,
     ball_average_power,
     ball_mass,
@@ -321,3 +322,37 @@ def test_cell_averages_barenblatt_match_point_values():
     avg = cell_averages(prof, edges, 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     assert np.allclose(avg, prof.value(centers), rtol=1e-3, atol=1e-6)
+
+
+def _cell_averages_per_cell(profile, edges, N):
+    """Reference: one profile.value call per regular cell, the singular first cell by radial_ball_integral."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    vols = (edges[1:] ** N - edges[:-1] ** N) / N
+    out = np.empty(len(vols))
+    cut = profile.cutoff
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if lo == 0.0 and profile.is_singular_at_origin():
+            val = radial_ball_integral(
+                profile.value, N, 0.0, hi, quad_tol=1e-10, gw=profile.power_times_vol_w(1.0), cutoff=cut
+            ) / SPHERE_AREA[N]
+        else:
+            top = hi if cut is None or cut >= hi else max(lo, cut)
+            mid, half = 0.5 * (lo + top), 0.5 * (top - lo)
+            rs = mid + half * nodes
+            val = half * float(np.dot(weights, profile.value(rs) * rs ** (N - 1)))
+        out[i] = val / vols[i]
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.parametrize(
+    "profile, edges",
+    [
+        (barenblatt(1.0, 1.0, 3, 0.8), np.arange(101) * 0.04),
+        (critical_log(0.05, 2), np.arange(101) * 0.02),  # singular first cell
+        (power_law(0.1, 0.8, 1, cutoff=1.23), np.arange(101) * 0.02),  # cutoff inside a cell
+        (barenblatt(1.0, 1.0, 2, 0.6, cutoff=0.45), np.arange(41) * 0.1),  # cutoff below the inner edge of most cells
+    ],
+)
+def test_cell_averages_match_the_per_cell_loop_exactly(profile, edges):
+    N = profile.N
+    np.testing.assert_array_equal(cell_averages(profile, edges, N), _cell_averages_per_cell(profile, edges, N))

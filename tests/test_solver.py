@@ -98,6 +98,17 @@ def test_centered_ball_mass_matches_the_straddling_cell_closed_form(N):
         assert f.ball_mass(sigma) == pytest.approx(closed, rel=1e-14), sigma
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_centered_mass_from_kept_rows_is_ball_mass_at_the_origin(N):
+    rng = np.random.default_rng(10 + N)
+    f = GridField(N=N, dr=0.1, u=rng.uniform(0.0, 1.0, size=40), R_dom=4.0)
+    radii = (0.05, 0.3, 1.234, 4.0)
+    for _ in range(2):  # the second pass reads the kept weight rows
+        assert [f.ball_mass(s) for s in radii] == [f.ball_mass_at(0.0, s) for s in radii]
+    f.u[:] = rng.uniform(0.0, 1.0, size=40)  # simulate updates u in place
+    assert [f.ball_mass(s) for s in radii] == [f.ball_mass_at(0.0, s) for s in radii]
+
+
 # -- stepping -------------------------------------------------------------------------
 
 
