@@ -35,8 +35,6 @@ from .solver import (
     SolverTrace,
     energy_diagnostics,
     linfty_decay_check,
-    make_grid,
-    regularize_initial,
     scaling_transform,
     simulate,
 )

@@ -138,13 +138,6 @@ class GridField:
         return float(np.dot(self.u, self.ball_weights(d, sigma)))
 
 
-def make_grid(N: int, n_cells: int, R_dom: float) -> GridField:
-    """Empty grid geometry (all-zero field) for projection and regularization."""
-    if n_cells < 2:
-        raise ValueError("need at least 2 cells")
-    return GridField(N=N, dr=R_dom / n_cells, u=np.zeros(n_cells), R_dom=R_dom)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     params: ProblemParams
@@ -157,8 +150,6 @@ class SolverConfig:
     n_cells: int = 400
     r_dom: Optional[float] = None  # default 8 * t_end^theta
     out_interval: Optional[float] = None  # default t_end / 200
-    energy_beta: Optional[float] = None
-    energy_sigma: Optional[float] = None
 
     def __post_init__(self):
         # every check is written so that NaN fails it
@@ -201,8 +192,6 @@ class SolverTrace:
     ball_mass: np.ndarray  # shape (n_times, n_probes)
     status: str
     t_event: Optional[float] = None
-    energy_beta: Optional[np.ndarray] = None
-    beta: Optional[float] = None
     final_field: Optional[GridField] = None
 
     def __post_init__(self):
@@ -211,32 +200,26 @@ class SolverTrace:
 
     def csv_rows(self):
         header = ["t", "sup_norm"] + [f"mass_sigma_{j}" for j in range(len(self.probe_radii))]
-        if self.energy_beta is not None:
-            header.append("energy_beta")
-        rows = []
-        for k in range(len(self.times)):
-            row = [self.times[k], self.sup_norm[k], *self.ball_mass[k]]
-            if self.energy_beta is not None:
-                row.append(self.energy_beta[k])
-            rows.append(row)
+        rows = [[self.times[k], self.sup_norm[k], *self.ball_mass[k]] for k in range(len(self.times))]
         return header, rows
 
-
-def regularize_initial(profile: RadialProfile, n: float, grid: GridField) -> GridField:
-    """Project by exact cell averages, then apply the cap-and-floor min(., n) + 1/n."""
-    if n <= 0.0:
-        raise ValueError("n must be > 0")
-    avg = cell_averages(profile, grid.edges, grid.N)
-    u = np.minimum(avg, n) + 1.0 / n
-    return GridField(grid.N, grid.dr, u, grid.R_dom)
+    def probe_column(self, sigma: float) -> int:
+        """Column of ball_mass recorded at the probe radius sigma (to 1e-9 relative); ValueError if none was."""
+        for j, s in enumerate(self.probe_radii):
+            if abs(s - sigma) <= 1e-9 * max(1.0, sigma):
+                return j
+        raise ValueError(f"trace has no mass probe at radius {sigma}")
 
 
 def project_initial(profile: RadialProfile, cfg: SolverConfig) -> GridField:
-    grid = make_grid(cfg.params.N, cfg.n_cells, cfg.domain_radius())
+    """Exact cell averages of the profile, then the cap-and-floor min(., n) + 1/n with n = 1/u_floor (u_floor > 0)."""
+    N, R_dom = cfg.params.N, cfg.domain_radius()
+    dr = R_dom / cfg.n_cells
+    u = cell_averages(profile, np.arange(cfg.n_cells + 1) * dr, N)
     if cfg.u_floor > 0.0:
-        return regularize_initial(profile, 1.0 / cfg.u_floor, grid)
-    u = cell_averages(profile, grid.edges, grid.N)
-    return GridField(grid.N, grid.dr, u, grid.R_dom)
+        n = 1.0 / cfg.u_floor
+        u = np.minimum(u, n) + 1.0 / n
+    return GridField(N, dr, u, R_dom)
 
 
 def stable_dt(field: GridField, cfg: SolverConfig) -> float:
@@ -355,19 +338,12 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     field = project_initial(profile, cfg)
     stepper = _Stepper(field, cfg)
     u = field.u
-
-    record_energy = cfg.energy_beta is not None
-    e_sigma = cfg.energy_sigma if cfg.energy_sigma is not None else field.R_dom
-
-    times, sups, masses, energies = [], [], [], []
+    times, sups, masses = [], [], []
 
     def record(t: float) -> None:
         times.append(t)
         sups.append(float(u.max()))
         masses.append([field.ball_mass(s) for s in probes])
-        if record_energy:
-            mb, _ = energy_diagnostics(field, cfg.energy_beta, e_sigma, cfg.params.m)
-            energies.append(mb)
 
     out_dt = cfg.output_interval()
     t, next_out = 0.0, out_dt
@@ -416,8 +392,6 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         ball_mass=np.asarray(masses),
         status=status,
         t_event=t_event,
-        energy_beta=np.asarray(energies) if record_energy else None,
-        beta=cfg.energy_beta,
         final_field=field,
     )
 
@@ -452,24 +426,19 @@ class DecayCheckReport:
     n_points: int
 
 
-def linfty_decay_check(trace: SolverTrace, params: ProblemParams, r: float, R: float) -> DecayCheckReport:
+def linfty_decay_check(trace: SolverTrace, params: ProblemParams, R: float) -> DecayCheckReport:
     """Smallest C with sup(t) <= C t^{-N/kappa_r} M(t)^{2/kappa_r} + (t/R^2)^{1/(1-m)}
     along the trace, where M(t) is the running max of the recorded mass at radius R.
 
-    Only r = 1 is supported: the trace records plain masses.  The scan is
-    restricted to the window where t^{1/(p-1)} * sup(t) <= 1.
+    The trace records plain ball masses, so r = 1.  The scan is restricted to
+    the window where t^{1/(p-1)} * sup(t) <= 1.
     """
     from .exponents import kappa_r as kappa_r_fn
 
-    if r != 1.0:
-        raise ValueError("linfty_decay_check supports r = 1 (the trace records linear ball masses)")
-    kr = kappa_r_fn(params, r)
+    kr = kappa_r_fn(params, 1.0)
     if not kr.positive:
         raise ValueError("kappa_r must be positive")
-    try:
-        col = next(j for j, s in enumerate(trace.probe_radii) if abs(s - R) <= 1e-9 * max(1.0, R))
-    except StopIteration:
-        raise ValueError(f"trace has no mass probe at radius {R}") from None
+    col = trace.probe_column(R)
 
     t = trace.times
     sup = trace.sup_norm
@@ -514,8 +483,6 @@ def scaling_transform(obj, lam: float, params: ProblemParams):
             ball_mass=mass_scale * obj.ball_mass,
             status=obj.status,
             t_event=obj.t_event / lam**tp if obj.t_event is not None else None,
-            energy_beta=None,
-            beta=obj.beta,
             final_field=scaling_transform(obj.final_field, lam, params) if obj.final_field else None,
         )
     raise TypeError("scaling_transform accepts a GridField or a SolverTrace")

@@ -12,10 +12,12 @@ so gamma(0) = 0, gamma(1) = 1, and gamma is strictly increasing.  The
 integrand equals s^{kappa-1} * [log(e + 1/s)]^{N(m-1)/2}; it is integrable at
 s = 0 exactly when kappa = N(m-1) + 2 > 0.  Quadrature is done after the
 substitution s = exp(-tau), which turns the endpoint grading into an
-exponentially decaying smooth integrand on [0, inf).
+exponentially decaying smooth integrand on [0, inf): the cumulative integral
+at all the table points of gamma, C_eta among them, comes from one batched
+G7/K15 pass of profiles._gk_panels.
 
-scipy's quadrature, interpolation and root-finding are imported inside the
-functions that call them: no CLI subcommand evaluates gamma, so none pays for
+scipy's interpolation and root-finding are imported inside GammaFn.build and
+GammaFn.value_exact: no CLI subcommand evaluates gamma, so none pays for
 loading them.
 """
 
@@ -28,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .exponents import ProblemParams, derive_exponents
+from .profiles import _gk_panels
 
 _E = math.e
 
@@ -92,11 +95,8 @@ def eta(N: int, xi):
 
 
 def _eta_weight_integrand(tau: np.ndarray, N: int, m: float, kappa: float) -> np.ndarray:
-    # s = exp(-tau):  s^{kappa-1} L(s)^{N(m-1)/2} ds = exp(-kappa tau) L^{...} dtau
-    # log(e + e^tau) written stably for large tau
-    tau = np.asarray(tau, dtype=float)
-    log_term = np.where(tau > 40.0, tau, np.log(_E + np.exp(np.minimum(tau, 700.0))))
-    return np.exp(-kappa * tau) * log_term ** (N * (m - 1.0) / 2.0)
+    # s = exp(-tau):  s^{kappa-1} L(s)^{N(m-1)/2} ds = exp(-kappa tau) L^{...} dtau, L = log(e + e^tau)
+    return np.exp(-kappa * tau) * np.logaddexp(1.0, tau) ** (N * (m - 1.0) / 2.0)
 
 
 def _tau_cutoff(kappa: float) -> float:
@@ -104,41 +104,39 @@ def _tau_cutoff(kappa: float) -> float:
     return max(80.0 / kappa, 80.0)
 
 
-def c_eta(params: ProblemParams, rel_tol: float = 1e-10) -> float:
-    """C_eta = int_0^1 s * eta(s)^{m-1} ds by adaptive quadrature (rel err <= 1e-8)."""
-    from scipy.integrate import quad
+_TABLE_XS = np.logspace(-9, 0.0, 1023)  # the gamma table's x points; the last is 1
 
+
+def _cumulative_weights(params: ProblemParams, xs) -> np.ndarray:
+    """G(x) = int_0^x s * eta(s)^{m-1} ds at the increasing points xs in (0, 1].
+
+    In tau = -log s, the far tail [tau_0, cutoff] and each gap between
+    neighbouring points are integrated once, all in one G7/K15 pass to
+    relative tolerance 1e-10, and summed from the far end, so G is strictly
+    increasing.  Raises RuntimeError when a value is not finite or its summed
+    error estimate exceeds 1e-8 relative.
+    """
     kappa = derive_exponents(params).kappa
     if kappa <= 0.0:
-        raise ValueError("c_eta requires kappa = N(m-1) + 2 > 0")
-    hi = _tau_cutoff(kappa)
-    pts = [p for p in (1.0, 4.0, 16.0, 64.0) if p < hi]
-    val, err = quad(
-        _eta_weight_integrand,
-        0.0,
-        hi,
-        args=(params.N, params.m, kappa),
-        limit=200,
-        epsrel=rel_tol,
-        points=pts,
+        raise ValueError("C_eta and gamma require kappa = N(m-1) + 2 > 0")
+    xs = np.asarray(xs, dtype=float)
+    taus = -np.log(xs)
+    far = max(_tau_cutoff(kappa), taus[0] + 1.0)
+    val, err = _gk_panels(
+        lambda tau, k: _eta_weight_integrand(tau, params.N, params.m, kappa),
+        taus, np.append(far, taus[:-1]), np.arange(len(xs)), xs, 1e-10, "_cumulative_weights",
     )
-    if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-        raise RuntimeError(f"c_eta quadrature failed: value={val}, err={err}")
-    return val
+    G, G_err = np.cumsum(val), np.cumsum(err)
+    bad = np.flatnonzero(~np.isfinite(G) | (G_err > 1e-8 * G))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(f"cumulative weight quadrature failed at x={xs[k]}: value={G[k]}, err={G_err[k]}")
+    return G
 
 
-def _cumulative_weight(x: float, params: ProblemParams, kappa: float) -> float:
-    """G(x) = int_0^x s * eta(s)^{m-1} ds for x in [0, 1]."""
-    from scipy.integrate import quad
-
-    if x <= 0.0:
-        return 0.0
-    lo = -math.log(x)
-    hi = max(_tau_cutoff(kappa), lo + 1.0)
-    val, _ = quad(
-        _eta_weight_integrand, lo, hi, args=(params.N, params.m, kappa), limit=200, epsrel=1e-10
-    )
-    return val
+def c_eta(params: ProblemParams) -> float:
+    """C_eta = int_0^1 s * eta(s)^{m-1} ds, the last value of the gamma table's cumulative integral."""
+    return float(_cumulative_weights(params, _TABLE_XS)[-1])
 
 
 @dataclass
@@ -156,22 +154,13 @@ class GammaFn:
     _interp: Callable[[np.ndarray], np.ndarray] = field(repr=False)  # a scipy PchipInterpolator
 
     @classmethod
-    def build(cls, params: ProblemParams, table_size: int = 1024) -> "GammaFn":
+    def build(cls, params: ProblemParams) -> "GammaFn":
         from scipy.interpolate import PchipInterpolator
 
-        kappa = derive_exponents(params).kappa
-        if kappa <= 0.0:
-            raise ValueError("gamma requires kappa > 0")
-        const = c_eta(params)
         # forward map on a log-graded x grid, then interpolate the inverse
-        xs = np.concatenate([[0.0], np.logspace(-9, 0.0, table_size - 1)])
-        xs[-1] = 1.0
-        us = np.array([_cumulative_weight(x, params, kappa) for x in xs]) / const
-        us[0], us[-1] = 0.0, 1.0
-        us = np.maximum.accumulate(us)  # guard against quadrature jitter
-        keep = np.concatenate([[True], np.diff(us) > 0.0])
-        interp = PchipInterpolator(us[keep], xs[keep], extrapolate=False)
-        return cls(params=params, c_eta=const, _interp=interp)
+        G = _cumulative_weights(params, _TABLE_XS)
+        us, xs = np.append(0.0, G / G[-1]), np.append(0.0, _TABLE_XS)
+        return cls(params=params, c_eta=float(G[-1]), _interp=PchipInterpolator(us, xs, extrapolate=False))
 
     def __call__(self, xi):
         xi_arr = np.asarray(xi, dtype=float)
@@ -182,7 +171,7 @@ class GammaFn:
         out = np.where(xi_arr == 1.0, 1.0, out)
         return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
 
-    def value_exact(self, xi: float, rel_tol: float = 1e-8) -> float:
+    def value_exact(self, xi: float) -> float:
         from scipy.optimize import brentq
 
         if not 0.0 <= xi <= 1.0:
@@ -191,11 +180,9 @@ class GammaFn:
             return 0.0
         if xi == 1.0:
             return 1.0
-        kappa = derive_exponents(self.params).kappa
         target = self.c_eta * xi
 
         def resid(x: float) -> float:
-            return _cumulative_weight(x, self.params, kappa) - target
+            return (_cumulative_weights(self.params, [x])[0] if x > 0.0 else 0.0) - target
 
-        return brentq(resid, 0.0, 1.0, xtol=1e-15, rtol=max(rel_tol, 4e-16))
-
+        return brentq(resid, 0.0, 1.0, xtol=1e-15, rtol=1e-8)

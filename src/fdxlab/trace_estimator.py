@@ -43,7 +43,7 @@ def _select_sample_times(times: np.ndarray, n_samples: int) -> np.ndarray:
     """Indices of ~geometrically spaced sample times t, t/2, t/4, ... (descending)."""
     pos = np.flatnonzero(times > 0.0)
     if len(pos) < n_samples:
-        raise ValueError("trace has fewer than 4 positive sample times")
+        raise ValueError(f"trace has {len(pos)} positive sample times, fewer than n_samples = {n_samples}")
     t_max = times[pos[-1]]
     idx = []
     for k in range(n_samples):
@@ -106,15 +106,7 @@ def estimate_trace(
     if ts_desc[0] / ts_desc[-1] < 8.0 * (1.0 - 1e-9):
         raise ValueError("sample times must span a ratio of at least 8")
 
-    if radii is None:
-        cols = list(range(len(trace.probe_radii)))
-    else:
-        cols = []
-        for s in radii:
-            j = int(np.argmin(np.abs(np.asarray(trace.probe_radii) - s)))
-            if abs(trace.probe_radii[j] - s) > 1e-9 * max(1.0, s):
-                raise ValueError(f"trace has no mass probe at radius {s}")
-            cols.append(j)
+    cols = list(range(len(trace.probe_radii))) if radii is None else [trace.probe_column(s) for s in radii]
 
     masses, flags = [], []
     for j in cols:

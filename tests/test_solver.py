@@ -15,9 +15,7 @@ from fdxlab.solver import (
     _Stepper,
     energy_diagnostics,
     linfty_decay_check,
-    make_grid,
     project_initial,
-    regularize_initial,
     scaling_transform,
     simulate,
     stable_dt,
@@ -37,16 +35,15 @@ def _cfg(params=P1, **kw) -> SolverConfig:
 
 
 def test_regularize_examples():
-    grid = make_grid(1, 16, 1.6)
-    out = regularize_initial(constant(2.0, 1), 10.0, grid)
+    grid = dict(n_cells=16, r_dom=1.6)  # dr = 0.1
+    out = project_initial(constant(2.0, 1), _cfg(u_floor=0.1, **grid))  # n = 10
     assert np.allclose(out.u, 2.1)
 
-    out2 = regularize_initial(constant(0.0, 1), 4.0, grid)
+    out2 = project_initial(constant(0.0, 1), _cfg(u_floor=0.25, **grid))  # n = 4
     assert np.allclose(out2.u, 0.25)
 
     # singular profile: first cell is the finite cell average, capped, plus 1/n
-    grid3 = make_grid(1, 16, 1.6)  # dr = 0.1
-    out3 = regularize_initial(power_law(1.0, 0.8, 1), 10.0, grid3)
+    out3 = project_initial(power_law(1.0, 0.8, 1), _cfg(u_floor=0.1, **grid))
     first_avg = 0.1 ** (-0.8) / 0.2  # ~31.5, above the cap
     assert first_avg > 10.0
     assert out3.u[0] == pytest.approx(10.0 + 0.1)
@@ -288,14 +285,6 @@ def test_simulate_positivity_and_trace_invariants():
     assert trace.ball_mass.shape == (len(trace.times), 2)
 
 
-def test_simulate_records_energy_series():
-    cfg = _cfg(P3, t_end=0.1, energy_beta=1.1, energy_sigma=1.0)
-    trace = simulate(constant(0.5, 1), cfg, probes=[1.0])
-    assert trace.energy_beta is not None
-    assert len(trace.energy_beta) == len(trace.times)
-    assert np.all(trace.energy_beta > 0.0)
-
-
 def test_trace_csv_rows_shape():
     cfg = _cfg(t_end=0.05)
     trace = simulate(constant(0.5, 1), cfg, probes=[0.5, 1.0])
@@ -367,7 +356,7 @@ def test_energy_requires_positive_field():
 def test_linfty_decay_check_barenblatt():
     cfg = _cfg(P3, source_on=False, t_end=1.0, n_cells=200, r_dom=12.0, u_floor=1e-8)
     trace = simulate(barenblatt(1.0, 1.0, 1, 0.5), cfg, probes=[2.0])
-    report = linfty_decay_check(trace, P3, r=1.0, R=2.0)
+    report = linfty_decay_check(trace, P3, R=2.0)
     assert 0.0 < report.C < 10.0
     assert report.n_points > 10
 
@@ -376,7 +365,7 @@ def test_linfty_decay_check_empty_window():
     cfg = _cfg(P3, t_end=0.5)
     trace = simulate(constant(50.0, 1), cfg, probes=[1.0])  # t^{1/2} sup > 1 immediately
     with pytest.raises(ValueError):
-        linfty_decay_check(trace, P3, r=1.0, R=1.0)
+        linfty_decay_check(trace, P3, R=1.0)
 
 
 def test_linfty_decay_check_zero_solution():
@@ -392,15 +381,16 @@ def test_linfty_decay_check_zero_solution():
         ball_mass=np.zeros((50, 1)),
         status=STATUS_COMPLETED,
     )
-    report = linfty_decay_check(trace, P3, r=1.0, R=1.0)
+    report = linfty_decay_check(trace, P3, R=1.0)
     assert report.C == 0.0
 
 
-def test_linfty_decay_check_requires_linear_mass():
+def test_linfty_decay_check_requires_a_probe_at_R():
     cfg = _cfg(P3, source_on=False, t_end=0.2, u_floor=1e-6)
     trace = simulate(constant(0.1, 1), cfg, probes=[1.0])
-    with pytest.raises(ValueError):
-        linfty_decay_check(trace, P3, r=1.2, R=1.0)
+    assert linfty_decay_check(trace, P3, R=1.0 + 1e-10).R == 1.0 + 1e-10  # within the probe tolerance
+    with pytest.raises(ValueError, match="no mass probe at radius 1.2"):
+        linfty_decay_check(trace, P3, R=1.2)
 
 
 # -- scaling ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fdxlab.exponents import ProblemParams
-from fdxlab.special_functions import GammaFn, c_eta, eta, psi, psi_inv
+from fdxlab.special_functions import _TABLE_XS, GammaFn, _cumulative_weights, c_eta, eta, psi, psi_inv
 
 E = math.e
 
@@ -120,6 +121,28 @@ def test_c_eta_endpoint_integrand_value():
     kappa = N * (m - 1.0) + 2.0
     endpoint = 1.0 ** (kappa - 1.0) * math.log(E + 1.0) ** (N * (m - 1.0) / 2.0)
     assert endpoint == pytest.approx(1.0 * eta(N, 1.0) ** (m - 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("N,m", [(2, 0.5), (1, 0.5)])
+def test_cumulative_weights_match_a_30_digit_reference(N, m):
+    # in tau = -log s the weight is exp(-kappa tau) log(e + e^tau)^{N(m-1)/2}
+    kappa, power = N * (m - 1.0) + 2.0, mpmath.mpf(N * (m - 1.0)) / 2
+    xs = [1e-9, 1e-5]
+    with mpmath.workdps(30):
+        ref = [
+            mpmath.quad(lambda t: mpmath.exp(-kappa * t) * mpmath.log(mpmath.e + mpmath.exp(t)) ** power,
+                        [-mpmath.log(mpmath.mpf(x)), 40, 80, 200, mpmath.inf])
+            for x in xs
+        ]
+    np.testing.assert_allclose(_cumulative_weights(ProblemParams(N=N, m=m, p=2.0), xs),
+                               [float(r) for r in ref], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("N,m", [(2, 0.5), (1, 0.5), (2, 0.8)])
+def test_cumulative_weights_strictly_increasing_on_the_gamma_table(N, m):
+    G = _cumulative_weights(ProblemParams(N=N, m=m, p=2.0), _TABLE_XS)
+    assert G[0] > 0.0 and np.all(np.diff(G) > 0.0)
+    assert G[-1] == c_eta(ProblemParams(N=N, m=m, p=2.0))
 
 
 def test_c_eta_requires_positive_kappa():

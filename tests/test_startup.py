@@ -47,7 +47,7 @@ assert "scipy.integrate" in sys.modules
 
 params = ProblemParams(N=1, m=0.5, p=3.0)
 assert "scipy.interpolate" not in sys.modules
-gamma = special_functions.GammaFn.build(params, table_size=64)
+gamma = special_functions.GammaFn.build(params)
 assert "scipy.interpolate" in sys.modules
 assert gamma.c_eta == special_functions.c_eta(params)
 exact = gamma.value_exact(0.5)  # scipy.interpolate has loaded scipy.optimize already

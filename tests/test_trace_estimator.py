@@ -63,6 +63,16 @@ def test_insufficient_samples_error():
         estimate_trace(trace)
 
 
+def test_insufficient_samples_error_names_n_samples():
+    ts = np.array([0.0, 1e-3, 2e-3, 4e-3, 8e-3])  # exactly 4 positive times
+    trace = SolverTrace(
+        times=ts, sup_norm=np.ones(5), probe_radii=(1.0,), ball_mass=np.ones((5, 1)),
+        status="completed",
+    )
+    with pytest.raises(ValueError, match="4 positive sample times, fewer than n_samples = 5"):
+        estimate_trace(trace, n_samples=5)
+
+
 def test_sample_ratio_enforced():
     # times cover barely a factor of 2: no geometric subsample with ratio >= 8 exists
     ts = np.linspace(0.5, 1.0, 9)
