@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments, gronwall, profiles, trace_estimator, ulmorrey
 from .exponents import ProblemParams, classify_regime, derive_exponents
-from .solver import SolverConfig, simulate
+from .solver import SolverConfig, check_probes, simulate
 
 SUBCOMMANDS = ("exponents", "norms", "simulate", "threshold", "decay", "trace", "gronwall-check")
 
@@ -130,7 +130,8 @@ _KEYS = {
     "gronwall.n_draws": (int, ("gronwall-check",)), "gronwall.n_steps": (int, ("gronwall-check",)),
     "gronwall.T": (float, ("gronwall-check",)),
 }
-_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1, "gronwall.n_steps": gronwall.MIN_STEPS}  # lower bounds
+_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1, "gronwall.n_steps": gronwall.MIN_STEPS,
+            "scan.radii_per_decade": 1}  # lower bounds
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
 _NORM_KINDS = ("morrey", "orlicz_eta")
 
@@ -172,11 +173,12 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
     for key, low in _MINIMUM.items():
         if values.get(key, low) < low:
             violations.append(f"key {key!r}: must be >= {low}, got {values[key]!r}")
-    if "gronwall.T" in values:
-        try:
-            gronwall.check_horizon(values["gronwall.T"])
-        except ValueError as exc:
-            violations.append(f"key 'gronwall.T': {exc}")
+    for key, check in (("gronwall.T", gronwall.check_horizon), ("threshold.c_start", experiments.check_c_start)):
+        if key in values:
+            try:
+                check(values[key])
+            except ValueError as exc:
+                violations.append(f"key {key!r}: {exc}")
 
     if subcommand == "norms" and values.get("norm.kind", "morrey") not in _NORM_KINDS:
         violations.append(f"key 'norm.kind': unknown kind {values['norm.kind']!r}")
@@ -205,6 +207,11 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
             # a bad run length is reported under the key that set it
             where = f"key {t_key!r}" if t_key != "solver.t_end" and str(exc).startswith("t_end") else "solver"
             violations.append(f"{where}: {exc}")
+        else:
+            try:
+                check_probes(values.get("probes", ()), cfg.solver.domain_radius())
+            except ValueError as exc:
+                violations.append(f"key 'probes': {exc}")
 
     if violations:
         raise ConfigError(violations)

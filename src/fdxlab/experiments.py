@@ -73,6 +73,12 @@ def decay_proxy(trace: SolverTrace, params: ProblemParams, horizon: float) -> tu
     return ratio, ratio <= PROXY_FACTOR
 
 
+def check_c_start(c_start: float) -> None:
+    """Reject a starting amplitude that is not finite and > 0 (NaN included)."""
+    if not 0.0 < c_start < math.inf:
+        raise ValueError(f"c_start must be finite and > 0, got {c_start!r}")
+
+
 def threshold_sweep(
     params: ProblemParams,
     family: Callable[[float], RadialProfile],
@@ -94,6 +100,7 @@ def threshold_sweep(
         raise ValueError("bisect_steps must be >= 4")
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
+    check_c_start(c_start)
     cfg = replace(base_cfg, t_end=horizon)
     history: list[SweepSample] = []
 

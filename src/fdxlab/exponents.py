@@ -46,6 +46,9 @@ class Exponents:
     kappa: float
 
 
+CRITICAL_REL_TOL = 1e-12  # p within this of p_m, relative to max(1, p_m), is the critical exponent
+
+
 class Regime(Enum):
     SUBCRITICAL = 0
     CRITICAL = 1
@@ -75,16 +78,14 @@ def derive_exponents(params: ProblemParams) -> Exponents:
     )
 
 
-def classify_regime(params: ProblemParams, rel_tol: float = 1e-12) -> Regime:
+def classify_regime(params: ProblemParams) -> Regime:
     """Subcritical / critical / supercritical split of p against p_m.
 
-    The critical tie uses a relative tolerance because callers typically
-    construct p = m + 2/N in floating point.
+    The critical tie uses the relative tolerance CRITICAL_REL_TOL because
+    callers typically construct p = m + 2/N in floating point.
     """
-    if rel_tol < 0.0:
-        raise ValueError("rel_tol must be >= 0")
     p_m = derive_exponents(params).p_m
-    if abs(params.p - p_m) <= rel_tol * max(1.0, p_m):
+    if abs(params.p - p_m) <= CRITICAL_REL_TOL * max(1.0, p_m):
         return Regime.CRITICAL
     return Regime.SUPERCRITICAL if params.p > p_m else Regime.SUBCRITICAL
 
@@ -97,13 +98,13 @@ def kappa_r(params: ProblemParams, r: float) -> KappaR:
     return KappaR(value=value, positive=value > 0.0)
 
 
-def admissible_beta_range(params: ProblemParams, rel_tol: float = 1e-12) -> tuple[float, float]:
+def admissible_beta_range(params: ProblemParams) -> tuple[float, float]:
     """Open interval of beta with 1 < beta < N(p-m)/2 and kappa_beta > 0.
 
     Only defined in the supercritical regime; the interval may be empty
     (lo >= hi), which callers must check.
     """
-    if classify_regime(params, rel_tol) is not Regime.SUPERCRITICAL:
+    if classify_regime(params) is not Regime.SUPERCRITICAL:
         raise ValueError("admissible beta range is defined only for p > p_m")
     lo = max(1.0, params.N * (1.0 - params.m) / 2.0)
     hi = params.N * (params.p - params.m) / 2.0

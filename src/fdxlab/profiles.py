@@ -23,8 +23,7 @@ cap kink |sigma - d| and at the profile cutoff.  A ball that contains a
 singular origin has its slice [0, eps] integrated in w = log(e + 1/rho),
 where the singularity becomes an exponential or algebraic tail, mapped onto
 t in (0, 1].  A radius that misses its tolerance within the panel budget
-falls back to scipy's quad over its own initial panels, and one DEBUG line
-names the radii that did.
+raises RuntimeError naming its radii; no other quadrature path exists.
 
 The same cap measure gives the exact lens volume |B(0, r) intersected with
 B(z, sigma)| (lens_volume), from which GridField weights its cells.
@@ -32,7 +31,6 @@ B(z, sigma)| (lens_volume), from which GridField weights its cells.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -45,7 +43,6 @@ SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{N-1}|
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}  # |B(0,1)|
 
 _E = math.e
-_log = logging.getLogger(__name__)
 
 
 def ball_volume(N: int, sigma):
@@ -204,13 +201,11 @@ def barenblatt(cb: float, t0: float, N: int, m: float, cutoff: float | None = No
     return prof
 
 
-def critical_profile(
-    params: ProblemParams, c: float, cutoff: float | None = None, rel_tol: float = 1e-12
-) -> RadialProfile:
+def critical_profile(params: ProblemParams, c: float, cutoff: float | None = None) -> RadialProfile:
     """The sharp singular family: log-corrected at p = p_m, pure power for p > p_m."""
     if c < 0.0:
         raise ValueError("c must be >= 0")
-    regime = classify_regime(params, rel_tol)
+    regime = classify_regime(params)
     if regime is Regime.SUBCRITICAL:
         raise ValueError("no sharp singular profile in the subcritical regime")
     if regime is Regime.CRITICAL:
@@ -293,34 +288,28 @@ _G7 = np.zeros(15)
 _G7[1::2] = _GK_WG + _GK_WG[-2::-1]
 _GK_W = np.column_stack([_K15, _K15 - _G7])
 QUAD_TOL = 1e-8  # relative tolerance of every analytic ball average
-PANEL_BUDGET = 400  # panels per radius (quad's subinterval limit here) before that radius falls back to quad
+PANEL_BUDGET = 400  # panels per radius before the integral raises
 _LOG_W_MAX = 690.0  # the origin slice is taken as 0 beyond w = e^690, i.e. rho < exp(-1e299)
 
 
-def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str):
+def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str) -> np.ndarray:
     """Adaptive G7/K15 integrals over the panels [a, b], summed per radius owner (radii[owner]).
 
     Each round calls f(x, k) once, with the (P, 15) nodes x of all P active
     panels and their owners k, and accepts a panel when
     |K15 - G7| <= 0.1 tol |running total of its radius|; the others are
-    bisected.  A radius whose partition grows past PANEL_BUDGET panels stops,
-    and a radius that stopped or whose summed |K15 - G7| exceeds tol |value|
-    is integrated again by scipy's quad over its initial panels, their edges
-    as breakpoints; one DEBUG line from where names those radii.  Returns per
-    radius the value and its error estimate.
+    bisected.  A radius whose partition grows past PANEL_BUDGET panels stops.
+    This is the one tolerance check of every integral: RuntimeError, naming
+    where and the radii, for a radius that stopped, whose value is not finite
+    or whose summed |K15 - G7| exceeds tol |value| (a NaN integrand never
+    passes a panel, so it ends at the budget).  Returns the value per radius.
     """
     n = len(radii)
-    a0, b0, owner0 = a, b, owner
     val, err = np.zeros(n), np.zeros(n)
     count = np.bincount(owner, minlength=n)
     while len(a):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        fx = f(mid[:, None] + half[:, None] * _GK_X, owner)
-        bad = ~np.isfinite(fx).all(axis=1)
-        if bad.any():  # the integrand overflows next to a singular endpoint: leave that radius to quad
-            count[owner[bad]] = PANEL_BUDGET + 1
-            fx[bad] = 0.0
-        kg = half[:, None] * (fx @ _GK_W)
+        kg = half[:, None] * (f(mid[:, None] + half[:, None] * _GK_X, owner) @ _GK_W)
         k15, e = kg[:, 0], np.abs(kg[:, 1])
         total = val + np.bincount(owner, k15, n)
         done = e <= 0.1 * tol * np.abs(total[owner])
@@ -331,23 +320,15 @@ def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str):
         a, mid, b, owner = a[split], mid[split], b[split], owner[split]
         a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
 
-    missed = np.flatnonzero((count > PANEL_BUDGET) | (err > tol * np.abs(val)))
+    missed = np.flatnonzero((count > PANEL_BUDGET) | ~np.isfinite(val) | ~(err <= tol * np.abs(val)))
     if missed.size:
-        from scipy.integrate import quad  # imported here, so a process that never falls back does not load it
-
-        for k in missed:
-            edges = np.unique(np.concatenate([a0[owner0 == k], b0[owner0 == k]]))
-            val[k], err[k] = quad(
-                lambda x: float(f(np.array([[x]]), np.array([k]))[0, 0]),
-                edges[0], edges[-1], points=edges[1:-1].tolist() or None, limit=PANEL_BUDGET, epsrel=tol, epsabs=0.0,
-            )
-        _log.debug("%s: %d radii missed the G7/K15 tolerance or panel budget, fell back to quad: %s",
-                   where, missed.size, radii[missed].tolist())
-    return val, err
+        raise RuntimeError(f"{where}: {missed.size} radii missed the G7/K15 tolerance {tol} within "
+                           f"{PANEL_BUDGET} panels: {radii[missed].tolist()}")
+    return val
 
 
-def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = QUAD_TOL):
-    """S_{N-1} int_0^eps g(rho) rho^{N-1} drho for one eps or an array of them, in w = log(e + 1/rho).
+def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float) -> np.ndarray:
+    """S_{N-1} int_0^eps g(rho) rho^{N-1} drho for each of the slice radii eps, in w = log(e + 1/rho).
 
     Since drho/rho = -dw / (1 - e^{1-w}), the slice is
     int_{w_lo}^inf gw(w) / (1 - e^{1-w}) dw with gw = g rho^N and
@@ -356,12 +337,9 @@ def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = QUAD_TOL)
     log-power singularity as an algebraic tail w^{-q}.  The map w = w_lo t^{-k}
     takes [w_lo, inf) onto t in (0, 1], with k = 1 for an exponential tail and
     k = ceil(2 / (q - 1)) for an algebraic one, so the t-integrand vanishes at
-    t = 0 like t^{k (q - 1) - 1}.  Returns (values, error estimates) in the
-    shape of eps.
+    t = 0 like t^{k (q - 1) - 1}.
     """
     e = np.asarray(eps, dtype=float)
-    scalar = e.ndim == 0
-    e = np.atleast_1d(e)
     if not np.all((0.0 < e) & (e <= 1.0)):
         raise ValueError("singular slice requires 0 < eps <= 1")
     if not gw.tail > 1.0:
@@ -378,9 +356,8 @@ def singular_slice_integral(gw: WSlice, N: int, eps, quad_tol: float = QUAD_TOL)
         return np.where(log_t > log_t_far, f, 0.0)
 
     n = len(e)
-    val, err = _gk_panels(integrand, np.zeros(n), np.ones(n), np.arange(n), e, quad_tol, "singular_slice_integral")
-    val, err = SPHERE_AREA[N] * val, SPHERE_AREA[N] * err
-    return (float(val[0]), float(err[0])) if scalar else (val, err)
+    return SPHERE_AREA[N] * _gk_panels(integrand, np.zeros(n), np.ones(n), np.arange(n), e, quad_tol,
+                                       "singular_slice_integral")
 
 
 def radial_ball_integral(
@@ -403,18 +380,18 @@ def radial_ball_integral(
     singular_slice_integral.  cutoff is a radius beyond which g vanishes: it
     bounds the slice, where gw ignores it.  The initial panels break at
     |sigma - d| and at the cutoff.  A radius that misses
-    the tolerance within PANEL_BUDGET panels is integrated again by scipy's
-    quad over those panels; a miss there raises.
+    the tolerance within PANEL_BUDGET panels, or whose value is not finite,
+    raises RuntimeError (see _gk_panels).
     """
     s, scalar = as_radii(sigma)
     n = len(s)
     lo, hi = np.maximum(0.0, d - s), d + s
-    val, err = np.zeros(n), np.zeros(n)
+    val = np.zeros(n)
     if gw is not None:
         inner = np.flatnonzero(d < s)  # balls holding a neighborhood of the origin, where the cap is the full sphere
         if inner.size:
             eps = np.minimum(np.minimum(0.5, 0.5 * (s[inner] - d)), math.inf if cutoff is None else 0.5 * cutoff)
-            val[inner], err[inner] = singular_slice_integral(gw, N, eps, quad_tol)
+            val[inner] = singular_slice_integral(gw, N, eps, quad_tol)
             lo[inner] = eps
 
     cuts = np.column_stack([lo, hi, np.abs(s - d), hi if cutoff is None else np.full(n, cutoff)])
@@ -426,14 +403,7 @@ def radial_ball_integral(
     def integrand(rho, k):
         return g(rho) * cap_measure(N, rho, d, s[k, None])
 
-    v1, e1 = _gk_panels(integrand, a[wide], b[wide], owner[wide], s, quad_tol, f"radial_ball_integral(d={d!r})")
-    val, err = val + v1, err + e1
-    if not np.all(np.isfinite(val)):
-        raise ValueError("ball integral diverged (non-integrable profile?)")
-    bad = np.flatnonzero(err > 10.0 * quad_tol * np.maximum(1.0, np.abs(val)))
-    if bad.size:
-        k = bad[0]
-        raise RuntimeError(f"ball integral did not reach tol {quad_tol}: sigma={s[k]}, value={val[k]}, err={err[k]}")
+    val += _gk_panels(integrand, a[wide], b[wide], owner[wide], s, quad_tol, f"radial_ball_integral(d={d!r})")
     return float(val[0]) if scalar else val
 
 

@@ -318,6 +318,15 @@ class _Stepper:
         return (None if new is None else self.source_flow(new, 0.5 * dt)), err
 
 
+def check_probes(probes, R_dom: float) -> tuple:
+    """The probe radii as floats; ValueError unless each lies in (0, R_dom]."""
+    probes = tuple(float(s) for s in probes)
+    for s in probes:
+        if not 0.0 < s <= R_dom:
+            raise ValueError(f"probe radius {s!r} must lie in (0, R_dom={R_dom!r}]")
+    return probes
+
+
 def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:
     """Integrate from the regularized projection of the profile.
 
@@ -330,11 +339,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     every output interval.  A probe radius beyond R_dom raises ValueError; a
     non-finite state raises RuntimeError.
     """
-    probes = tuple(float(s) for s in probes)
-    R_dom = cfg.domain_radius()
-    for s in probes:
-        if not 0.0 < s <= R_dom:
-            raise ValueError(f"probe radius {s!r} must lie in (0, R_dom={R_dom!r}]")
+    probes = check_probes(probes, cfg.domain_radius())
     field = project_initial(profile, cfg)
     stepper = _Stepper(field, cfg)
     u = field.u
@@ -346,7 +351,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         masses.append([field.ball_mass(s) for s in probes])
 
     out_dt = cfg.output_interval()
-    t, next_out = 0.0, out_dt
+    t, next_out = 0.0, min(out_dt, cfg.t_end)
     record(0.0)
     status, t_event = STATUS_COMPLETED, None
     dt_min = _DT_UNDERFLOW_FRACTION * cfg.t_end

@@ -113,8 +113,8 @@ def _cumulative_weights(params: ProblemParams, xs) -> np.ndarray:
     In tau = -log s, the far tail [tau_0, cutoff] and each gap between
     neighbouring points are integrated once, all in one G7/K15 pass to
     relative tolerance 1e-10, and summed from the far end, so G is strictly
-    increasing.  Raises RuntimeError when a value is not finite or its summed
-    error estimate exceeds 1e-8 relative.
+    increasing and, its terms all positive, meets 1e-10 as well.  A gap
+    that misses the tolerance raises RuntimeError (see profiles._gk_panels).
     """
     kappa = derive_exponents(params).kappa
     if kappa <= 0.0:
@@ -122,16 +122,10 @@ def _cumulative_weights(params: ProblemParams, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     taus = -np.log(xs)
     far = max(_tau_cutoff(kappa), taus[0] + 1.0)
-    val, err = _gk_panels(
+    return np.cumsum(_gk_panels(
         lambda tau, k: _eta_weight_integrand(tau, params.N, params.m, kappa),
         taus, np.append(far, taus[:-1]), np.arange(len(xs)), xs, 1e-10, "_cumulative_weights",
-    )
-    G, G_err = np.cumsum(val), np.cumsum(err)
-    bad = np.flatnonzero(~np.isfinite(G) | (G_err > 1e-8 * G))
-    if bad.size:
-        k = bad[0]
-        raise RuntimeError(f"cumulative weight quadrature failed at x={xs[k]}: value={G[k]}, err={G_err[k]}")
-    return G
+    ))
 
 
 def c_eta(params: ProblemParams) -> float:

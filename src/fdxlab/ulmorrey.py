@@ -104,6 +104,8 @@ class ScanGrid:
 
 def _log_radii(r_min: float, r_max: float, radii_per_decade: int) -> tuple:
     """Log-spaced radii from r_min to r_max, at least radii_per_decade per decade."""
+    if not radii_per_decade >= 1:
+        raise ValueError(f"radii_per_decade must be >= 1, got {radii_per_decade!r}")
     n = max(2, int(math.ceil(math.log10(r_max / r_min) * radii_per_decade)) + 1)
     return tuple(np.logspace(math.log10(r_min), math.log10(r_max), n))
 

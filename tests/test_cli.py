@@ -145,6 +145,11 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("norms", "norm.kind = orlicz", "'norm.kind': unknown kind 'orlicz'"),
         ("gronwall-check", "gronwall.n_steps = 0", "'gronwall.n_steps': must be >= 100, got 0"),
         ("gronwall-check", "gronwall.T = -1", "'gronwall.T': T must be finite and > 0, got -1.0"),
+        ("simulate", "solver.r_dom = 2\nprobes = 0.5, 3", "'probes': probe radius 3.0 must lie in (0, R_dom=2.0]"),
+        ("norms", "scan.radii_per_decade = 0", "'scan.radii_per_decade': must be >= 1, got 0"),
+        ("threshold", "threshold.c_start = 0", "'threshold.c_start': c_start must be finite and > 0, got 0.0"),
+        ("threshold", "threshold.c_start = inf", "'threshold.c_start': c_start must be finite and > 0, got inf"),
+        ("threshold", "threshold.c_start = nan", "'threshold.c_start': c_start must be finite and > 0, got nan"),
     ],
 )
 def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):

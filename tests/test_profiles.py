@@ -1,4 +1,3 @@
-import logging
 import math
 
 import mpmath
@@ -8,6 +7,7 @@ import pytest
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import (
     SPHERE_AREA,
+    _gk_panels,
     ball_average,
     ball_average_power,
     ball_mass,
@@ -137,12 +137,8 @@ def test_closed_form_matches_quadrature_random():
         prof = power_law(c, a, N)
         closed = ball_average(prof, 0.0, sigma)
 
-        def g(rho, prof=prof):
-            return prof.value(rho)
-
-        from fdxlab.profiles import radial_ball_integral
-
-        numeric = radial_ball_integral(g, N, 0.0, sigma, 1e-9) / ball_volume(N, sigma)
+        numeric = radial_ball_integral(prof.value, N, 0.0, sigma, 1e-9, gw=prof.power_times_vol_w(1.0))
+        numeric /= ball_volume(N, sigma)
         assert numeric == pytest.approx(closed, rel=1e-6)
 
 
@@ -178,14 +174,49 @@ def test_balls_grazing_the_singular_origin_match_the_n1_closed_form():
     assert ball_average(power_law(0.1, 0.8, 1), 1.0, 0.9999999) == pytest.approx(want[-2], rel=1e-9)
 
 
-def test_budget_exhaustion_falls_back_to_quad_and_logs(caplog):
+def test_budget_exhaustion_raises_naming_the_radii():
     # without the w-space slice, r^-0.999 at the origin needs more bisections than the panel budget
     prof = power_law(1.0, 0.999, 1)
-    with caplog.at_level(logging.DEBUG, logger="fdxlab.profiles"):
-        val = radial_ball_integral(prof.value, 1, 0.0, np.array([0.5, 1.0]), 1e-9)
+    radii = np.array([0.5, 1.0])
+    with pytest.raises(RuntimeError, match=r"radial_ball_integral\(d=0\.0\): 2 radii .*\[0\.5, 1\.0\]$"):
+        radial_ball_integral(prof.value, 1, 0.0, radii, 1e-9)
+    val = radial_ball_integral(prof.value, 1, 0.0, radii, 1e-9, gw=prof.power_times_vol_w(1.0))
     np.testing.assert_allclose(val, [2.0 * s**0.001 / 0.001 for s in (0.5, 1.0)], rtol=1e-8)
-    fallbacks = [r.getMessage() for r in caplog.records if "fell back to quad" in r.getMessage()]
-    assert len(fallbacks) == 1 and "2 radii" in fallbacks[0] and fallbacks[0].endswith("[0.5, 1.0]")
+
+
+def test_nan_integrand_raises_naming_its_radii():
+    # a NaN panel never passes its check, so it bisects until the budget; the ball inside rho < 0.3 converges
+    def g(rho):
+        return np.where(rho < 0.3, 1.0, np.nan)
+
+    with pytest.raises(RuntimeError, match=r": 2 radii .*\[0\.5, 1\.0\]$"):
+        radial_ball_integral(g, 2, 0.0, np.array([0.2, 0.5, 1.0]))
+    assert radial_ball_integral(g, 2, 0.0, 0.2) == pytest.approx(math.pi * 0.2**2, rel=1e-12)
+
+
+def test_overflowing_integral_raises_naming_its_radius():
+    # every panel passes (|K15 - G7| <= 0.1 tol * inf), but the value 1e307 * 200 is not finite
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=r": 1 radii .*\[100\.0\]$"):
+        radial_ball_integral(lambda rho: np.full(np.shape(rho), 1e307), 1, 0.0, np.array([1.0, 100.0]))
+
+
+def test_summed_error_above_tolerance_raises():
+    # 1/(x + 0.5) on [0, 1] passes in the first round against a running total of -2.1, before the
+    # Gaussian dip on [1, 2] is resolved; the integral is 1e-4 log 3, and at tol 1e-6 the summed
+    # |K15 - G7| (1.6e-8, mostly that panel's) is 145 times tol |value|.  At tol 1e-8 the same
+    # integrand converges in 21 panels, so at 1e-6 only the summed-error check raises.
+    w = 0.02
+    c = math.log(3.0) * (1.0 - 1e-4) / (w * math.sqrt(math.pi))
+
+    def f(x, k):
+        return np.where(x < 1.0, 1.0 / (x + 0.5), -c * np.exp(-(((x - 1.5) / w) ** 2)))
+
+    def integral(tol):
+        return _gk_panels(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.zeros(2, int), np.array([2.0]), tol, "dip")
+
+    assert integral(1e-8)[0] == pytest.approx(1e-4 * math.log(3.0), rel=1e-6)
+    with pytest.raises(RuntimeError, match=r"^dip: 1 radii missed the G7/K15 tolerance 1e-06 .*\[2\.0\]$"):
+        integral(1e-6)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

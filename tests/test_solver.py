@@ -285,6 +285,13 @@ def test_simulate_positivity_and_trace_invariants():
     assert trace.ball_mass.shape == (len(trace.times), 2)
 
 
+def test_output_interval_beyond_t_end_still_records_the_end_state():
+    trace = simulate(constant(0.5, 1), _cfg(t_end=1.0, out_interval=1.5), probes=[1.0])
+    assert trace.status == STATUS_COMPLETED
+    np.testing.assert_array_equal(trace.times, [0.0, 1.0])
+    assert len(trace.csv_rows()[1]) == 2
+
+
 def test_trace_csv_rows_shape():
     cfg = _cfg(t_end=0.05)
     trace = simulate(constant(0.5, 1), cfg, probes=[0.5, 1.0])

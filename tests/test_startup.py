@@ -1,4 +1,4 @@
-"""Start-up cost: scipy's quadrature, interpolation and root-finding load only where they are called.
+"""Start-up cost: scipy's interpolation and root-finding load only where they are called, its quadrature never.
 
 Each check runs in a fresh interpreter, because the test process itself has
 long since imported everything.
@@ -39,11 +39,13 @@ import numpy as np
 from fdxlab import profiles, special_functions
 from fdxlab.exponents import ProblemParams
 
-# without the w-space slice, r^-0.999 exhausts the panel budget and falls back to quad
-assert "scipy.integrate" not in sys.modules
-val = profiles.radial_ball_integral(profiles.power_law(1.0, 0.999, 1).value, 1, 0.0, np.array([0.5, 1.0]), 1e-9)
-np.testing.assert_allclose(val, [2.0 * s**0.001 / 0.001 for s in (0.5, 1.0)], rtol=1e-8)
-assert "scipy.integrate" in sys.modules
+# without the w-space slice, r^-0.999 exhausts the panel budget and raises; no quadrature loads
+try:
+    profiles.radial_ball_integral(profiles.power_law(1.0, 0.999, 1).value, 1, 0.0, np.array([0.5, 1.0]), 1e-9)
+except RuntimeError as exc:
+    assert str(exc).endswith("[0.5, 1.0]"), exc
+else:
+    raise AssertionError("the budget-exhausting call returned")
 
 params = ProblemParams(N=1, m=0.5, p=3.0)
 assert "scipy.interpolate" not in sys.modules
@@ -52,6 +54,7 @@ assert "scipy.interpolate" in sys.modules
 assert gamma.c_eta == special_functions.c_eta(params)
 exact = gamma.value_exact(0.5)  # scipy.interpolate has loaded scipy.optimize already
 assert 0.0 < exact < 1.0 and abs(gamma(0.5) - exact) < 1e-3, (gamma(0.5), exact)
+assert "scipy.integrate" not in sys.modules
 print("ok")
 """
 
