@@ -60,6 +60,7 @@ class RunConfig:
     file_stem: Optional[str] = None  # default: the subcommand name
     params: Optional[ProblemParams] = None
     profile: Optional[profiles.RadialProfile] = None
+    norm: Optional[ulmorrey.NormSpec] = None
     solver: Optional[SolverConfig] = None
 
     def get(self, key: str, default=None):
@@ -152,6 +153,11 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
             values[key] = parse(raw[key])
         except (ValueError, KeyError):
             violations.append(f"key {key!r}: expected {_EXPECTED[parse]}, got {raw[key]!r}")
+    if subcommand == "norms":  # keys that only one branch of a norms run reads
+        unread = {"norm.q": "with norm.kind = orlicz_eta"} if values.get("norm.kind") == "orlicz_eta" else {}
+        if "norm.delta" not in values:
+            unread.update({"norm.T": "without norm.delta", "norm.beta": "without norm.delta"})
+        violations += [f"key {k!r}: not read by subcommand 'norms' {why}" for k, why in unread.items() if k in values]
     if violations:
         raise ConfigError(violations)
 
@@ -182,6 +188,12 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
 
     if subcommand == "norms" and values.get("norm.kind", "morrey") not in _NORM_KINDS:
         violations.append(f"key 'norm.kind': unknown kind {values['norm.kind']!r}")
+    elif subcommand == "norms":
+        try:
+            cfg.norm = build_norm(cfg)
+        except ValueError as exc:
+            # a bad cap is reported under the key that set it
+            violations.append(f"key 'norm.r_cap': {exc}" if str(exc).startswith("R must") else f"norm: {exc}")
 
     if subcommand in _PROFILE_RUNS and params is not None:
         kind = values.get("profile.kind")
@@ -193,7 +205,7 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
             violations.append("key 'profile.kind': barenblatt has no amplitude profile.c to bisect")
         else:
             try:
-                cfg.profile = build_profile(kind, cfg, params)
+                cfg.profile = build_profile(cfg)
             except ValueError as exc:
                 violations.append(f"profile: {exc}")
 
@@ -209,7 +221,7 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
             violations.append(f"{where}: {exc}")
         else:
             try:
-                check_probes(values.get("probes", ()), cfg.solver.domain_radius())
+                check_probes(_probes(cfg), cfg.solver.domain_radius())
             except ValueError as exc:
                 violations.append(f"key 'probes': {exc}")
 
@@ -218,7 +230,8 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
     return cfg
 
 
-def build_profile(kind: str, cfg: RunConfig, params: ProblemParams) -> profiles.RadialProfile:
+def build_profile(cfg: RunConfig) -> profiles.RadialProfile:
+    kind, params = cfg.get("profile.kind"), cfg.params
     c = cfg.get("profile.c", 1.0)
     cutoff = cfg.get("profile.cutoff")
     if kind == "constant":
@@ -230,6 +243,14 @@ def build_profile(kind: str, cfg: RunConfig, params: ProblemParams) -> profiles.
     if kind == "barenblatt":
         return profiles.barenblatt(cfg.get("profile.cb", 1.0), cfg.get("profile.t0", 1.0), params.N, params.m, cutoff)
     return profiles.critical_profile(params, c, cutoff)
+
+
+def build_norm(cfg: RunConfig) -> ulmorrey.NormSpec:
+    """The norm named by norm.kind, capped at norm.r_cap (default: uncapped)."""
+    r_cap = cfg.get("norm.r_cap", math.inf)
+    if cfg.get("norm.kind", "morrey") == "morrey":
+        return ulmorrey.morrey(cfg.get("norm.q", 1.0), cfg.get("norm.alpha", 1.0), r_cap)
+    return ulmorrey.orlicz_eta(cfg.get("norm.alpha", 1.0), r_cap)
 
 
 def _probes(cfg: RunConfig) -> tuple:
@@ -263,18 +284,13 @@ def run_exponents(cfg: RunConfig) -> int:
 
 
 def run_norms(cfg: RunConfig) -> int:
-    r_cap = cfg.get("norm.r_cap", math.inf)
-    if cfg.get("norm.kind", "morrey") == "morrey":
-        spec = ulmorrey.morrey(cfg.get("norm.q", 1.0), cfg.get("norm.alpha", 1.0), r_cap)
-    else:
-        spec = ulmorrey.orlicz_eta(cfg.get("norm.alpha", 1.0), r_cap)
     scan = ulmorrey.ScanGrid.build(
-        spec,
+        cfg.norm,
         r_min=cfg.get("scan.r_min", 1e-3),
         centers=cfg.get("scan.centers", (0.0,)),
         radii_per_decade=cfg.get("scan.radii_per_decade", 64),
     )
-    result = ulmorrey.norm(cfg.profile, spec, scan)
+    result = ulmorrey.norm(cfg.profile, cfg.norm, scan)
     path = _out_path(cfg)
     write_csv(
         path,
@@ -310,11 +326,9 @@ def run_simulate(cfg: RunConfig) -> int:
 
 def run_threshold(cfg: RunConfig) -> int:
     result = experiments.threshold_sweep(
-        cfg.params,
         lambda c: replace(cfg.profile, c=c),
-        cfg.solver.t_end,
-        cfg.get("threshold.bisect_steps", 8),
         cfg.solver,
+        cfg.get("threshold.bisect_steps", 8),
         probes=_probes(cfg),
         c_start=cfg.get("threshold.c_start", 1.0),
     )

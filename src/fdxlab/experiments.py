@@ -1,5 +1,5 @@
-"""Scenario drivers: blow-up threshold bisection, decay-rate fits, and the
-no-global-solution probe for p <= p_m.
+"""Scenario drivers: blow-up threshold bisection and the no-global-solution probe
+for p <= p_m, each reading every run setting from one SolverConfig, and decay-rate fits.
 
 Bisection labels follow the trace status: Completed counts as survival to the
 horizon; BlewUp, or a dt underflow (the source bound 1/(2 u^{p-1}) shrinking
@@ -30,6 +30,7 @@ from .solver import (
 )
 
 PROXY_FACTOR = 10.0
+MAX_SCANS = 40  # runs the bracket scan may take, c_start's included
 
 
 @dataclass(frozen=True)
@@ -80,33 +81,27 @@ def check_c_start(c_start: float) -> None:
 
 
 def threshold_sweep(
-    params: ProblemParams,
     family: Callable[[float], RadialProfile],
-    horizon: float,
+    cfg: SolverConfig,
     bisect_steps: int,
-    base_cfg: SolverConfig,
     probes: Sequence[float] = (1.0,),
     c_start: float = 1.0,
-    max_scans: int = 40,
 ) -> ThresholdResult:
     """Bisect the amplitude c between a surviving and a blowing-up sample.
 
-    The initial bracket comes from a geometric scan c_start * 2^k (capped at
-    max_scans evaluations); bisection then halves the bracket bisect_steps
-    times, so the final width is (initial width) * 2^{-bisect_steps}.
+    Each run is simulate(family(c), cfg, probes) to the horizon cfg.t_end.  A geometric scan from
+    c_start, halving c while runs blow up and doubling it while they survive (at most MAX_SCANS
+    runs), finds the bracket; bisect_steps halvings narrow it to (initial width) * 2^{-bisect_steps}.
     The family must be pointwise monotone in c.
     """
     if bisect_steps < 4:
         raise ValueError("bisect_steps must be >= 4")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
     check_c_start(c_start)
-    cfg = replace(base_cfg, t_end=horizon)
     history: list[SweepSample] = []
 
-    def run(c: float) -> SweepSample:
+    def blew(c: float) -> bool:
         trace = simulate(family(c), cfg, probes)
-        ratio, bounded = decay_proxy(trace, params, horizon)
+        ratio, bounded = decay_proxy(trace, cfg.params, cfg.t_end)
         sample = SweepSample(
             c=c,
             status=trace.status,
@@ -116,37 +111,29 @@ def threshold_sweep(
             sup_final=float(trace.sup_norm[-1]),
         )
         history.append(sample)
-        return sample
+        return _blew(sample.status)
 
-    first = run(c_start)
-    c_surv: Optional[float] = None if _blew(first.status) else c_start
-    c_blow: Optional[float] = c_start if _blew(first.status) else None
+    first_blew = blew(c_start)
     c = c_start
-    scans = 1
-    while (c_surv is None or c_blow is None) and scans < max_scans:
-        c = c / 2.0 if c_blow is not None and c_surv is None else c * 2.0
-        s = run(c)
-        scans += 1
-        if _blew(s.status):
-            c_blow = c if c_blow is None else min(c_blow, c)
-        else:
-            c_surv = c if c_surv is None else max(c_surv, c)
-    if c_surv is None or c_blow is None:
+    for _ in range(MAX_SCANS - 1):
+        prev, c = c, c / 2.0 if first_blew else c * 2.0
+        if blew(c) != first_blew:
+            break
+    else:
         raise RuntimeError(
-            f"no initial bracket found within {max_scans} geometric scans from c_start={c_start}"
+            f"no initial bracket found within {MAX_SCANS} geometric scans from c_start={c_start}"
         )
 
-    lo, hi = c_surv, c_blow
+    lo, hi = (c, prev) if first_blew else (prev, c)
     for _ in range(bisect_steps):
         mid = 0.5 * (lo + hi)
-        s = run(mid)
-        if _blew(s.status):
+        if blew(mid):
             hi = mid
         else:
             lo = mid
 
     return ThresholdResult(
-        c_low=lo, c_high=hi, history=tuple(history), horizon=horizon, bisect_steps=bisect_steps
+        c_low=lo, c_high=hi, history=tuple(history), horizon=cfg.t_end, bisect_steps=bisect_steps
     )
 
 
@@ -209,20 +196,17 @@ class NonexistenceProbeReport:
 
 
 def global_nonexistence_probe(
-    params: ProblemParams,
     data: RadialProfile,
     horizon_ladder: Sequence[float],
     base_cfg: SolverConfig,
-    probes: Sequence[float] = (1.0,),
 ) -> NonexistenceProbeReport:
-    """Run increasing horizons for p <= p_m data and report the first blow-up.
+    """Run base_cfg to increasing horizons t_end for p <= p_m data and report the first blow-up.
 
     The no-global-solution expectation is logged as a boolean, not asserted:
     a run surviving every horizon is reported as inconsistent rather than
     raising, since the surrogate horizon ladder is finite.
     """
-    regime = classify_regime(params)
-    if regime is Regime.SUPERCRITICAL:
+    if classify_regime(base_cfg.params) is Regime.SUPERCRITICAL:
         return NonexistenceProbeReport(
             horizons=tuple(horizon_ladder),
             statuses=(),
@@ -236,7 +220,7 @@ def global_nonexistence_probe(
     statuses = []
     first = None
     for h in ladder:
-        trace = simulate(data, replace(base_cfg, t_end=h), probes)
+        trace = simulate(data, replace(base_cfg, t_end=h), ())  # only the status is read: no probes
         statuses.append(trace.status)
         if _blew(trace.status):
             first = h

@@ -122,12 +122,12 @@ def validate_beta(params: ProblemParams, beta: float) -> None:
         raise ValueError(f"beta={beta!r} outside admissible range ({lo}, {hi})")
 
 
-def check_exponent_invariants(params: ProblemParams, tol: float = 1e-12) -> None:
-    """Assert the algebraic identities tying the derived exponents together."""
+def check_exponent_invariants(params: ProblemParams) -> None:
+    """Assert the algebraic identities tying the derived exponents together, to 1e-12."""
     ex = derive_exponents(params)
-    if abs(ex.theta * ex.theta_prime - 1.0) > tol:
+    if abs(ex.theta * ex.theta_prime - 1.0) > 1e-12:
         raise AssertionError("theta * theta_prime != 1")
     if (ex.p_m > 1.0) != (ex.kappa > 0.0):
         raise AssertionError("p_m > 1 must be equivalent to kappa > 0")
-    if not math.isclose(kappa_r(params, 1.0).value, ex.kappa, rel_tol=0.0, abs_tol=tol):
+    if not math.isclose(kappa_r(params, 1.0).value, ex.kappa, rel_tol=0.0, abs_tol=1e-12):
         raise AssertionError("kappa_r at r=1 must equal kappa")

@@ -460,16 +460,15 @@ def ball_mass(profile: RadialProfile, z, sigma):
 # -- projection onto solver cells ---------------------------------------------
 
 
-def cell_averages(profile: RadialProfile, edges: np.ndarray, N: int) -> np.ndarray:
-    """Exact-volume cell averages of the profile on radial cells.
+def cell_averages(profile: RadialProfile, edges: np.ndarray) -> np.ndarray:
+    """Exact-volume cell averages of the profile on radial cells in dimension profile.N.
 
     edges is the increasing array of cell faces starting at 0.  Averages use
     the r^{N-1} metric weight; a singular first cell goes through
     radial_ball_integral, every other cell through 12-point Gauss-Legendre up
     to the cutoff, beyond which the profile vanishes.
     """
-    if profile.N != N:
-        raise ValueError("profile dimension does not match the grid")
+    N = profile.N
     vols = (edges[1:] ** N - edges[:-1] ** N) / N
     if profile.kind == "constant" and profile.cutoff is None:
         return np.full(len(vols), profile.c)

@@ -214,8 +214,10 @@ class SolverTrace:
 def project_initial(profile: RadialProfile, cfg: SolverConfig) -> GridField:
     """Exact cell averages of the profile, then the cap-and-floor min(., n) + 1/n with n = 1/u_floor (u_floor > 0)."""
     N, R_dom = cfg.params.N, cfg.domain_radius()
+    if profile.N != N:
+        raise ValueError("profile dimension does not match the grid")
     dr = R_dom / cfg.n_cells
-    u = cell_averages(profile, np.arange(cfg.n_cells + 1) * dr, N)
+    u = cell_averages(profile, np.arange(cfg.n_cells + 1) * dr)
     if cfg.u_floor > 0.0:
         n = 1.0 / cfg.u_floor
         u = np.minimum(u, n) + 1.0 / n

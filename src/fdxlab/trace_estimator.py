@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .solver import SolverTrace
 
 GAMMA_RANGE = (0.3, 2.0)
 CONTRACTION = 1.5
+N_SAMPLES = 4  # sample times t, t/2, t/4, t/8 per extrapolation
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,14 @@ class TraceEstimate:
             raise ValueError("extrapolated masses must be >= 0")
 
 
-def _select_sample_times(times: np.ndarray, n_samples: int) -> np.ndarray:
-    """Indices of ~geometrically spaced sample times t, t/2, t/4, ... (descending)."""
+def _select_sample_times(times: np.ndarray) -> np.ndarray:
+    """Indices of N_SAMPLES ~geometrically spaced sample times t, t/2, t/4, ... (descending)."""
     pos = np.flatnonzero(times > 0.0)
-    if len(pos) < n_samples:
-        raise ValueError(f"trace has {len(pos)} positive sample times, fewer than n_samples = {n_samples}")
+    if len(pos) < N_SAMPLES:
+        raise ValueError(f"trace has {len(pos)} positive sample times, fewer than the {N_SAMPLES} the fit needs")
     t_max = times[pos[-1]]
     idx = []
-    for k in range(n_samples):
+    for k in range(N_SAMPLES):
         target = t_max / 2.0**k
         j = pos[np.argmin(np.abs(times[pos] - target))]
         if idx and j >= idx[-1]:
@@ -88,28 +89,20 @@ def _fit_power_offset(ts: np.ndarray, ms: np.ndarray) -> float:
     return max(float(a), 0.0)
 
 
-def estimate_trace(
-    trace: SolverTrace,
-    radii: Optional[Sequence[float]] = None,
-    n_samples: int = 4,
-) -> TraceEstimate:
-    """Richardson-style extrapolation of centered ball masses to t = 0.
+def estimate_trace(trace: SolverTrace) -> TraceEstimate:
+    """Richardson-style extrapolation of centered ball masses to t = 0, at every probe radius.
 
-    Requires >= 4 descending sample times with t_1/t_4 >= 8 (automatic when
+    Requires N_SAMPLES descending sample times with t_1/t_4 >= 8 (automatic when
     the trace covers a full output range; a geometric subsample is selected).
     The trace records centered masses, so the estimate is for z = 0.
     """
-    if n_samples < 4:
-        raise ValueError("need at least 4 sample times")
-    idx = _select_sample_times(trace.times, n_samples)
+    idx = _select_sample_times(trace.times)
     ts_desc = trace.times[idx]
     if ts_desc[0] / ts_desc[-1] < 8.0 * (1.0 - 1e-9):
         raise ValueError("sample times must span a ratio of at least 8")
 
-    cols = list(range(len(trace.probe_radii))) if radii is None else [trace.probe_column(s) for s in radii]
-
     masses, flags = [], []
-    for j in cols:
+    for j in range(len(trace.probe_radii)):
         m_desc = trace.ball_mass[idx, j]
         diffs = np.abs(np.diff(m_desc))
         tiny = 1e-12 * max(1.0, float(np.max(m_desc)))
@@ -124,7 +117,7 @@ def estimate_trace(
 
     return TraceEstimate(
         center=0.0,
-        radii=tuple(float(trace.probe_radii[j]) for j in cols),
+        radii=tuple(float(s) for s in trace.probe_radii),
         masses=tuple(masses),
         converged=tuple(flags),
         sample_times=tuple(float(t) for t in ts_desc),

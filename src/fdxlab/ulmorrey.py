@@ -60,6 +60,8 @@ class NormSpec:
             raise ValueError("morrey norm requires q >= 1 and alpha >= 1")
         if self.kind == ORLICZ_ETA and self.alpha <= 0.0:
             raise ValueError("orlicz_eta norm requires alpha > 0")
+        if self.kind == ORLICZ_ETA and math.isinf(self.R):
+            raise ValueError("R must be finite for the orlicz_eta norm: its weight eta(sigma/R) vanishes at R = inf")
 
     def radius_cap(self) -> float:
         return DEFAULT_RADIUS_CAP if math.isinf(self.R) else self.R

@@ -50,7 +50,7 @@ def test_criterion_1_exponent_algebra():
         )
         ex = lab.derive_exponents(params)
         worst = max(worst, abs(ex.theta * ex.theta_prime - 1.0))
-        check_exponent_invariants(params, tol=1e-12)
+        check_exponent_invariants(params)
         assert ex.kappa == params.N * (params.m - 1.0) + 2.0
     report(1, worst <= 1e-12, f"10^4 draws, worst |theta*theta' - 1| = {worst:.2e}")
 
@@ -249,9 +249,7 @@ def test_criterion_7_reaction_control():
         params=ProblemParams(N=1, m=0.5, p=2.0), t_end=1.0, n_cells=100, r_dom=4.0,
         boundary="zeroflux", u_floor=1e-6, dt_safety=0.15,
     )
-    res = threshold_sweep(
-        ProblemParams(N=1, m=0.5, p=2.0), lambda c: constant(c, 1), 1.0, 6, cfg2, probes=[1.0]
-    )
+    res = threshold_sweep(lambda c: constant(c, 1), cfg2, 6, probes=[1.0])
     ok_bracket = res.c_low <= 1.0 <= res.c_high
     report(
         7,
@@ -267,7 +265,7 @@ def test_criterion_8_singular_profile_dichotomy():
     cfg = SolverConfig(
         params=P3, t_end=1.0, n_cells=400, r_dom=8.0, boundary="zeroflux", u_floor=1e-4
     )
-    res = threshold_sweep(P3, lambda c: power_law(c, 0.8, 1), 1.0, 8, cfg, probes=[1.0])
+    res = threshold_sweep(lambda c: power_law(c, 0.8, 1), cfg, 8, probes=[1.0])
     ok_bracket = 0.0 < res.c_low < res.c_high < math.inf
 
     survivors = [s for s in res.history if s.c <= res.c_low]

@@ -98,7 +98,9 @@ def test_readme_config_block_validates_and_every_key_is_documented():
 
 @pytest.mark.parametrize("subcommand, t_end", [("simulate", 1.0), ("decay", 1.0), ("threshold", 1.0), ("trace", 2e-3)])
 def test_solver_defaults_come_from_the_dataclass(subcommand, t_end):
-    cfg = validate_config(subcommand, parse_config_text(_minimal(subcommand)), Path("."), seed=0)
+    # trace's default domain 8 T^theta = 0.16 at T = 2e-3 excludes the default probe 1.0
+    text = _minimal(subcommand) + ("probes = 0.1\n" if subcommand == "trace" else "")
+    cfg = validate_config(subcommand, parse_config_text(text), Path("."), seed=0)
     assert cfg.solver == SolverConfig(params=cfg.params, t_end=t_end)
 
 
@@ -150,6 +152,9 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("threshold", "threshold.c_start = 0", "'threshold.c_start': c_start must be finite and > 0, got 0.0"),
         ("threshold", "threshold.c_start = inf", "'threshold.c_start': c_start must be finite and > 0, got inf"),
         ("threshold", "threshold.c_start = nan", "'threshold.c_start': c_start must be finite and > 0, got nan"),
+        ("trace", "", "'probes': probe radius 1.0 must lie in (0, R_dom=0.16452569508766235]"),  # the default probe
+        ("norms", "norm.kind = orlicz_eta", "'norm.r_cap': R must be finite for the orlicz_eta norm"),
+        ("norms", "norm.kind = orlicz_eta\nnorm.r_cap = inf", "'norm.r_cap': R must be finite"),
     ],
 )
 def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):
@@ -232,6 +237,9 @@ def test_gronwall_check_rejects_zero_draws(tmp_path, capsys):
     [
         ("exponents", "N = 1\nm = 0.5\np = 3.0\n", "profile.kind = power"),
         ("norms", MINIMAL, "probes = 1.0"),
+        ("norms", MINIMAL + "norm.kind = orlicz_eta\nnorm.r_cap = 1\n", "norm.q = 1.25"),
+        ("norms", MINIMAL, "norm.T = 2"),
+        ("norms", MINIMAL, "norm.beta = 1.5"),
         ("simulate", MINIMAL, "threshold.horizon = 0.5"),
         ("threshold", _minimal("threshold"), "solver.t_end = 3"),
         ("threshold", _minimal("threshold"), "profile.c = 5"),

@@ -32,14 +32,14 @@ def _control_cfg(params, **kw):
 def test_threshold_constant_control_brackets_analytic_value():
     # c* = ((p-1) H)^{-1/(p-1)} = 1 for p = 2, H = 1
     cfg = _control_cfg(P2)
-    res = threshold_sweep(P2, lambda c: constant(c, 1), 1.0, 6, cfg, probes=[1.0])
+    res = threshold_sweep(lambda c: constant(c, 1), cfg, 6, probes=[1.0])
     assert res.c_low <= 1.0 <= res.c_high
     assert res.c_high - res.c_low <= 1.0 * 2.0**-6 + 1e-12
 
 
 def test_threshold_labels_consistent_and_monotone():
     cfg = _control_cfg(P2)
-    res = threshold_sweep(P2, lambda c: constant(c, 1), 1.0, 5, cfg, probes=[1.0])
+    res = threshold_sweep(lambda c: constant(c, 1), cfg, 5, probes=[1.0])
     for s in res.history:
         if s.c <= res.c_low:
             assert s.status == STATUS_COMPLETED
@@ -50,8 +50,8 @@ def test_threshold_labels_consistent_and_monotone():
 
 def test_threshold_deterministic_rerun():
     cfg = _control_cfg(P2)
-    a = threshold_sweep(P2, lambda c: constant(c, 1), 1.0, 5, cfg, probes=[1.0])
-    b = threshold_sweep(P2, lambda c: constant(c, 1), 1.0, 5, cfg, probes=[1.0])
+    a = threshold_sweep(lambda c: constant(c, 1), cfg, 5, probes=[1.0])
+    b = threshold_sweep(lambda c: constant(c, 1), cfg, 5, probes=[1.0])
     assert a.c_low == b.c_low and a.c_high == b.c_high
     assert [s.c for s in a.history] == [s.c for s in b.history]
 
@@ -59,14 +59,27 @@ def test_threshold_deterministic_rerun():
 def test_threshold_no_bracket_raises():
     # with the source disabled nothing ever blows up, so no bracket can exist
     cfg = _control_cfg(P2, source_on=False)
-    with pytest.raises(RuntimeError):
-        threshold_sweep(P2, lambda c: constant(c, 1), 1.0, 4, cfg, probes=[1.0], max_scans=8)
+    with pytest.raises(RuntimeError, match="within 40 geometric scans"):
+        threshold_sweep(lambda c: constant(c, 1), cfg, 4, probes=[1.0])
+
+
+@pytest.mark.parametrize(
+    "c_start, expected",
+    [
+        (0.3, [0.3, 0.6, 1.2, 0.8999999999999999, 1.0499999999999998, 0.9749999999999999, 1.0124999999999997]),
+        (5.0, [5.0, 2.5, 1.25, 0.625, 0.9375, 1.09375, 1.015625, 0.9765625]),
+    ],
+)
+def test_bracket_scan_run_order_is_pinned(c_start, expected):
+    # the scan doubles c from a survivor and halves it from a blow-up, then bisects 4 times
+    res = threshold_sweep(lambda c: constant(c, 1), _control_cfg(P2), 4, c_start=c_start)
+    assert [s.c for s in res.history] == expected
 
 
 def test_threshold_requires_minimum_bisection():
     cfg = _control_cfg(P2)
     with pytest.raises(ValueError):
-        threshold_sweep(P2, lambda c: constant(c, 1), 1.0, 3, cfg, probes=[1.0])
+        threshold_sweep(lambda c: constant(c, 1), cfg, 3, probes=[1.0])
 
 
 # -- decay fits ------------------------------------------------------------------------
@@ -149,7 +162,7 @@ def test_nonexistence_probe_subcritical_constant():
     cfg = SolverConfig(
         params=PSUB, t_end=1.0, n_cells=40, r_dom=4.0, boundary="zeroflux", u_floor=1e-6
     )
-    report = global_nonexistence_probe(PSUB, constant(0.01, 1), [1.0, 5.0, 25.0, 125.0], cfg)
+    report = global_nonexistence_probe(constant(0.01, 1), [1.0, 5.0, 25.0, 125.0], cfg)
     assert report.consistent_with_nonexistence
     assert report.first_blowup_horizon == 25.0
     assert report.statuses[-1] != STATUS_COMPLETED
@@ -157,7 +170,7 @@ def test_nonexistence_probe_subcritical_constant():
 
 def test_nonexistence_probe_supercritical_not_applicable():
     cfg = SolverConfig(params=P3, t_end=1.0, n_cells=40, r_dom=4.0, boundary="zeroflux")
-    report = global_nonexistence_probe(P3, constant(0.01, 1), [1.0], cfg)
+    report = global_nonexistence_probe(constant(0.01, 1), [1.0], cfg)
     assert report.note == "not applicable regime (p > p_m)"
     assert not report.consistent_with_nonexistence
 
@@ -167,7 +180,7 @@ def test_nonexistence_probe_floor_data_blows_up():
     cfg = SolverConfig(
         params=PSUB, t_end=1.0, n_cells=40, r_dom=4.0, boundary="zeroflux", u_floor=0.05
     )
-    report = global_nonexistence_probe(PSUB, constant(0.0, 1), [2.0, 20.0, 200.0], cfg)
+    report = global_nonexistence_probe(constant(0.0, 1), [2.0, 20.0, 200.0], cfg)
     assert report.consistent_with_nonexistence
 
 

@@ -98,7 +98,7 @@ def test_invariants_random_sweep():
             m=float(rng.uniform(0.01, 0.99)),
             p=float(rng.uniform(1.0001, 8.0)),
         )
-        check_exponent_invariants(params, tol=1e-12)
+        check_exponent_invariants(params)
 
 
 def test_classify_regime_monotone_in_p():

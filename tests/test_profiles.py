@@ -333,7 +333,7 @@ def test_ball_weights_near_tangency_are_nonnegative():
 def test_cell_averages_power_closed_form():
     edges = np.linspace(0.0, 1.0, 11)
     prof = power_law(1.0, 0.8, 1)
-    avg = cell_averages(prof, edges, 1)
+    avg = cell_averages(prof, edges)
     # first cell: int_0^0.1 r^{-0.8} dr / 0.1 = 0.1^{-0.8}/0.2
     assert avg[0] == pytest.approx(0.1 ** (-0.8) / 0.2, rel=1e-12)
     assert np.all(np.diff(avg) < 0.0)
@@ -341,7 +341,7 @@ def test_cell_averages_power_closed_form():
 
 def test_cell_averages_critical_log_finite():
     edges = np.linspace(0.0, 1.0, 21)
-    avg = cell_averages(critical_log(1.0, 2), edges, 2)
+    avg = cell_averages(critical_log(1.0, 2), edges)
     assert np.all(np.isfinite(avg))
     assert np.all(avg >= 0.0)
     assert avg[0] > avg[1]
@@ -350,7 +350,7 @@ def test_cell_averages_critical_log_finite():
 def test_cell_averages_barenblatt_match_point_values():
     edges = np.linspace(0.0, 4.0, 101)
     prof = barenblatt(1.0, 1.0, 1, 0.5)
-    avg = cell_averages(prof, edges, 1)
+    avg = cell_averages(prof, edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     assert np.allclose(avg, prof.value(centers), rtol=1e-3, atol=1e-6)
 
@@ -386,4 +386,4 @@ def _cell_averages_per_cell(profile, edges, N):
 )
 def test_cell_averages_match_the_per_cell_loop_exactly(profile, edges):
     N = profile.N
-    np.testing.assert_array_equal(cell_averages(profile, edges, N), _cell_averages_per_cell(profile, edges, N))
+    np.testing.assert_array_equal(cell_averages(profile, edges), _cell_averages_per_cell(profile, edges, N))

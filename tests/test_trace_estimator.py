@@ -64,13 +64,13 @@ def test_insufficient_samples_error():
 
 
 def test_insufficient_samples_error_names_n_samples():
-    ts = np.array([0.0, 1e-3, 2e-3, 4e-3, 8e-3])  # exactly 4 positive times
+    ts = np.array([0.0, 2e-3, 4e-3, 8e-3])  # 3 positive times
     trace = SolverTrace(
-        times=ts, sup_norm=np.ones(5), probe_radii=(1.0,), ball_mass=np.ones((5, 1)),
+        times=ts, sup_norm=np.ones(4), probe_radii=(1.0,), ball_mass=np.ones((4, 1)),
         status="completed",
     )
-    with pytest.raises(ValueError, match="4 positive sample times, fewer than n_samples = 5"):
-        estimate_trace(trace, n_samples=5)
+    with pytest.raises(ValueError, match="3 positive sample times, fewer than the 4 "):
+        estimate_trace(trace)
 
 
 def test_sample_ratio_enforced():

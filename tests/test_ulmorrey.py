@@ -215,6 +215,12 @@ def test_check_condition_infinite_T_needs_supercritical():
         check_condition(params, constant(0.1, 1), T=math.inf, delta=1.0, beta_or_alpha=1.0)
 
 
+def test_orlicz_eta_norm_rejects_an_infinite_radius():
+    # eta(sigma / inf) = 0 for every sigma, so an uncapped orlicz_eta norm would read 0 (or NaN)
+    with pytest.raises(ValueError, match="R must be finite"):
+        orlicz_eta(1.0, math.inf)
+
+
 def test_orlicz_eta_norm_weight_maximum_inside():
     # weight eta(sigma/R) increases toward R: for constant data the sup sits at sigma -> R
     params = ProblemParams(N=2, m=0.5, p=1.5)
