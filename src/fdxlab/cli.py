@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import experiments, gronwall, profiles, trace_estimator, ulmorrey
-from .exponents import ProblemParams, classify_regime, derive_exponents
+from .exponents import ProblemParams, Regime, classify_regime, derive_exponents
 from .solver import SolverConfig, check_probes, simulate
 
 SUBCOMMANDS = ("exponents", "norms", "simulate", "threshold", "decay", "trace", "gronwall-check")
@@ -175,6 +175,13 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
                 key = "m" if "m must" in str(exc) else ("p" if "p must" in str(exc) else "N")
                 violations.append(f"key {key!r}: {exc}")
     cfg.params = params
+    regime = classify_regime(params) if params is not None else None
+    # keys that only some regimes read: the subcritical verdict has no beta, and only
+    # critical data give norm.T a role in the decay and trace fits
+    if subcommand == "norms" and regime is Regime.SUBCRITICAL and "norm.delta" in values and "norm.beta" in values:
+        violations.append("key 'norm.beta': not read by subcommand 'norms' for subcritical data")
+    if subcommand in ("decay", "trace") and regime not in (None, Regime.CRITICAL) and "norm.T" in values:
+        violations.append(f"key 'norm.T': not read by subcommand {subcommand!r} for {regime.name.lower()} data")
 
     for key, low in _MINIMUM.items():
         if values.get(key, low) < low:

@@ -1,5 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
+A guard next to criterion 6 checks that its errors are space errors, not
+time errors, so that its ratios measure the grid.
+
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines;
 quantitative controls use the analytic oracles (exact exponent algebra, the
 closed-form self-similar solution, the pure-reaction ODE) and the qualitative
@@ -10,6 +13,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 import fdxlab as lab
 from fdxlab.cli import main as cli_main
@@ -196,24 +200,24 @@ def test_criterion_5_morrey_norm():
 # -- 6. solver convergence order -------------------------------------------------------
 
 
+def barenblatt_error(cells: int) -> tuple[float, float]:
+    """(max relative error on r <= 2, relative error at the origin cell) of the Barenblatt control at t = 1."""
+    cfg = SolverConfig(
+        params=P3, t_end=1.0, n_cells=cells, r_dom=16.0, boundary="zeroflux",
+        source_on=False, u_floor=1e-8, out_interval=1.0,
+    )
+    fld = simulate(barenblatt(1.0, 1.0, 1, 0.5), cfg, probes=[1.0]).final_field
+    exact = barenblatt_value(fld.r, 2.0, 1, 0.5, 1.0)
+    window = fld.r <= 2.0
+    scale = 2.0 ** (-2.0 / 3.0)
+    return float(np.max(np.abs(fld.u[window] - exact[window])) / scale), float(abs(fld.u[0] - exact[0]) / scale)
+
+
 @lru_cache(maxsize=1)
 def barenblatt_ladder():
     """(errors, finest_origin_rel_error) for dr halvings on the Barenblatt control."""
-    prof = barenblatt(1.0, 1.0, 1, 0.5)
-    errs, origin_errs = [], []
-    for cells in (200, 400, 800, 1600):
-        cfg = SolverConfig(
-            params=P3, t_end=1.0, n_cells=cells, r_dom=16.0, boundary="zeroflux",
-            source_on=False, u_floor=1e-8, out_interval=1.0,
-        )
-        trace = simulate(prof, cfg, probes=[1.0])
-        fld = trace.final_field
-        exact = barenblatt_value(fld.r, 2.0, 1, 0.5, 1.0)
-        window = fld.r <= 2.0
-        scale = 2.0 ** (-2.0 / 3.0)
-        errs.append(float(np.max(np.abs(fld.u[window] - exact[window])) / scale))
-        origin_errs.append(float(abs(fld.u[0] - exact[0]) / scale))
-    return tuple(errs), origin_errs[-1]
+    errs, origin_errs = zip(*(barenblatt_error(cells) for cells in (200, 400, 800, 1600)))
+    return errs, origin_errs[-1]
 
 
 def test_criterion_6_solver_order():
@@ -226,6 +230,17 @@ def test_criterion_6_solver_order():
         f"errors {['%.2e' % e for e in errs]}, ratios {['%.2f' % r for r in ratios]} (all >= 3); "
         f"finest origin rel error {origin_err:.2e} <= 1e-3",
     )
+
+
+def test_time_error_stays_below_space_error(monkeypatch):
+    # with a 100x tighter step tolerance the error is the space error alone; the
+    # shipped tolerance must leave the error within 25% of it, so that criterion 6's
+    # ratios measure the grid and not a cancellation of time and space errors
+    shipped = barenblatt_ladder()[0][:2]
+    monkeypatch.setattr(lab.solver, "ERR_TOL_CELLS2", lab.solver.ERR_TOL_CELLS2 / 100.0)
+    for cells, err in zip((200, 400), shipped):
+        space = barenblatt_error(cells)[0]
+        assert err == pytest.approx(space, rel=0.25), cells
 
 
 # -- 7. reaction control ----------------------------------------------------------------

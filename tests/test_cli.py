@@ -240,6 +240,9 @@ def test_gronwall_check_rejects_zero_draws(tmp_path, capsys):
         ("norms", MINIMAL + "norm.kind = orlicz_eta\nnorm.r_cap = 1\n", "norm.q = 1.25"),
         ("norms", MINIMAL, "norm.T = 2"),
         ("norms", MINIMAL, "norm.beta = 1.5"),
+        ("norms", MINIMAL.replace("p = 3.0", "p = 2.0") + "norm.delta = 1\n", "norm.beta = 7"),  # subcritical
+        ("decay", MINIMAL, "norm.T = 9"),  # supercritical
+        ("trace", MINIMAL.replace("p = 3.0", "p = 2.0"), "norm.T = 9"),  # subcritical
         ("simulate", MINIMAL, "threshold.horizon = 0.5"),
         ("threshold", _minimal("threshold"), "solver.t_end = 3"),
         ("threshold", _minimal("threshold"), "profile.c = 5"),
@@ -254,6 +257,15 @@ def test_a_key_the_subcommand_never_reads_exits_2(tmp_path, capsys, subcommand, 
     key = ignored.split(" = ")[0]
     assert f"key {key!r}: not read by subcommand {subcommand!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, extra", [("decay", "norm.T = 9"), ("trace", "solver.r_dom = 4\nnorm.T = 9"),
+                                               ("norms", "norm.delta = 1\nnorm.beta = 7")])
+def test_keys_read_only_in_some_regimes_are_accepted_there(subcommand, extra):
+    # critical data give norm.T a role in decay and trace; the supercritical verdict reads norm.beta
+    p = "3.0" if subcommand == "norms" else "2.5"
+    raw = parse_config_text(MINIMAL.replace("p = 3.0", f"p = {p}") + extra + "\n")
+    validate_config(subcommand, raw, Path("."), seed=0)
 
 
 def test_set_overrides_config(tmp_path):

@@ -12,6 +12,11 @@ from fdxlab.solver import (
     STATUS_STIFF_UNDERFLOW,
     GridField,
     SolverConfig,
+    _A,
+    _C,
+    _E,
+    _GAMMA,
+    _M,
     _Stepper,
     energy_diagnostics,
     linfty_decay_check,
@@ -193,34 +198,94 @@ def test_non_finite_state_raises(monkeypatch):
         simulate(constant(0.5, 1), _cfg(P3, t_end=0.1), probes=[1.0])
 
 
-def _dense_ros2(stepper: _Stepper, u: np.ndarray, h: float):
-    """The ROS2 step of _Stepper.diffuse with J assembled densely from div and solved by numpy."""
+# ROS34PW2 as published (Rang & Angermann, BIT 45, 2005): stage k_i solves
+# (I - gamma h J) k_i = h f(u + sum_j ALPHA_ij k_j) + h J sum_j GAMMAS_ij k_j over j < i;
+# the step is u + sum_i B_i k_i and the embedded second-order solution u + sum_i B_HAT_i k_i
+GAMMA = 0.43586652150845900
+ALPHA = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [0.87173304301691801, 0.0, 0.0, 0.0],
+    [0.84457060015369423, -0.11299064236484185, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+])
+GAMMAS = np.array([
+    [GAMMA, 0.0, 0.0, 0.0],
+    [-0.87173304301691801, GAMMA, 0.0, 0.0],
+    [-0.90338057013044082, 0.054180672388095326, GAMMA, 0.0],
+    [0.24212380706095346, -1.2232505839045147, 0.54526025533510214, GAMMA],
+])
+B = np.array([0.24212380706095346, -1.2232505839045147, 1.5452602553351020, GAMMA])
+B_HAT = np.array([0.37810903145819369, -0.096042292212423178, 0.5, 0.21793326075422950])
+
+
+def _dense_ros34pw2(stepper: _Stepper, u: np.ndarray, h: float):
+    """The step of _Stepper.diffuse in the untransformed form, with J assembled densely from div and solved by numpy.
+
+    (I - gamma h J) k_i = h f(u + sum_j alpha_ij k_j) + h J sum_j gamma_ij k_j for j < i, stages clamped
+    as in the solver; the error estimate is (I - gamma h J)^{-1} sum_i (b_i - b_hat_i) k_i.
+    """
     m, M = stepper.m, len(u)
     ghost = stepper.div(np.zeros(M))  # the affine part of div (the fixed-floor ghost)
     A = np.column_stack([stepper.div(e) - ghost for e in np.eye(M)])
     J = A * (m * u ** (m - 1.0))  # A diag(m u^{m-1})
-    W = np.eye(M) - (1.0 + 1.0 / np.sqrt(2.0)) * h * J
+    W = np.eye(M) - GAMMA * h * J
     clamp = (lambda x: np.maximum(x, stepper.floor)) if stepper.floor is not None else (lambda x: x)
-    k1 = np.linalg.solve(W, stepper.div(u**m))
-    stage = clamp(u + h * k1)
-    k2 = np.linalg.solve(W, stepper.div(stage**m) - 2.0 * k1)
-    new = clamp(u + h * (1.5 * k1 + 0.5 * k2))
-    est = np.linalg.solve(W, 0.5 * h * (k1 + k2))
+    k = []
+    for i in range(4):
+        stage = clamp(u + sum((ALPHA[i, j] * k[j] for j in range(i)), np.zeros(M)))
+        coupling = sum((GAMMAS[i, j] * k[j] for j in range(i)), np.zeros(M))
+        k.append(np.linalg.solve(W, h * stepper.div(stage**m) + h * (J @ coupling)))
+    new = clamp(u + sum(b * kj for b, kj in zip(B, k)))
+    est = np.linalg.solve(W, sum((b - bh) * kj for b, bh, kj in zip(B, B_HAT, k)))
     return new, float(np.max(np.abs(est) / (new + 1e-8 * new.max())))
 
 
 @pytest.mark.parametrize("boundary", ["zeroflux", "fixedfloor"])
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_diffuse_matches_a_dense_ros2_step(N, boundary):
+def test_diffuse_matches_a_dense_ros34pw2_step(N, boundary):
     cfg = _cfg(ProblemParams(N=N, m=0.5, p=3.0), n_cells=12, r_dom=1.2, boundary=boundary, u_floor=1e-3)
     r = (np.arange(12) + 0.5) * 0.1
     u = 0.2 + np.exp(-4.0 * r**2) + 0.3 * np.sin(7.0 * r) ** 2  # non-uniform: swapping dl and du changes the matrix
     stepper = _Stepper(GridField(N, 0.1, u, 1.2), cfg)
     new, err = stepper.diffuse(u, 0.01)
-    ref_new, ref_err = _dense_ros2(stepper, u, 0.01)
+    ref_new, ref_err = _dense_ros34pw2(stepper, u, 0.01)
     assert new == pytest.approx(ref_new, rel=1e-12, abs=0.0)
     assert err == pytest.approx(ref_err, rel=1e-12)
     assert err > 0.0 and not np.allclose(new, u)  # the step moves the state
+
+
+def test_ros34pw2_tableau():
+    g = GAMMA
+    beta = np.tril(ALPHA + GAMMAS, -1)
+    beta_row, alpha_row = beta.sum(axis=1), ALPHA.sum(axis=1)
+    # the Rosenbrock order conditions (Hairer & Wanner, Solving ODEs II, Table IV.7.1)
+    conditions = [  # (order, left side, right side)
+        (1, lambda w: w.sum(), 1.0),
+        (2, lambda w: w @ beta_row, 0.5 - g),
+        (3, lambda w: w @ alpha_row**2, 1.0 / 3.0),
+        (3, lambda w: w @ beta @ beta_row, 1.0 / 6.0 - g + g**2),
+    ]
+    for weights, order in ((B, 3), (B_HAT, 2)):
+        for k, lhs, rhs in conditions:
+            if k <= order:
+                assert lhs(weights) == pytest.approx(rhs, abs=1e-15), (order, k)
+    assert B_HAT @ alpha_row**2 != pytest.approx(1.0 / 3.0, abs=1e-3)  # the embedded solution is of order 2 only
+
+    # stiffly accurate: the step is the last stage's argument plus its own increment
+    np.testing.assert_allclose(B[:3], ALPHA[3, :3] + GAMMAS[3, :3], rtol=0.0, atol=1e-15)
+    assert B[3] == g
+
+    # L-stable: the stability function R(z) = 1 + z b^T (I - z (alpha + Gamma))^{-1} 1 vanishes at infinity
+    z = -1e8
+    R = 1.0 + z * B @ np.linalg.solve(np.eye(4) - z * (ALPHA + GAMMAS), np.ones(4))
+    assert abs(R) < 1e-6
+
+    # the solver's transformed coefficients reproduce the published tableau
+    gamma_unit = np.linalg.inv(np.eye(4) - _C)  # Gamma / gamma
+    np.testing.assert_allclose(gamma_unit * _GAMMA, GAMMAS, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_A @ gamma_unit, ALPHA, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_M @ gamma_unit, B, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose((_M - _E) @ gamma_unit, B_HAT, rtol=0.0, atol=1e-15)
 
 
 def test_singular_diffusion_matrix_raises(monkeypatch):
