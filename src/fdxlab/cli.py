@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -61,6 +61,7 @@ class RunConfig:
     params: Optional[ProblemParams] = None
     profile: Optional[profiles.RadialProfile] = None
     norm: Optional[ulmorrey.NormSpec] = None
+    scan: Optional[ulmorrey.ScanGrid] = None
     solver: Optional[SolverConfig] = None
 
     def get(self, key: str, default=None):
@@ -131,8 +132,7 @@ _KEYS = {
     "gronwall.n_draws": (int, ("gronwall-check",)), "gronwall.n_steps": (int, ("gronwall-check",)),
     "gronwall.T": (float, ("gronwall-check",)),
 }
-_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1, "gronwall.n_steps": gronwall.MIN_STEPS,
-            "scan.radii_per_decade": 1}  # lower bounds
+_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1, "gronwall.n_steps": gronwall.MIN_STEPS}  # lower bounds
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
 _NORM_KINDS = ("morrey", "orlicz_eta")
 
@@ -201,6 +201,25 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
         except ValueError as exc:
             # a bad cap is reported under the key that set it
             violations.append(f"key 'norm.r_cap': {exc}" if str(exc).startswith("R must") else f"norm: {exc}")
+        else:
+            try:
+                cfg.scan = ulmorrey.ScanGrid.build(
+                    cfg.norm,
+                    r_min=cfg.get("scan.r_min", 1e-3),
+                    centers=cfg.get("scan.centers", (0.0,)),
+                    radii_per_decade=cfg.get("scan.radii_per_decade", ulmorrey.DEFAULT_RADII_PER_DECADE),
+                )
+            except ValueError as exc:
+                name, _, why = str(exc).partition(" ")  # the message starts with the argument's name
+                violations.append(f"key 'scan.{name}': {why}")
+    if subcommand == "norms" and params is not None and "norm.delta" in values:
+        try:
+            ulmorrey.condition_spec(params, *_verdict_args(cfg))
+        except ValueError as exc:
+            # delta, T (or R = T^theta), else the exponent: norm.beta, which defaults to norm.alpha
+            exponent = "norm.beta" if "norm.beta" in values else "norm.alpha"
+            key = {"delta": "norm.delta", "T": "norm.T", "R": "norm.T"}.get(str(exc).split()[0], exponent)
+            violations.append(f"key {key!r}: {exc}")
 
     if subcommand in _PROFILE_RUNS and params is not None:
         kind = values.get("profile.kind")
@@ -231,6 +250,13 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
                 check_probes(_probes(cfg), cfg.solver.domain_radius())
             except ValueError as exc:
                 violations.append(f"key 'probes': {exc}")
+            if subcommand == "decay":
+                offset, lo, hi = _decay_window(cfg)
+                try:
+                    experiments.check_window((lo, hi), offset)
+                except ValueError as exc:
+                    keys = ", ".join(repr(k) for k in values if k.startswith("decay."))
+                    violations.append(f"key {keys}: {exc}")
 
     if violations:
         raise ConfigError(violations)
@@ -264,6 +290,17 @@ def _probes(cfg: RunConfig) -> tuple:
     return cfg.get("probes", (1.0,))
 
 
+def _verdict_args(cfg: RunConfig) -> tuple:
+    """(T, delta, beta_or_alpha) of the norms verdict; beta defaults to norm.alpha."""
+    return cfg.get("norm.T", 1.0), cfg.get("norm.delta"), cfg.get("norm.beta", cfg.get("norm.alpha", 1.0))
+
+
+def _decay_window(cfg: RunConfig) -> tuple:
+    """(t_offset, lo, hi) of the decay fit; the window defaults to the last decade of the shifted run."""
+    t_end, offset = cfg.solver.t_end, cfg.get("decay.t_offset", 0.0)
+    return offset, cfg.get("decay.window_lo", (t_end + offset) / 10.0), cfg.get("decay.window_hi", t_end + offset)
+
+
 def _out_path(cfg: RunConfig, suffix: str = "") -> Path:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     stem = cfg.file_stem or cfg.subcommand
@@ -291,13 +328,7 @@ def run_exponents(cfg: RunConfig) -> int:
 
 
 def run_norms(cfg: RunConfig) -> int:
-    scan = ulmorrey.ScanGrid.build(
-        cfg.norm,
-        r_min=cfg.get("scan.r_min", 1e-3),
-        centers=cfg.get("scan.centers", (0.0,)),
-        radii_per_decade=cfg.get("scan.radii_per_decade", 64),
-    )
-    result = ulmorrey.norm(cfg.profile, cfg.norm, scan)
+    result = ulmorrey.norm(cfg.profile, cfg.norm, cfg.scan)
     path = _out_path(cfg)
     write_csv(
         path,
@@ -307,11 +338,8 @@ def run_norms(cfg: RunConfig) -> int:
     )
     print(f"norm value = {fmt(result.value)} at center {fmt(result.arg_center)}, radius {fmt(result.arg_radius)}")
 
-    delta = cfg.get("norm.delta")
-    if delta is not None:
-        T = cfg.get("norm.T", 1.0)
-        beta_or_alpha = cfg.get("norm.beta", cfg.get("norm.alpha", 1.0))
-        verdict = ulmorrey.check_condition(cfg.params, cfg.profile, T, delta, beta_or_alpha, scan=scan)
+    if "norm.delta" in cfg.values:
+        verdict = ulmorrey.check_condition(cfg.params, cfg.profile, *_verdict_args(cfg), scan=cfg.scan)
         write_csv(
             _out_path(cfg, "verdict"),
             ["regime", "condition_value", "delta", "met", "T"],
@@ -333,7 +361,7 @@ def run_simulate(cfg: RunConfig) -> int:
 
 def run_threshold(cfg: RunConfig) -> int:
     result = experiments.threshold_sweep(
-        lambda c: replace(cfg.profile, c=c),
+        cfg.profile,
         cfg.solver,
         cfg.get("threshold.bisect_steps", 8),
         probes=_probes(cfg),
@@ -354,11 +382,8 @@ def run_threshold(cfg: RunConfig) -> int:
 
 
 def run_decay(cfg: RunConfig) -> int:
-    t_end = cfg.solver.t_end
     trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
-    offset = cfg.get("decay.t_offset", 0.0)
-    lo = cfg.get("decay.window_lo", (t_end + offset) / 10.0)
-    hi = cfg.get("decay.window_hi", t_end + offset)
+    offset, lo, hi = _decay_window(cfg)
     fit = experiments.decay_fit(trace, cfg.params, (lo, hi), t_offset=offset, T=cfg.get("norm.T"))
     write_csv(
         _out_path(cfg),
@@ -424,10 +449,6 @@ _RUNNERS = {
 }
 
 
-def dispatch(cfg: RunConfig) -> int:
-    return _RUNNERS[cfg.subcommand](cfg)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(prog="fdxlab", description=__doc__)
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
@@ -470,7 +491,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
     try:
-        return dispatch(cfg)
+        return _RUNNERS[cfg.subcommand](cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ThresholdResult:
     c_low: float  # largest tested c that survived to the horizon
     c_high: float  # smallest tested c that blew up
     history: tuple  # SweepSample per simulation, in run order
-    horizon: float
     bisect_steps: int
 
     def __post_init__(self):
@@ -81,26 +80,29 @@ def check_c_start(c_start: float) -> None:
 
 
 def threshold_sweep(
-    family: Callable[[float], RadialProfile],
+    profile: RadialProfile,
     cfg: SolverConfig,
     bisect_steps: int,
     probes: Sequence[float] = (1.0,),
     c_start: float = 1.0,
 ) -> ThresholdResult:
-    """Bisect the amplitude c between a surviving and a blowing-up sample.
+    """Bisect the profile's amplitude c between a surviving and a blowing-up sample.
 
-    Each run is simulate(family(c), cfg, probes) to the horizon cfg.t_end.  A geometric scan from
+    Each run is simulate(replace(profile, c=c), cfg, probes) to the horizon cfg.t_end, so the
+    profile's own c is never run.  A geometric scan from
     c_start, halving c while runs blow up and doubling it while they survive (at most MAX_SCANS
     runs), finds the bracket; bisect_steps halvings narrow it to (initial width) * 2^{-bisect_steps}.
-    The family must be pointwise monotone in c.
+    A barenblatt profile has no amplitude and raises ValueError before the first run.
     """
     if bisect_steps < 4:
         raise ValueError("bisect_steps must be >= 4")
     check_c_start(c_start)
+    if profile.kind == "barenblatt":
+        raise ValueError("a barenblatt profile has no amplitude c to bisect")
     history: list[SweepSample] = []
 
     def blew(c: float) -> bool:
-        trace = simulate(family(c), cfg, probes)
+        trace = simulate(replace(profile, c=c), cfg, probes)
         ratio, bounded = decay_proxy(trace, cfg.params, cfg.t_end)
         sample = SweepSample(
             c=c,
@@ -132,9 +134,18 @@ def threshold_sweep(
         else:
             lo = mid
 
-    return ThresholdResult(
-        c_low=lo, c_high=hi, history=tuple(history), horizon=cfg.t_end, bisect_steps=bisect_steps
-    )
+    return ThresholdResult(c_low=lo, c_high=hi, history=tuple(history), bisect_steps=bisect_steps)
+
+
+def check_window(window: tuple[float, float], t_offset: float) -> None:
+    """Reject a fit window that is not 0 < lo < hi over at least one decade, or a non-finite t_offset (NaN fails)."""
+    lo, hi = window
+    if not 0.0 < lo < hi:
+        raise ValueError(f"window must satisfy 0 < lo < hi, got ({lo!r}, {hi!r})")
+    if hi / lo < 10.0 * (1.0 - 1e-9):
+        raise ValueError(f"window must span at least one decade, got ({lo!r}, {hi!r})")
+    if not math.isfinite(t_offset):
+        raise ValueError(f"t_offset must be finite, got {t_offset!r}")
 
 
 @dataclass(frozen=True)
@@ -158,11 +169,8 @@ def decay_fit(
     In the critical regime (and given T) the log-corrected decay quantity
     sup_t t^{1/(p-1)} [log(e + T/t)]^{1/(p-1)} sup_norm is reported as well.
     """
+    check_window(window, t_offset)
     lo, hi = window
-    if not (0.0 < lo < hi):
-        raise ValueError("window must satisfy 0 < lo < hi")
-    if hi / lo < 10.0 * (1.0 - 1e-9):
-        raise ValueError("window must span at least one decade")
     t = trace.times + t_offset
     mask = (t >= lo) & (t <= hi) & (trace.sup_norm > 0.0)
     if mask.sum() < 4:

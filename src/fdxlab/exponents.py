@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,6 @@ class Regime(Enum):
         return self.value < other.value
 
 
-class KappaR(NamedTuple):
-    value: float
-    positive: bool
-
-
 def derive_exponents(params: ProblemParams) -> Exponents:
     """All derived exponents for (N, m, p).
 
@@ -90,12 +84,11 @@ def classify_regime(params: ProblemParams) -> Regime:
     return Regime.SUPERCRITICAL if params.p > p_m else Regime.SUBCRITICAL
 
 
-def kappa_r(params: ProblemParams, r: float) -> KappaR:
-    """kappa_r = N(m-1) + 2r together with its positivity flag (r >= 1)."""
+def kappa_r(params: ProblemParams, r: float) -> float:
+    """kappa_r = N(m-1) + 2r, for r >= 1."""
     if r < 1.0:
         raise ValueError("r must be >= 1")
-    value = params.N * (params.m - 1.0) + 2.0 * r
-    return KappaR(value=value, positive=value > 0.0)
+    return params.N * (params.m - 1.0) + 2.0 * r
 
 
 def admissible_beta_range(params: ProblemParams) -> tuple[float, float]:
@@ -109,10 +102,6 @@ def admissible_beta_range(params: ProblemParams) -> tuple[float, float]:
     lo = max(1.0, params.N * (1.0 - params.m) / 2.0)
     hi = params.N * (params.p - params.m) / 2.0
     return (lo, hi)
-
-
-def beta_range_is_empty(rng: tuple[float, float]) -> bool:
-    return not rng[0] < rng[1]
 
 
 def validate_beta(params: ProblemParams, beta: float) -> None:
@@ -129,5 +118,5 @@ def check_exponent_invariants(params: ProblemParams) -> None:
         raise AssertionError("theta * theta_prime != 1")
     if (ex.p_m > 1.0) != (ex.kappa > 0.0):
         raise AssertionError("p_m > 1 must be equivalent to kappa > 0")
-    if not math.isclose(kappa_r(params, 1.0).value, ex.kappa, rel_tol=0.0, abs_tol=1e-12):
+    if not math.isclose(kappa_r(params, 1.0), ex.kappa, rel_tol=0.0, abs_tol=1e-12):
         raise AssertionError("kappa_r at r=1 must equal kappa")

@@ -93,7 +93,6 @@ def integrate_comparison_ode(A1, A2, A3, m, T: float, n_steps: int):
 class GronwallReport:
     max_gap: float  # max over steps of g(t) - bound(t); <= 0 means dominated
     max_rel_gap: float
-    n_steps: int
 
 
 def verify_against_ode(coeffs, n_steps: int = 2000):
@@ -117,5 +116,5 @@ def verify_against_ode(coeffs, n_steps: int = 2000):
         gap = g[:, j] - bounds
         rel = gap / np.maximum(1.0, bounds)
         k = int(np.argmax(rel))
-        reports.append(GronwallReport(max_gap=float(gap[k]), max_rel_gap=float(rel[k]), n_steps=n_steps))
+        reports.append(GronwallReport(max_gap=float(gap[k]), max_rel_gap=float(rel[k])))
     return reports[0] if isinstance(coeffs, GronwallCoeffs) else reports

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .exponents import ProblemParams, derive_exponents
+from .exponents import ProblemParams, derive_exponents, kappa_r
 from .profiles import BALL_VOLUME, SPHERE_AREA, RadialProfile, cell_averages, lens_volume
 
 STATUS_COMPLETED = "completed"
@@ -398,7 +398,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         if dt < dt_min:
             status, t_event = STATUS_DT_UNDERFLOW, t
             break
-        dt = min(dt, dt_ctrl, cfg.t_end - t, next_out - t)
+        dt = min(dt, dt_ctrl, next_out - t)
         new, err = stepper.apply(u, dt)
         fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * (tol / err) ** (1.0 / 3.0))) if err > 0.0 else _FAC_MAX
         if err > tol:
@@ -419,7 +419,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
             if t >= cfg.t_end:
                 break
 
-    if status != STATUS_COMPLETED and (not times or times[-1] < t):
+    if status != STATUS_COMPLETED and times[-1] < t:
         record(t)
 
     return SolverTrace(
@@ -470,10 +470,8 @@ def linfty_decay_check(trace: SolverTrace, params: ProblemParams, R: float) -> D
     The trace records plain ball masses, so r = 1.  The scan is restricted to
     the window where t^{1/(p-1)} * sup(t) <= 1.
     """
-    from .exponents import kappa_r as kappa_r_fn
-
-    kr = kappa_r_fn(params, 1.0)
-    if not kr.positive:
+    kr = kappa_r(params, 1.0)
+    if kr <= 0.0:
         raise ValueError("kappa_r must be positive")
     col = trace.probe_column(R)
 
@@ -497,7 +495,7 @@ def linfty_decay_check(trace: SolverTrace, params: ProblemParams, R: float) -> D
         if mw[k] <= 0.0:
             C = math.inf
             break
-        C = max(C, numer[k] * tw[k] ** (params.N / kr.value) / mw[k] ** (2.0 / kr.value))
+        C = max(C, numer[k] * tw[k] ** (params.N / kr) / mw[k] ** (2.0 / kr))
     return DecayCheckReport(C=C, window=(float(tw[0]), float(tw[-1])), R=R, n_points=int(len(tw)))
 
 

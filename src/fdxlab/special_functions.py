@@ -84,14 +84,11 @@ def eta(N: int, xi):
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr < 0.0):
         raise ValueError("eta requires xi >= 0")
-    if xi_arr.ndim == 0:
-        x = float(xi_arr)
-        return x**N * math.log(_E + 1.0 / x) ** (N / 2.0) if x > 0.0 else 0.0
     out = np.zeros_like(xi_arr)
     pos = xi_arr > 0.0
     xp = xi_arr[pos]
     out[pos] = xp**N * np.log(_E + 1.0 / xp) ** (N / 2.0)
-    return out
+    return float(out) if xi_arr.ndim == 0 else out
 
 
 def _eta_weight_integrand(tau: np.ndarray, N: int, m: float, kappa: float) -> np.ndarray:

@@ -29,7 +29,6 @@ N_SAMPLES = 4  # sample times t, t/2, t/4, t/8 per extrapolation
 
 @dataclass(frozen=True)
 class TraceEstimate:
-    center: float
     radii: tuple
     masses: tuple  # extrapolated nu_hat(B(0, sigma_j))
     converged: tuple  # per-radius contraction flags
@@ -116,7 +115,6 @@ def estimate_trace(trace: SolverTrace) -> TraceEstimate:
         flags.append(bool(ok))
 
     return TraceEstimate(
-        center=0.0,
         radii=tuple(float(s) for s in trace.probe_radii),
         masses=tuple(masses),
         converged=tuple(flags),

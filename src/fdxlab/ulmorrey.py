@@ -30,6 +30,7 @@ from .profiles import (
     WSlice,
     as_radii,
     ball_average_power,
+    ball_mass,
     ball_volume,
     radial_ball_integral,
     radial_offset,
@@ -56,9 +57,9 @@ class NormSpec:
             raise ValueError("norm kind must be 'morrey' or 'orlicz_eta'")
         if not self.R > 0.0:
             raise ValueError("R must be > 0 (use math.inf for an uncapped norm)")
-        if self.kind == MORREY and (self.q < 1.0 or self.alpha < 1.0):
+        if self.kind == MORREY and not (self.q >= 1.0 and self.alpha >= 1.0):
             raise ValueError("morrey norm requires q >= 1 and alpha >= 1")
-        if self.kind == ORLICZ_ETA and self.alpha <= 0.0:
+        if self.kind == ORLICZ_ETA and not self.alpha > 0.0:
             raise ValueError("orlicz_eta norm requires alpha > 0")
         if self.kind == ORLICZ_ETA and math.isinf(self.R):
             raise ValueError("R must be finite for the orlicz_eta norm: its weight eta(sigma/R) vanishes at R = inf")
@@ -91,9 +92,12 @@ class ScanGrid:
         radii_per_decade: int = DEFAULT_RADII_PER_DECADE,
     ) -> "ScanGrid":
         r_max = spec.radius_cap() * (1.0 - 1e-9)  # sup runs over the open interval (0, R)
-        if r_min <= 0.0 or r_min >= r_max:
-            raise ValueError("need 0 < r_min < radius cap")
-        return cls(centers=tuple(float(c) for c in centers), radii=_log_radii(r_min, r_max, radii_per_decade))
+        if not 0.0 < r_min < r_max:
+            raise ValueError(f"r_min must lie in (0, {r_max!r}) below the radius cap, got {r_min!r}")
+        centers = tuple(float(c) for c in centers)
+        if not all(math.isfinite(c) for c in centers):
+            raise ValueError(f"centers must be finite, got {centers!r}")
+        return cls(centers=centers, radii=_log_radii(r_min, r_max, radii_per_decade))
 
     @classmethod
     def for_field(cls, field: GridField, spec: NormSpec, radii_per_decade: int = 16) -> "ScanGrid":
@@ -215,7 +219,7 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     """
     if not scan.centers or not scan.radii:
         raise ValueError("scan grid must contain at least one center and one radius")
-    radii = [s for s in scan.radii if s < spec.R or (math.isinf(spec.R) and s <= spec.radius_cap())]
+    radii = [s for s in scan.radii if s < spec.R]
     if not radii:
         raise ValueError("scan grid has no radii below the cap R")
 
@@ -247,6 +251,31 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     return NormResult(value=float(value), arg_center=float(center), arg_radius=float(radius), grid_resolution=res)
 
 
+def condition_spec(params: ProblemParams, T: float, delta: float, beta_or_alpha: float) -> Optional[NormSpec]:
+    """Check check_condition's inputs and return the norm its regime measures.
+
+    None for the subcritical mass condition, the orlicz_eta norm with alpha =
+    beta_or_alpha for the critical one and the Morrey norm
+    |||.|||_{N(p-m)/2, beta; T^theta} for the supercritical one, each capped at
+    R = T^theta.  NaN fails every check.  A ValueError's message starts with
+    the argument it rejects (delta, T, or R = T^theta) or names the exponent.
+    """
+    if not delta > 0.0:
+        raise ValueError(f"delta must be > 0, got {delta!r}")
+    regime = classify_regime(params)
+    if regime is not Regime.SUPERCRITICAL and math.isinf(T):
+        raise ValueError("T = inf is admissible only in the supercritical regime")
+    if not T > 0.0:
+        raise ValueError(f"T must be > 0, got {T!r}")
+    if regime is Regime.SUBCRITICAL:
+        return None
+    theta = derive_exponents(params).theta
+    if regime is Regime.CRITICAL:
+        return orlicz_eta(beta_or_alpha, R=T**theta)
+    validate_beta(params, beta_or_alpha)
+    return morrey(q=params.N * (params.p - params.m) / 2.0, alpha=beta_or_alpha, R=T**theta)
+
+
 def check_condition(
     params: ProblemParams,
     f,
@@ -262,41 +291,27 @@ def check_condition(
     supercritical:  |||mu|||_{N(p-m)/2, beta; T^theta}                   (T = inf allowed)
 
     The subcritical condition is normalized by its threshold scale so that
-    met == (condition_value <= delta) uniformly across regimes.
+    met == (condition_value <= delta) uniformly across regimes.  condition_spec
+    checks the inputs.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
+    spec = condition_spec(params, T, delta, beta_or_alpha)
     regime = classify_regime(params)
     ex = derive_exponents(params)
-    if regime is not Regime.SUPERCRITICAL and math.isinf(T):
-        raise ValueError("T = inf is admissible only in the supercritical regime")
-    if T <= 0.0:
-        raise ValueError("T must be > 0")
-
     if regime is Regime.SUBCRITICAL:
         sigma = T**ex.theta
         centers = scan.centers if scan is not None else (0.0,)
         if isinstance(f, GridField):
             mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
         else:
-            from .profiles import ball_mass
-
             mass = max(ball_mass(f, d, sigma) for d in centers)
         threshold_scale = T ** (ex.theta * (params.N - 2.0 / (params.p - params.m)))
         value = mass / threshold_scale
     elif regime is Regime.CRITICAL:
-        alpha = beta_or_alpha
-        if alpha <= 0.0:
-            raise ValueError("critical condition requires alpha > 0")
-        spec = orlicz_eta(alpha, R=T**ex.theta)
         if scan is None:
             scan = ScanGrid.build(spec, r_min=1e-3 * spec.R)
         scale = T ** (1.0 / (params.p - 1.0))
         value = norm(f, spec, scan, scale=scale).value
     else:
-        beta = beta_or_alpha
-        validate_beta(params, beta)
-        spec = morrey(q=params.N * (params.p - params.m) / 2.0, alpha=beta, R=T**ex.theta if math.isfinite(T) else math.inf)
         if scan is None:
             r_hi = spec.radius_cap()
             scan = ScanGrid.build(spec, r_min=1e-6 * min(r_hi, 1e3))

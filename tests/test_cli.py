@@ -27,6 +27,10 @@ profile.a = 0.8
 """
 
 
+# critical_log data at p = p_m = 2.5, with a verdict, as lines that override MINIMAL's
+CRITICAL = "p = 2.5\nprofile.kind = critical_log\nnorm.kind = orlicz_eta\nnorm.r_cap = 1\nnorm.delta = 1\n"
+
+
 def _minimal(subcommand: str) -> str:
     """MINIMAL as the subcommand reads it: gronwall-check reads none of it, threshold bisects profile.c."""
     if subcommand == "gronwall-check":
@@ -155,6 +159,30 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("trace", "", "'probes': probe radius 1.0 must lie in (0, R_dom=0.16452569508766235]"),  # the default probe
         ("norms", "norm.kind = orlicz_eta", "'norm.r_cap': R must be finite for the orlicz_eta norm"),
         ("norms", "norm.kind = orlicz_eta\nnorm.r_cap = inf", "'norm.r_cap': R must be finite"),
+        # verdict inputs, checked before the norm CSV is written; NaN fails every check
+        ("norms", "norm.delta = 1\nnorm.T = nan", "'norm.T': T must be > 0, got nan"),
+        ("norms", "norm.delta = 1\nnorm.T = 0", "'norm.T': T must be > 0, got 0.0"),
+        ("norms", "norm.delta = 1\nnorm.T = -2", "'norm.T': T must be > 0, got -2.0"),
+        ("norms", "norm.delta = nan", "'norm.delta': delta must be > 0, got nan"),
+        ("norms", "norm.delta = 0", "'norm.delta': delta must be > 0, got 0.0"),
+        ("norms", "norm.delta = 1\nnorm.beta = 5", "'norm.beta': beta=5.0 outside admissible range"),
+        ("norms", "norm.delta = 1\nnorm.alpha = nan", "'norm.alpha': beta=nan outside admissible range"),
+        ("norms", "norm.q = nan", "norm: morrey norm requires q >= 1"),
+        ("norms", "norm.alpha = nan", "norm: morrey norm requires q >= 1 and alpha >= 1"),
+        ("norms", CRITICAL + "norm.T = inf", "'norm.T': T = inf is admissible only in the supercritical regime"),
+        ("norms", CRITICAL + "norm.beta = 0", "'norm.beta': orlicz_eta norm requires alpha > 0"),
+        ("norms", CRITICAL + "norm.beta = nan", "'norm.beta': orlicz_eta norm requires alpha > 0"),
+        ("norms", "scan.r_min = 0", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got 0.0"),
+        ("norms", "scan.r_min = 1e9", "'scan.r_min': must lie in (0, 999999.9990000001)"),
+        ("norms", "scan.r_min = nan", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got nan"),
+        ("norms", "scan.centers = 0, nan", "'scan.centers': must be finite, got (0.0, nan)"),
+        # the decay window, checked before the simulation runs
+        ("decay", "decay.window_lo = 0", "'decay.window_lo': window must satisfy 0 < lo < hi, got (0.0, 1.0)"),
+        ("decay", "decay.window_lo = nan", "'decay.window_lo': window must satisfy 0 < lo < hi"),
+        ("decay", "decay.window_hi = 0.5", "'decay.window_hi': window must span at least one decade"),
+        ("decay", "decay.t_offset = nan", "'decay.t_offset': window must satisfy 0 < lo < hi"),
+        ("decay", "decay.t_offset = -2", "'decay.t_offset': window must satisfy 0 < lo < hi, got (-0.1, -1.0)"),
+        ("decay", "decay.window_lo = 0.01\ndecay.window_hi = 1\ndecay.t_offset = nan", "t_offset must be finite"),
     ],
 )
 def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):
@@ -260,7 +288,7 @@ def test_a_key_the_subcommand_never_reads_exits_2(tmp_path, capsys, subcommand, 
 
 
 @pytest.mark.parametrize("subcommand, extra", [("decay", "norm.T = 9"), ("trace", "solver.r_dom = 4\nnorm.T = 9"),
-                                               ("norms", "norm.delta = 1\nnorm.beta = 7")])
+                                               ("norms", "norm.delta = 1\nnorm.beta = 1.1")])
 def test_keys_read_only_in_some_regimes_are_accepted_there(subcommand, extra):
     # critical data give norm.T a role in decay and trace; the supercritical verdict reads norm.beta
     p = "3.0" if subcommand == "norms" else "2.5"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdxlab.exponents import ProblemParams
-from fdxlab.profiles import constant
+from fdxlab.profiles import barenblatt, constant
 from fdxlab.solver import STATUS_COMPLETED, SolverConfig, SolverTrace
 from fdxlab.experiments import (
     decay_fit,
@@ -32,14 +32,14 @@ def _control_cfg(params, **kw):
 def test_threshold_constant_control_brackets_analytic_value():
     # c* = ((p-1) H)^{-1/(p-1)} = 1 for p = 2, H = 1
     cfg = _control_cfg(P2)
-    res = threshold_sweep(lambda c: constant(c, 1), cfg, 6, probes=[1.0])
+    res = threshold_sweep(constant(1.0, 1), cfg, 6, probes=[1.0])
     assert res.c_low <= 1.0 <= res.c_high
     assert res.c_high - res.c_low <= 1.0 * 2.0**-6 + 1e-12
 
 
 def test_threshold_labels_consistent_and_monotone():
     cfg = _control_cfg(P2)
-    res = threshold_sweep(lambda c: constant(c, 1), cfg, 5, probes=[1.0])
+    res = threshold_sweep(constant(1.0, 1), cfg, 5, probes=[1.0])
     for s in res.history:
         if s.c <= res.c_low:
             assert s.status == STATUS_COMPLETED
@@ -50,8 +50,8 @@ def test_threshold_labels_consistent_and_monotone():
 
 def test_threshold_deterministic_rerun():
     cfg = _control_cfg(P2)
-    a = threshold_sweep(lambda c: constant(c, 1), cfg, 5, probes=[1.0])
-    b = threshold_sweep(lambda c: constant(c, 1), cfg, 5, probes=[1.0])
+    a = threshold_sweep(constant(1.0, 1), cfg, 5, probes=[1.0])
+    b = threshold_sweep(constant(1.0, 1), cfg, 5, probes=[1.0])
     assert a.c_low == b.c_low and a.c_high == b.c_high
     assert [s.c for s in a.history] == [s.c for s in b.history]
 
@@ -60,7 +60,7 @@ def test_threshold_no_bracket_raises():
     # with the source disabled nothing ever blows up, so no bracket can exist
     cfg = _control_cfg(P2, source_on=False)
     with pytest.raises(RuntimeError, match="within 40 geometric scans"):
-        threshold_sweep(lambda c: constant(c, 1), cfg, 4, probes=[1.0])
+        threshold_sweep(constant(1.0, 1), cfg, 4, probes=[1.0])
 
 
 @pytest.mark.parametrize(
@@ -72,14 +72,23 @@ def test_threshold_no_bracket_raises():
 )
 def test_bracket_scan_run_order_is_pinned(c_start, expected):
     # the scan doubles c from a survivor and halves it from a blow-up, then bisects 4 times
-    res = threshold_sweep(lambda c: constant(c, 1), _control_cfg(P2), 4, c_start=c_start)
+    res = threshold_sweep(constant(1.0, 1), _control_cfg(P2), 4, c_start=c_start)
     assert [s.c for s in res.history] == expected
 
 
 def test_threshold_requires_minimum_bisection():
     cfg = _control_cfg(P2)
     with pytest.raises(ValueError):
-        threshold_sweep(lambda c: constant(c, 1), cfg, 3, probes=[1.0])
+        threshold_sweep(constant(1.0, 1), cfg, 3, probes=[1.0])
+
+
+def test_threshold_rejects_a_profile_without_amplitude(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr("fdxlab.experiments.simulate", no_run)
+    with pytest.raises(ValueError, match="barenblatt profile has no amplitude"):
+        threshold_sweep(barenblatt(1.0, 1.0, 1, 0.5), _control_cfg(P2), 4)
 
 
 # -- decay fits ------------------------------------------------------------------------

@@ -127,7 +127,6 @@ def test_fit_critical_shape_residual():
     from fdxlab.trace_estimator import TraceEstimate
 
     est = TraceEstimate(
-        center=0.0,
         radii=tuple(radii),
         masses=tuple(shape),
         converged=tuple(True for _ in radii),
@@ -143,7 +142,7 @@ def test_fit_requires_radius_span():
     from fdxlab.trace_estimator import TraceEstimate
 
     est = TraceEstimate(
-        center=0.0, radii=est_radii, masses=(0.1, 0.2, 0.4),
+        radii=est_radii, masses=(0.1, 0.2, 0.4),
         converged=(True, True, True), sample_times=(1e-3, 5e-4, 2.5e-4, 1.25e-4),
     )
     with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ def test_fit_rejects_subcritical():
     from fdxlab.trace_estimator import TraceEstimate
 
     est = TraceEstimate(
-        center=0.0, radii=tuple(np.logspace(-2, 0, 6)), masses=tuple(np.ones(6)),
+        radii=tuple(np.logspace(-2, 0, 6)), masses=tuple(np.ones(6)),
         converged=tuple(True for _ in range(6)), sample_times=(1e-3, 5e-4, 2.5e-4, 1.25e-4),
     )
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ def test_critical_verdicts_meet_their_tolerance_without_warning_or_fallback(N):
     assert 0.0 < v.condition_value < math.inf
 
 
+@pytest.mark.parametrize("params", [ProblemParams(N=1, m=0.5, p=1.2), ProblemParams(N=1, m=0.5, p=2.5), SUP])
+def test_check_condition_rejects_nan_delta_and_T(params):
+    # NaN passes every `x <= 0` test: the verdict read met = True for T = nan and met = False for delta = nan
+    prof = critical_log(0.02, 1) if params.p == 2.5 else power_law(0.1, 0.8, 1)
+    with pytest.raises(ValueError, match="delta must be > 0, got nan"):
+        check_condition(params, prof, T=1.0, delta=math.nan, beta_or_alpha=1.1)
+    with pytest.raises(ValueError, match="T must be > 0, got nan"):
+        check_condition(params, prof, T=math.nan, delta=1.0, beta_or_alpha=1.1)
+
+
+def test_norm_specs_reject_nan_exponents():
+    for bad in (dict(q=math.nan), dict(alpha=math.nan)):
+        with pytest.raises(ValueError, match="morrey norm requires"):
+            morrey(**{"q": 1.25, "alpha": 1.0, **bad})
+    with pytest.raises(ValueError, match="orlicz_eta norm requires alpha > 0"):
+        orlicz_eta(math.nan, 1.0)
+
+
 def test_check_condition_infinite_T_needs_supercritical():
     params = ProblemParams(N=1, m=0.5, p=1.2)
     with pytest.raises(ValueError):
@@ -231,3 +250,77 @@ def test_orlicz_eta_norm_weight_maximum_inside():
     from fdxlab.special_functions import eta
 
     assert res.value == pytest.approx(eta(2, res.arg_radius / 1.0) * 0.5, rel=1e-9)
+
+
+# -- N = 1 grid fields against an exact interval oracle -----------------------------
+
+
+def _interval_integral(values, dr: float):
+    """(a, b) -> the exact integral over [a, b] of the even N = 1 step field with these cell values.
+
+    Cumulative cell sums in rational arithmetic, zero past the last cell; a
+    ball B(z, sigma) with |z| = d is the interval [d - sigma, d + sigma].
+    """
+    v, h = [Fraction(x) for x in values], Fraction(dr)
+    cum = [Fraction(0)]
+    for x in v:
+        cum.append(cum[-1] + x * h)
+
+    def signed(x: Fraction) -> Fraction:  # integral from 0 to x
+        k = min(int(abs(x) / h), len(v))
+        inside = cum[k] + (v[k] * (abs(x) - k * h) if k < len(v) else 0)
+        return inside if x >= 0 else -inside
+
+    return lambda a, b: signed(Fraction(b)) - signed(Fraction(a))
+
+
+def _psi_inv_bisect(alpha: float, y: float) -> float:
+    lo, hi = 0.0, y  # psi(x) = x log(e + x)^alpha >= x
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if mid * math.log(math.e + mid) ** alpha < y:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_grid_orlicz_eta_norm_matches_an_exact_interval_oracle():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    R = 2.0
+    for alpha, scale in ((0.5, 1.0), (1.5, 2.5)):
+        f = _random_field(rng, cells=60, R=4.0)
+        spec = orlicz_eta(alpha, R)
+        scan = ScanGrid.for_field(f, spec)
+        radii = [s for s in scan.radii if s < R]
+        psi_u = [x * math.log(math.e + x) ** alpha for x in (scale * f.u).tolist()]
+        integral = _interval_integral(psi_u, f.dr)
+        best = 0.0
+        for d in scan.centers:
+            got = orlicz_ball_average(f, alpha, d, np.array(radii), scale=scale)
+            for s, g in zip(radii, got):
+                y = float(integral(Fraction(d) - Fraction(s), Fraction(d) + Fraction(s)) / (2 * Fraction(s)))
+                avg = _psi_inv_bisect(alpha, y)
+                worst = max(worst, abs(g - avg) / avg)
+                best = max(best, s / R * math.sqrt(math.log(math.e + R / s)) * avg)  # eta(s/R) for N = 1
+        value = norm(f, spec, scan, scale=scale).value
+        worst = max(worst, abs(value - best) / best)
+    print(f"grid orlicz_eta N=1: worst relative error against the interval oracle {worst:.2e}")
+    assert worst <= 1e-12
+
+
+def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
+    params = ProblemParams(N=1, m=0.5, p=2.0)  # p_m = 2.5
+    theta = (params.p - params.m) / (2.0 * (params.p - 1.0))
+    rng = np.random.default_rng(5)
+    for T in (0.05, 0.5, 3.0):
+        f = _random_field(rng, cells=48, R=4.0)
+        scan = ScanGrid.for_field(f, morrey(q=2.0, R=2.0))
+        sigma = T**theta
+        mass = _interval_integral(f.u.tolist(), f.dr)
+        exact = max(float(mass(Fraction(d) - Fraction(sigma), Fraction(d) + Fraction(sigma))) for d in scan.centers)
+        v = check_condition(params, f, T, 1.0, 1.0, scan=scan)
+        assert v.regime is Regime.SUBCRITICAL
+        assert v.condition_value == pytest.approx(exact / T ** (theta * (1 - 2.0 / (params.p - params.m))), rel=1e-12)
