@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -63,8 +63,10 @@ class RunConfig:
     norm: Optional[ulmorrey.NormSpec] = None
     scan: Optional[ulmorrey.ScanGrid] = None
     solver: Optional[SolverConfig] = None
+    read: set = field(default_factory=set)  # every key get was asked for
 
     def get(self, key: str, default=None):
+        self.read.add(key)
         return self.values.get(key, default)
 
 
@@ -102,102 +104,109 @@ def _floats(value: str) -> tuple:
 
 _EXPECTED = {float: "a number", int: "an integer", _bool: "/".join(_BOOLS), _floats: "comma-separated numbers"}
 
-_SOLVER_RUNS = ("simulate", "threshold", "decay", "trace")
-_PROFILE_RUNS = ("norms", *_SOLVER_RUNS)
-_PARAMS_RUNS = ("exponents", *_PROFILE_RUNS)
-_T_END_RUNS = ("simulate", "decay", "trace")  # threshold runs to threshold.horizon
-_FIXED_DATA_RUNS = ("norms", "simulate", "decay", "trace")  # threshold bisects profile.c, rejects barenblatt
-
-# every config key, its parser and the subcommands that read it; solver.* keys
-# are the SolverConfig fields of the same name
+# every config key and its parser; solver.* keys are the SolverConfig fields of the same name
 _KEYS = {
-    "N": (int, _PARAMS_RUNS), "m": (float, _PARAMS_RUNS), "p": (float, _PARAMS_RUNS),
-    "profile.kind": (str, _PROFILE_RUNS), "profile.c": (float, _FIXED_DATA_RUNS), "profile.a": (float, _PROFILE_RUNS),
-    "profile.cutoff": (float, _PROFILE_RUNS),
-    "profile.cb": (float, _FIXED_DATA_RUNS), "profile.t0": (float, _FIXED_DATA_RUNS),
-    "solver.t_end": (float, _T_END_RUNS), "solver.n_cells": (int, _SOLVER_RUNS), "solver.r_dom": (float, _SOLVER_RUNS),
-    "solver.dt_safety": (float, _SOLVER_RUNS), "solver.u_floor": (float, _SOLVER_RUNS),
-    "solver.u_blowup": (float, _SOLVER_RUNS), "solver.boundary": (str, _SOLVER_RUNS),
-    "solver.source_on": (_bool, _SOLVER_RUNS), "solver.out_interval": (float, _SOLVER_RUNS),
-    "probes": (_floats, _SOLVER_RUNS),
-    "norm.kind": (str, ("norms",)), "norm.q": (float, ("norms",)), "norm.alpha": (float, ("norms",)),
-    "norm.beta": (float, ("norms",)), "norm.r_cap": (float, ("norms",)), "norm.delta": (float, ("norms",)),
-    "norm.T": (float, ("norms", "decay", "trace")),
-    "scan.centers": (_floats, ("norms",)), "scan.r_min": (float, ("norms",)),
-    "scan.radii_per_decade": (int, ("norms",)),
-    "threshold.horizon": (float, ("threshold",)), "threshold.c_start": (float, ("threshold",)),
-    "threshold.bisect_steps": (int, ("threshold",)),
-    "decay.window_lo": (float, ("decay",)), "decay.window_hi": (float, ("decay",)),
-    "decay.t_offset": (float, ("decay",)),
-    "gronwall.n_draws": (int, ("gronwall-check",)), "gronwall.n_steps": (int, ("gronwall-check",)),
-    "gronwall.T": (float, ("gronwall-check",)),
+    "N": int, "m": float, "p": float,
+    "profile.kind": str, "profile.c": float, "profile.a": float, "profile.cutoff": float,
+    "profile.cb": float, "profile.t0": float,
+    "solver.t_end": float, "solver.n_cells": int, "solver.r_dom": float, "solver.dt_safety": float,
+    "solver.u_floor": float, "solver.u_blowup": float, "solver.boundary": str, "solver.source_on": _bool,
+    "solver.out_interval": float, "probes": _floats,
+    "norm.kind": str, "norm.q": float, "norm.alpha": float, "norm.beta": float, "norm.r_cap": float,
+    "norm.delta": float, "norm.T": float,
+    "scan.centers": _floats, "scan.r_min": float, "scan.radii_per_decade": int,
+    "threshold.horizon": float, "threshold.c_start": float, "threshold.bisect_steps": int,
+    "decay.window_lo": float, "decay.window_hi": float, "decay.t_offset": float,
+    "gronwall.n_draws": int, "gronwall.n_steps": int, "gronwall.T": float,
 }
-_MINIMUM = {"threshold.bisect_steps": 4, "gronwall.n_draws": 1, "gronwall.n_steps": gronwall.MIN_STEPS}  # lower bounds
 _PROFILE_KINDS = ("constant", "power", "critical_log", "barenblatt", "critical_profile")
 _NORM_KINDS = ("morrey", "orlicz_eta")
 
 
 def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> RunConfig:
-    """Full validation pass; collects every violation before failing."""
-    violations = []
-    values = {}
+    """Parse raw and build the run, in three stages that each report all their violations.
+
+    Unknown keys and unparsable values come first, then out-of-range values met
+    while building the run, then set keys that the build never read: the build
+    makes every read the run makes, so a key it skips would have been ignored.
+    """
+    violations, values = [], {}
     for key in sorted(raw):
-        if key not in _KEYS:
+        parse = _KEYS.get(key)
+        if parse is None:
             violations.append(f"key {key!r}: unknown key")
-            continue
-        parse, readers = _KEYS[key]
-        if subcommand not in readers:
-            violations.append(f"key {key!r}: not read by subcommand {subcommand!r}")
             continue
         try:
             values[key] = parse(raw[key])
         except (ValueError, KeyError):
             violations.append(f"key {key!r}: expected {_EXPECTED[parse]}, got {raw[key]!r}")
-    if subcommand == "norms":  # keys that only one branch of a norms run reads
-        unread = {"norm.q": "with norm.kind = orlicz_eta"} if values.get("norm.kind") == "orlicz_eta" else {}
-        if "norm.delta" not in values:
-            unread.update({"norm.T": "without norm.delta", "norm.beta": "without norm.delta"})
-        violations += [f"key {k!r}: not read by subcommand 'norms' {why}" for k, why in unread.items() if k in values]
     if violations:
         raise ConfigError(violations)
 
     cfg = RunConfig(subcommand=subcommand, values=values, out_dir=out_dir, seed=seed)
+    # a build that fails may stop short of some reads, so only a whole one can name the unread keys
+    violations = _build(cfg) or [
+        f"key {k!r}: not read by subcommand {subcommand!r}" for k in values if k not in cfg.read]
+    if violations:
+        raise ConfigError(violations)
+    return cfg
 
-    params = None
-    if subcommand in _PARAMS_RUNS:
-        for key in ("N", "m", "p"):
-            if key not in values:
-                violations.append(f"key {key!r}: required for subcommand {subcommand!r}")
-        if not violations:
-            try:
-                params = ProblemParams(N=values["N"], m=values["m"], p=values["p"])
-            except ValueError as exc:
-                key = "m" if "m must" in str(exc) else ("p" if "p must" in str(exc) else "N")
-                violations.append(f"key {key!r}: {exc}")
-    cfg.params = params
-    regime = classify_regime(params) if params is not None else None
-    # keys that only some regimes read: the subcritical verdict has no beta, and only
-    # critical data give norm.T a role in the decay and trace fits
-    if subcommand == "norms" and regime is Regime.SUBCRITICAL and "norm.delta" in values and "norm.beta" in values:
-        violations.append("key 'norm.beta': not read by subcommand 'norms' for subcritical data")
-    if subcommand in ("decay", "trace") and regime not in (None, Regime.CRITICAL) and "norm.T" in values:
-        violations.append(f"key 'norm.T': not read by subcommand {subcommand!r} for {regime.name.lower()} data")
 
-    for key, low in _MINIMUM.items():
-        if values.get(key, low) < low:
-            violations.append(f"key {key!r}: must be >= {low}, got {values[key]!r}")
-    for key, check in (("gronwall.T", gronwall.check_horizon), ("threshold.c_start", experiments.check_c_start)):
-        if key in values:
-            try:
-                check(values[key])
-            except ValueError as exc:
-                violations.append(f"key {key!r}: {exc}")
+def _violation(key: str, check, *args) -> list:
+    """check(*args)'s ValueError, if it raises one, as a violation of key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return [f"key {key!r}: {exc}"]
+    return []
 
-    if subcommand == "norms" and values.get("norm.kind", "morrey") not in _NORM_KINDS:
-        violations.append(f"key 'norm.kind': unknown kind {values['norm.kind']!r}")
-    elif subcommand == "norms":
+
+def _at_least(key: str, value: int, low: int) -> list:
+    return [f"key {key!r}: must be >= {low}, got {value!r}"] if value < low else []
+
+
+def _build(cfg: RunConfig) -> list:
+    """Build the run's inputs into cfg, reading each key where its value is used; returns the violations."""
+    sub = cfg.subcommand
+    if sub == "gronwall-check":
+        n_draws, n_steps, T = _gronwall_args(cfg)
+        return (_at_least("gronwall.n_draws", n_draws, 1) + _at_least("gronwall.n_steps", n_steps, gronwall.MIN_STEPS)
+                + _violation("gronwall.T", gronwall.check_horizon, T))
+    missing = [f"key {k!r}: required for subcommand {sub!r}" for k in ("N", "m", "p") if cfg.get(k) is None]
+    if missing:
+        return missing
+    try:
+        cfg.params = ProblemParams(N=cfg.get("N"), m=cfg.get("m"), p=cfg.get("p"))
+    except ValueError as exc:
+        return [f"key {str(exc).split()[0]!r}: {exc}"]  # the message starts with the key
+    if sub == "exponents":
+        return []
+
+    violations = _build_norm(cfg) if sub == "norms" else []
+    kind = cfg.get("profile.kind")
+    if kind not in _PROFILE_KINDS:
+        violations.append("key 'profile.kind': " + ("required" if kind is None else f"unknown kind {kind!r}"))
+    elif sub == "threshold" and kind == "barenblatt":
+        violations.append("key 'profile.kind': barenblatt has no amplitude profile.c to bisect")
+    else:
         try:
-            cfg.norm = build_norm(cfg)
+            cfg.profile = build_profile(cfg)
+        except ValueError as exc:
+            key = f"profile.{str(exc).split()[0]}"  # the message starts with the argument it rejects
+            violations.append(f"key {key!r}: {exc}" if key in _KEYS else f"profile: {exc}")
+    return violations if sub == "norms" else violations + _build_solver(cfg)
+
+
+def _build_norm(cfg: RunConfig) -> list:
+    """The norm, its scan grid and the verdict's inputs of a norms run."""
+    violations = []
+    kind, alpha, r_cap = cfg.get("norm.kind", "morrey"), cfg.get("norm.alpha", 1.0), cfg.get("norm.r_cap", math.inf)
+    if kind not in _NORM_KINDS:
+        violations.append(f"key 'norm.kind': unknown kind {kind!r}")
+    else:
+        try:
+            cfg.norm = ulmorrey.morrey(cfg.get("norm.q", 1.0), alpha, r_cap) if kind == "morrey" else \
+                ulmorrey.orlicz_eta(alpha, r_cap)
         except ValueError as exc:
             # a bad cap is reported under the key that set it
             violations.append(f"key 'norm.r_cap': {exc}" if str(exc).startswith("R must") else f"norm: {exc}")
@@ -212,93 +221,93 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
             except ValueError as exc:
                 name, _, why = str(exc).partition(" ")  # the message starts with the argument's name
                 violations.append(f"key 'scan.{name}': {why}")
-    if subcommand == "norms" and params is not None and "norm.delta" in values:
+    verdict = _verdict_args(cfg, alpha)
+    if verdict is not None:
         try:
-            ulmorrey.condition_spec(params, *_verdict_args(cfg))
+            ulmorrey.condition_spec(cfg.params, *verdict)
         except ValueError as exc:
-            # delta, T (or R = T^theta), else the exponent: norm.beta, which defaults to norm.alpha
-            exponent = "norm.beta" if "norm.beta" in values else "norm.alpha"
-            key = {"delta": "norm.delta", "T": "norm.T", "R": "norm.T"}.get(str(exc).split()[0], exponent)
+            # delta or T, else the exponent: norm.beta, which defaults to norm.alpha
+            exponent = "norm.beta" if "norm.beta" in cfg.values else "norm.alpha"
+            key = {"delta": "norm.delta", "T": "norm.T"}.get(str(exc).split()[0], exponent)
             violations.append(f"key {key!r}: {exc}")
+    return violations
 
-    if subcommand in _PROFILE_RUNS and params is not None:
-        kind = values.get("profile.kind")
-        if kind is None:
-            violations.append("key 'profile.kind': required")
-        elif kind not in _PROFILE_KINDS:
-            violations.append(f"key 'profile.kind': unknown kind {kind!r}")
-        elif subcommand == "threshold" and kind == "barenblatt":
-            violations.append("key 'profile.kind': barenblatt has no amplitude profile.c to bisect")
-        else:
-            try:
-                cfg.profile = build_profile(cfg)
-            except ValueError as exc:
-                violations.append(f"profile: {exc}")
 
-    if subcommand in _SOLVER_RUNS and params is not None:
-        t_key = "threshold.horizon" if subcommand == "threshold" else "solver.t_end"
-        fields = {k[len("solver."):]: v for k, v in values.items() if k.startswith("solver.")}
-        fields["t_end"] = values.get(t_key, 2e-3 if subcommand == "trace" else 1.0)
+def _build_solver(cfg: RunConfig) -> list:
+    """The SolverConfig of a solver run, and the probes and subcommand inputs checked against it."""
+    sub = cfg.subcommand
+    t_key = "threshold.horizon" if sub == "threshold" else "solver.t_end"
+    fields = {k[len("solver."):]: cfg.get(k) for k in cfg.values if k.startswith("solver.") and k != "solver.t_end"}
+    fields["t_end"] = cfg.get(t_key, 2e-3 if sub == "trace" else 1.0)
+    try:
+        cfg.solver = SolverConfig(params=cfg.params, **fields)
+    except ValueError as exc:
+        # a bad run length is reported under the key that set it
+        where = f"key {t_key!r}" if t_key != "solver.t_end" and str(exc).startswith("t_end") else "solver"
+        return [f"{where}: {exc}"]
+    violations = _violation("probes", check_probes, _probes(cfg), cfg.solver.domain_radius())
+    if sub == "threshold":
+        bisect_steps, c_start = _threshold_args(cfg)
+        violations += _at_least("threshold.bisect_steps", bisect_steps, experiments.MIN_BISECT_STEPS)
+        violations += _violation("threshold.c_start", experiments.check_c_start, c_start)
+    if sub == "decay":
+        offset, lo, hi = _decay_window(cfg)
         try:
-            cfg.solver = SolverConfig(params=params, **fields)
+            experiments.check_window((lo, hi), offset)
         except ValueError as exc:
-            # a bad run length is reported under the key that set it
-            where = f"key {t_key!r}" if t_key != "solver.t_end" and str(exc).startswith("t_end") else "solver"
-            violations.append(f"{where}: {exc}")
-        else:
-            try:
-                check_probes(_probes(cfg), cfg.solver.domain_radius())
-            except ValueError as exc:
-                violations.append(f"key 'probes': {exc}")
-            if subcommand == "decay":
-                offset, lo, hi = _decay_window(cfg)
-                try:
-                    experiments.check_window((lo, hi), offset)
-                except ValueError as exc:
-                    keys = ", ".join(repr(k) for k in values if k.startswith("decay."))
-                    violations.append(f"key {keys}: {exc}")
-
-    if violations:
-        raise ConfigError(violations)
-    return cfg
+            keys = ", ".join(repr(k) for k in cfg.values if k.startswith("decay."))
+            violations.append(f"key {keys}: {exc}")
+    if sub in ("decay", "trace"):
+        _fit_T(cfg, None)  # the fit's norm.T, which critical data read
+    return violations
 
 
 def build_profile(cfg: RunConfig) -> profiles.RadialProfile:
-    kind, params = cfg.get("profile.kind"), cfg.params
-    c = cfg.get("profile.c", 1.0)
-    cutoff = cfg.get("profile.cutoff")
+    """The initial data named by profile.kind, reading only the keys that kind uses."""
+    kind, params, cutoff = cfg.get("profile.kind"), cfg.params, cfg.get("profile.cutoff")
+    if kind == "barenblatt":
+        return profiles.barenblatt(cfg.get("profile.cb", 1.0), cfg.get("profile.t0", 1.0), params.N, params.m, cutoff)
+    # threshold bisects the amplitude from threshold.c_start, so its profile's own c is never run
+    c = 1.0 if cfg.subcommand == "threshold" else cfg.get("profile.c", 1.0)
     if kind == "constant":
         return profiles.constant(c, params.N, cutoff)
     if kind == "power":
         return profiles.power_law(c, cfg.get("profile.a", 2.0 / (params.p - params.m)), params.N, cutoff)
     if kind == "critical_log":
         return profiles.critical_log(c, params.N, cutoff)
-    if kind == "barenblatt":
-        return profiles.barenblatt(cfg.get("profile.cb", 1.0), cfg.get("profile.t0", 1.0), params.N, params.m, cutoff)
     return profiles.critical_profile(params, c, cutoff)
-
-
-def build_norm(cfg: RunConfig) -> ulmorrey.NormSpec:
-    """The norm named by norm.kind, capped at norm.r_cap (default: uncapped)."""
-    r_cap = cfg.get("norm.r_cap", math.inf)
-    if cfg.get("norm.kind", "morrey") == "morrey":
-        return ulmorrey.morrey(cfg.get("norm.q", 1.0), cfg.get("norm.alpha", 1.0), r_cap)
-    return ulmorrey.orlicz_eta(cfg.get("norm.alpha", 1.0), r_cap)
 
 
 def _probes(cfg: RunConfig) -> tuple:
     return cfg.get("probes", (1.0,))
 
 
-def _verdict_args(cfg: RunConfig) -> tuple:
-    """(T, delta, beta_or_alpha) of the norms verdict; beta defaults to norm.alpha."""
-    return cfg.get("norm.T", 1.0), cfg.get("norm.delta"), cfg.get("norm.beta", cfg.get("norm.alpha", 1.0))
+def _verdict_args(cfg: RunConfig, alpha: float) -> Optional[tuple]:
+    """(T, delta, beta) of the norms verdict, or None without norm.delta; the subcritical one reads no norm.beta."""
+    delta = cfg.get("norm.delta")
+    if delta is None:
+        return None
+    beta = alpha if classify_regime(cfg.params) is Regime.SUBCRITICAL else cfg.get("norm.beta", alpha)
+    return cfg.get("norm.T", 1.0), delta, beta
+
+
+def _threshold_args(cfg: RunConfig) -> tuple:
+    return cfg.get("threshold.bisect_steps", 8), cfg.get("threshold.c_start", 1.0)
 
 
 def _decay_window(cfg: RunConfig) -> tuple:
     """(t_offset, lo, hi) of the decay fit; the window defaults to the last decade of the shifted run."""
     t_end, offset = cfg.solver.t_end, cfg.get("decay.t_offset", 0.0)
     return offset, cfg.get("decay.window_lo", (t_end + offset) / 10.0), cfg.get("decay.window_hi", t_end + offset)
+
+
+def _fit_T(cfg: RunConfig, default):
+    """norm.T of the decay and trace fits, which only critical data read; default otherwise."""
+    return cfg.get("norm.T", default) if classify_regime(cfg.params) is Regime.CRITICAL else default
+
+
+def _gronwall_args(cfg: RunConfig) -> tuple:
+    return cfg.get("gronwall.n_draws", 200), cfg.get("gronwall.n_steps", 1000), cfg.get("gronwall.T", 1.0)
 
 
 def _out_path(cfg: RunConfig, suffix: str = "") -> Path:
@@ -338,8 +347,9 @@ def run_norms(cfg: RunConfig) -> int:
     )
     print(f"norm value = {fmt(result.value)} at center {fmt(result.arg_center)}, radius {fmt(result.arg_radius)}")
 
-    if "norm.delta" in cfg.values:
-        verdict = ulmorrey.check_condition(cfg.params, cfg.profile, *_verdict_args(cfg), scan=cfg.scan)
+    verdict_args = _verdict_args(cfg, cfg.norm.alpha)
+    if verdict_args is not None:
+        verdict = ulmorrey.check_condition(cfg.params, cfg.profile, *verdict_args, scan=cfg.scan)
         write_csv(
             _out_path(cfg, "verdict"),
             ["regime", "condition_value", "delta", "met", "T"],
@@ -360,13 +370,8 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_threshold(cfg: RunConfig) -> int:
-    result = experiments.threshold_sweep(
-        cfg.profile,
-        cfg.solver,
-        cfg.get("threshold.bisect_steps", 8),
-        probes=_probes(cfg),
-        c_start=cfg.get("threshold.c_start", 1.0),
-    )
+    bisect_steps, c_start = _threshold_args(cfg)
+    result = experiments.threshold_sweep(cfg.profile, cfg.solver, bisect_steps, probes=_probes(cfg), c_start=c_start)
     rows = [
         [s.c, s.status, "" if s.t_event is None else s.t_event, s.proxy_ratio, s.proxy_bounded, s.sup_final]
         for s in result.history
@@ -384,7 +389,7 @@ def run_threshold(cfg: RunConfig) -> int:
 def run_decay(cfg: RunConfig) -> int:
     trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
     offset, lo, hi = _decay_window(cfg)
-    fit = experiments.decay_fit(trace, cfg.params, (lo, hi), t_offset=offset, T=cfg.get("norm.T"))
+    fit = experiments.decay_fit(trace, cfg.params, (lo, hi), t_offset=offset, T=_fit_T(cfg, None))
     write_csv(
         _out_path(cfg),
         ["slope", "n_points", "window_lo", "window_hi", "log_corrected_sup"],
@@ -402,7 +407,7 @@ def run_trace(cfg: RunConfig) -> int:
     rows = [[s, m, flag] for s, m, flag in zip(est.radii, est.masses, est.converged)]
     status = "ok"
     try:
-        fit = trace_estimator.fit_trace_bounds(est, cfg.params, cfg.get("norm.T", cfg.solver.t_end))
+        fit = trace_estimator.fit_trace_bounds(est, cfg.params, _fit_T(cfg, cfg.solver.t_end))
         if fit.slope is not None:
             status = f"ok slope={fmt(fit.slope)} expected={fmt(fit.expected_slope)}"
         else:
@@ -415,9 +420,7 @@ def run_trace(cfg: RunConfig) -> int:
 
 
 def run_gronwall_check(cfg: RunConfig) -> int:
-    n_draws = cfg.get("gronwall.n_draws", 200)
-    n_steps = cfg.get("gronwall.n_steps", 1000)
-    T = cfg.get("gronwall.T", 1.0)
+    n_draws, n_steps, T = _gronwall_args(cfg)
     rng = np.random.default_rng(cfg.seed)
     draws = []
     for _ in range(n_draws):
@@ -463,12 +466,18 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    if args.out is not None:
+        out_dir, stem = args.out, None
+    else:
+        out_dir, stem = Path("."), f"{args.subcommand}-{int(time.time())}"
+
     raw = {}
     try:
         if args.config is not None:
             raw.update(parse_config_text(args.config.read_text(), source=str(args.config)))
         for item in args.set:
             raw.update(parse_config_text(item, source="--set"))
+        cfg = validate_config(args.subcommand, raw, out_dir, args.seed)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -476,19 +485,7 @@ def main(argv: Optional[list] = None) -> int:
         for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
-
-    if args.out is not None:
-        out_dir, stem = args.out, None
-    else:
-        out_dir, stem = Path("."), f"{args.subcommand}-{int(time.time())}"
-
-    try:
-        cfg = validate_config(args.subcommand, raw, out_dir, args.seed)
-        cfg.file_stem = stem
-    except ConfigError as exc:
-        for v in exc.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return 2
+    cfg.file_stem = stem
 
     try:
         return _RUNNERS[cfg.subcommand](cfg)

@@ -31,6 +31,7 @@ from .solver import (
 
 PROXY_FACTOR = 10.0
 MAX_SCANS = 40  # runs the bracket scan may take, c_start's included
+MIN_BISECT_STEPS = 4  # the fewest halvings threshold_sweep accepts
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,8 @@ def threshold_sweep(
     runs), finds the bracket; bisect_steps halvings narrow it to (initial width) * 2^{-bisect_steps}.
     A barenblatt profile has no amplitude and raises ValueError before the first run.
     """
-    if bisect_steps < 4:
-        raise ValueError("bisect_steps must be >= 4")
+    if bisect_steps < MIN_BISECT_STEPS:
+        raise ValueError(f"bisect_steps must be >= {MIN_BISECT_STEPS}")
     check_c_start(c_start)
     if profile.kind == "barenblatt":
         raise ValueError("a barenblatt profile has no amplitude c to bisect")

@@ -103,12 +103,14 @@ class RadialProfile:
             raise ValueError("profiles support N in {1, 2, 3}")
         if self.kind not in ("constant", "power", "critical_log", "barenblatt"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind in ("constant", "power", "critical_log") and self.c < 0.0:
-            raise ValueError("amplitude c must be >= 0")
+        # each message starts with the field it rejects; NaN fails every check
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and >= 0, got {self.c!r}")
         if self.kind == "power" and not (0.0 <= self.a < self.N):
-            raise ValueError(f"power exponent a={self.a} must satisfy 0 <= a < N for local integrability")
-        if self.cutoff is not None and self.cutoff <= 0.0:
-            raise ValueError("cutoff must be positive")
+            raise ValueError(f"a must satisfy 0 <= a < N for local integrability, got {self.a!r}")
+        for name, value in (("cb", self.cb), ("t0", self.t0), ("cutoff", self.cutoff)):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -194,17 +196,15 @@ def critical_log(c: float, N: int, cutoff: float | None = None) -> RadialProfile
 
 
 def barenblatt(cb: float, t0: float, N: int, m: float, cutoff: float | None = None) -> RadialProfile:
-    if cb <= 0.0:
-        raise ValueError("cb must be > 0")
-    prof = RadialProfile(kind="barenblatt", N=N, cb=cb, t0=t0, m=m, cutoff=cutoff)
-    barenblatt_value(0.0, t0, N, m, cb)  # validates kappa > 0, t0 > 0
+    prof = RadialProfile(kind="barenblatt", N=N, cb=cb, t0=t0, m=m, cutoff=cutoff)  # checks cb, t0 and cutoff
+    barenblatt_value(0.0, t0, N, m, cb)  # validates kappa > 0
     return prof
 
 
 def critical_profile(params: ProblemParams, c: float, cutoff: float | None = None) -> RadialProfile:
     """The sharp singular family: log-corrected at p = p_m, pure power for p > p_m."""
-    if c < 0.0:
-        raise ValueError("c must be >= 0")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c!r}")
     regime = classify_regime(params)
     if regime is Regime.SUBCRITICAL:
         raise ValueError("no sharp singular profile in the subcritical regime")

@@ -257,8 +257,9 @@ def condition_spec(params: ProblemParams, T: float, delta: float, beta_or_alpha:
     None for the subcritical mass condition, the orlicz_eta norm with alpha =
     beta_or_alpha for the critical one and the Morrey norm
     |||.|||_{N(p-m)/2, beta; T^theta} for the supercritical one, each capped at
-    R = T^theta.  NaN fails every check.  A ValueError's message starts with
-    the argument it rejects (delta, T, or R = T^theta) or names the exponent.
+    R = T^theta.  A finite T must keep every power of T that the condition
+    takes a finite float > 0.  NaN fails every check.  A ValueError's message
+    starts with the argument it rejects (delta or T) or names the exponent.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
@@ -267,13 +268,27 @@ def condition_spec(params: ProblemParams, T: float, delta: float, beta_or_alpha:
         raise ValueError("T = inf is admissible only in the supercritical regime")
     if not T > 0.0:
         raise ValueError(f"T must be > 0, got {T!r}")
-    if regime is Regime.SUBCRITICAL:
-        return None
     theta = derive_exponents(params).theta
+    if math.isfinite(T):
+        _check_power_of_T(T, theta, "T^theta")
+    if regime is Regime.SUBCRITICAL:
+        _check_power_of_T(T, theta * (params.N - 2.0 / (params.p - params.m)), "T^(theta (N - 2/(p-m)))")
+        return None
     if regime is Regime.CRITICAL:
+        _check_power_of_T(T, 1.0 / (params.p - 1.0), "T^(1/(p-1))")
         return orlicz_eta(beta_or_alpha, R=T**theta)
     validate_beta(params, beta_or_alpha)
     return morrey(q=params.N * (params.p - params.m) / 2.0, alpha=beta_or_alpha, R=T**theta)
+
+
+def _check_power_of_T(T: float, expo: float, name: str) -> None:
+    """Reject a T whose power T**expo overflows, underflows to 0 or is NaN."""
+    try:
+        value = T**expo
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"T = {T!r} gives {name} = {value!r}, not a finite float > 0")
 
 
 def check_condition(

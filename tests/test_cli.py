@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from fdxlab import cli
 from fdxlab.cli import (
     _KEYS,
+    SUBCOMMANDS,
     ConfigError,
     fmt,
     main,
@@ -29,6 +31,13 @@ profile.a = 0.8
 
 # critical_log data at p = p_m = 2.5, with a verdict, as lines that override MINIMAL's
 CRITICAL = "p = 2.5\nprofile.kind = critical_log\nnorm.kind = orlicz_eta\nnorm.r_cap = 1\nnorm.delta = 1\n"
+
+
+# subcritical constant data with a verdict, as lines that override MINIMAL's
+P101 = "p = 1.01\nprofile.kind = constant\nnorm.delta = 1\n"
+
+# Barenblatt data, which read profile.cb and profile.t0 but no amplitude profile.c
+BARENBLATT = "N = 1\nm = 0.5\np = 3.0\nprofile.kind = barenblatt\nprofile.cb = 1\nprofile.t0 = 1\n"
 
 
 def _minimal(subcommand: str) -> str:
@@ -120,7 +129,10 @@ def test_threshold_horizon_is_the_run_length():
 
 @pytest.mark.parametrize("kind", ["power", "critical_log", "critical_profile"])
 def test_profile_cutoff_reaches_every_singular_kind(kind):
-    raw = parse_config_text(MINIMAL.replace("profile.kind = power", f"profile.kind = {kind}") + "profile.cutoff = 0.5\n")
+    text = MINIMAL.replace("profile.kind = power", f"profile.kind = {kind}")
+    if kind != "power":  # only power data read profile.a
+        text = text.replace("profile.a = 0.8\n", "")
+    raw = parse_config_text(text + "profile.cutoff = 0.5\n")
     assert validate_config("norms", raw, Path("."), seed=0).profile.cutoff == 0.5
 
 
@@ -183,6 +195,19 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("decay", "decay.t_offset = nan", "'decay.t_offset': window must satisfy 0 < lo < hi"),
         ("decay", "decay.t_offset = -2", "'decay.t_offset': window must satisfy 0 < lo < hi, got (-0.1, -1.0)"),
         ("decay", "decay.window_lo = 0.01\ndecay.window_hi = 1\ndecay.t_offset = nan", "t_offset must be finite"),
+        # profile inputs, NaN included, each named by its key
+        ("norms", "profile.c = nan", "'profile.c': c must be finite and >= 0, got nan"),
+        ("simulate", "profile.c = inf", "'profile.c': c must be finite and >= 0, got inf"),
+        ("simulate", "profile.kind = critical_profile\nprofile.c = -1", "'profile.c': c must be finite and >= 0"),
+        ("simulate", "profile.a = nan", "'profile.a': a must satisfy 0 <= a < N"),
+        ("simulate", "profile.cutoff = nan", "'profile.cutoff': cutoff must be finite and > 0, got nan"),
+        ("simulate", "profile.kind = barenblatt\nprofile.cb = nan", "'profile.cb': cb must be finite and > 0, got nan"),
+        ("simulate", "profile.kind = barenblatt\nprofile.t0 = nan", "'profile.t0': t0 must be finite and > 0, got nan"),
+        ("simulate", "profile.kind = barenblatt\nprofile.t0 = 0", "'profile.t0': t0 must be finite and > 0, got 0.0"),
+        # a verdict T whose powers leave the floats (theta = 25.5 at p = 1.01)
+        ("norms", P101 + "norm.T = 1e30", "'norm.T': T = 1e+30 gives T^theta = inf"),
+        ("norms", P101 + "norm.T = 1e5", "'norm.T': T = 100000.0 gives T^(theta (N - 2/(p-m))) = 0.0"),
+        ("norms", P101 + "norm.T = 1e-30", "'norm.T': T = 1e-30 gives T^theta = 0.0"),
     ],
 )
 def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):
@@ -270,13 +295,24 @@ def test_gronwall_check_rejects_zero_draws(tmp_path, capsys):
         ("norms", MINIMAL, "norm.beta = 1.5"),
         ("norms", MINIMAL.replace("p = 3.0", "p = 2.0") + "norm.delta = 1\n", "norm.beta = 7"),  # subcritical
         ("decay", MINIMAL, "norm.T = 9"),  # supercritical
-        ("trace", MINIMAL.replace("p = 3.0", "p = 2.0"), "norm.T = 9"),  # subcritical
+        # trace's default domain 8 T^theta excludes the default probe 1.0, so its cases set a probe inside it
+        ("trace", MINIMAL.replace("p = 3.0", "p = 2.0") + "probes = 0.05\n", "norm.T = 9"),  # subcritical
         ("simulate", MINIMAL, "threshold.horizon = 0.5"),
         ("threshold", _minimal("threshold"), "solver.t_end = 3"),
         ("threshold", _minimal("threshold"), "profile.c = 5"),
         ("decay", MINIMAL, "scan.r_min = 0.01"),
-        ("trace", MINIMAL, "decay.t_offset = 0.1"),
+        ("trace", MINIMAL + "probes = 0.05\n", "decay.t_offset = 0.1"),
         ("gronwall-check", "", "N = 1"),
+        # each profile kind reads only its own keys
+        ("simulate", MINIMAL.replace("kind = power", "kind = constant").replace("profile.a = 0.8\n", ""),
+         "profile.a = 0.3"),
+        ("simulate", MINIMAL, "profile.cb = 2"),
+        ("simulate", MINIMAL, "profile.t0 = 2"),
+        ("simulate", BARENBLATT, "profile.c = 0.1"),
+        ("norms", MINIMAL.replace("p = 3.0", "p = 2.5").replace("kind = power", "kind = critical_log")
+         .replace("profile.a = 0.8\n", ""), "profile.a = 0.3"),
+        ("norms", MINIMAL.replace("kind = power", "kind = critical_profile").replace("profile.a = 0.8\n", ""),
+         "profile.a = 0.3"),
     ],
 )
 def test_a_key_the_subcommand_never_reads_exits_2(tmp_path, capsys, subcommand, config, ignored):
@@ -294,6 +330,36 @@ def test_keys_read_only_in_some_regimes_are_accepted_there(subcommand, extra):
     p = "3.0" if subcommand == "norms" else "2.5"
     raw = parse_config_text(MINIMAL.replace("p = 3.0", f"p = {p}") + extra + "\n")
     validate_config(subcommand, raw, Path("."), seed=0)
+
+
+# one tiny run of each subcommand; critical decay and trace data read norm.T
+_CRITICAL_RUN = MINIMAL.replace("p = 3.0", "p = 2.5") + "norm.T = 9\nsolver.n_cells = 16\nsolver.r_dom = 4\n"
+TINY_RUNS = {
+    "exponents": "N = 1\nm = 0.5\np = 3.0\n",
+    "norms": MINIMAL + "norm.delta = 1\nnorm.T = 2\nnorm.beta = 1.1\nscan.radii_per_decade = 4\n",
+    "simulate": MINIMAL + "solver.t_end = 0.01\nsolver.n_cells = 16\nsolver.r_dom = 4\nprobes = 0.5, 1\n",
+    "threshold": _minimal("threshold") + "threshold.horizon = 0.01\nthreshold.bisect_steps = 4\n"
+                 "threshold.c_start = 2\nsolver.n_cells = 16\nsolver.r_dom = 4\n",
+    "decay": _CRITICAL_RUN + "solver.t_end = 0.01\ndecay.t_offset = 0.001\n",
+    "trace": _CRITICAL_RUN + "probes = 0.01, 0.1, 1\n",
+    "gronwall-check": "gronwall.n_draws = 1\ngronwall.n_steps = 100\ngronwall.T = 0.5\n",
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_a_run_reads_no_key_its_validation_did_not_read(tmp_path, monkeypatch, subcommand):
+    validated = []
+
+    def validate(*args):
+        cfg = validate_config(*args)
+        validated.append((cfg, set(cfg.read)))
+        return cfg
+
+    monkeypatch.setattr(cli, "validate_config", validate)
+    code, _ = _run(tmp_path, subcommand, TINY_RUNS[subcommand])
+    [(cfg, read_by_validation)] = validated
+    assert code == 0
+    assert cfg.read == read_by_validation
 
 
 def test_set_overrides_config(tmp_path):

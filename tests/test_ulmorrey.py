@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -218,6 +219,21 @@ def test_check_condition_rejects_nan_delta_and_T(params):
         check_condition(params, prof, T=1.0, delta=math.nan, beta_or_alpha=1.1)
     with pytest.raises(ValueError, match="T must be > 0, got nan"):
         check_condition(params, prof, T=math.nan, delta=1.0, beta_or_alpha=1.1)
+
+
+@pytest.mark.parametrize("N, m, p, T, power", [
+    # subcritical, theta = 25.5 and theta (N - 2/(p-m)) = -74.5: these T overflowed, underflowed
+    # the ball radius to 0 or divided by a threshold scale of 0
+    (1, 0.5, 1.01, 1e30, "T^theta = inf"),
+    (1, 0.5, 1.01, 1e-30, "T^theta = 0.0"),
+    (1, 0.5, 1.01, 1e5, "T^(theta (N - 2/(p-m))) = 0.0"),
+    # critical, theta = 50: the data scale T^(1/(p-1)) = T^150 overflows where T^theta does not
+    (3, 0.34, 0.34 + 2.0 / 3.0, 1e3, "T^(1/(p-1)) = inf"),
+])
+def test_check_condition_rejects_a_T_whose_powers_leave_the_floats(N, m, p, T, power):
+    params = ProblemParams(N=N, m=m, p=p)
+    with pytest.raises(ValueError, match=re.escape(f"T = {T!r} gives {power}")):
+        check_condition(params, constant(0.5, N), T=T, delta=1.0, beta_or_alpha=0.5)
 
 
 def test_norm_specs_reject_nan_exponents():
