@@ -33,14 +33,12 @@ from .solver import (
     GridField,
     SolverConfig,
     SolverTrace,
-    energy_diagnostics,
-    linfty_decay_check,
     scaling_transform,
     simulate,
 )
 from .special_functions import GammaFn, c_eta, eta, psi, psi_inv
 from .trace_estimator import TraceEstimate, estimate_trace, fit_trace_bounds
-from .experiments import decay_fit, global_nonexistence_probe, threshold_sweep
+from .experiments import decay_fit, threshold_sweep
 from .ulmorrey import NormResult, NormSpec, ScanGrid, SolvabilityVerdict, check_condition, norm, orlicz_ball_average
 
 __version__ = "0.1.0"

@@ -258,7 +258,9 @@ def _build_solver(cfg: RunConfig) -> list:
             keys = ", ".join(repr(k) for k in cfg.values if k.startswith("decay."))
             violations.append(f"key {keys}: {exc}")
     if sub in ("decay", "trace"):
-        _fit_T(cfg, None)  # the fit's norm.T, which critical data read
+        T = _fit_T(cfg, None)  # the fit's norm.T, which critical data read
+        if T is not None and not 0.0 < T < math.inf:
+            violations.append(f"key 'norm.T': must be finite and > 0, got {T!r}")
     return violations
 
 

@@ -1,5 +1,5 @@
-"""Scenario drivers: blow-up threshold bisection and the no-global-solution probe
-for p <= p_m, each reading every run setting from one SolverConfig, and decay-rate fits.
+"""Scenario drivers: blow-up threshold bisection, reading every run setting from
+one SolverConfig, and decay-rate fits.
 
 Bisection labels follow the trace status: Completed counts as survival to the
 horizon; BlewUp, or a dt underflow (the source bound 1/(2 u^{p-1}) shrinking
@@ -192,58 +192,4 @@ def decay_fit(
         n_points=int(mask.sum()),
         window=(float(lo), float(hi)),
         log_corrected_sup=corrected,
-    )
-
-
-@dataclass(frozen=True)
-class NonexistenceProbeReport:
-    horizons: tuple
-    statuses: tuple
-    first_blowup_horizon: Optional[float]
-    consistent_with_nonexistence: bool
-    note: str
-
-
-def global_nonexistence_probe(
-    data: RadialProfile,
-    horizon_ladder: Sequence[float],
-    base_cfg: SolverConfig,
-) -> NonexistenceProbeReport:
-    """Run base_cfg to increasing horizons t_end for p <= p_m data and report the first blow-up.
-
-    The no-global-solution expectation is logged as a boolean, not asserted:
-    a run surviving every horizon is reported as inconsistent rather than
-    raising, since the surrogate horizon ladder is finite.
-    """
-    if classify_regime(base_cfg.params) is Regime.SUPERCRITICAL:
-        return NonexistenceProbeReport(
-            horizons=tuple(horizon_ladder),
-            statuses=(),
-            first_blowup_horizon=None,
-            consistent_with_nonexistence=False,
-            note="not applicable regime (p > p_m)",
-        )
-    ladder = sorted(float(h) for h in horizon_ladder)
-    if not ladder:
-        raise ValueError("horizon ladder must be nonempty")
-    statuses = []
-    first = None
-    for h in ladder:
-        trace = simulate(data, replace(base_cfg, t_end=h), ())  # only the status is read: no probes
-        statuses.append(trace.status)
-        if _blew(trace.status):
-            first = h
-            break
-    consistent = first is not None
-    note = (
-        f"blow-up first observed at horizon {first}"
-        if consistent
-        else "no blow-up within the ladder (soft expectation violated; see statuses)"
-    )
-    return NonexistenceProbeReport(
-        horizons=tuple(ladder[: len(statuses)]),
-        statuses=tuple(statuses),
-        first_blowup_horizon=first,
-        consistent_with_nonexistence=consistent,
-        note=note,
     )

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .exponents import ProblemParams, derive_exponents, kappa_r
+from .exponents import ProblemParams, derive_exponents
 from .profiles import BALL_VOLUME, SPHERE_AREA, RadialProfile, cell_averages, lens_volume
 
 STATUS_COMPLETED = "completed"
@@ -227,13 +227,6 @@ class SolverTrace:
         header = ["t", "sup_norm"] + [f"mass_sigma_{j}" for j in range(len(self.probe_radii))]
         rows = [[self.times[k], self.sup_norm[k], *self.ball_mass[k]] for k in range(len(self.times))]
         return header, rows
-
-    def probe_column(self, sigma: float) -> int:
-        """Column of ball_mass recorded at the probe radius sigma (to 1e-9 relative); ValueError if none was."""
-        for j, s in enumerate(self.probe_radii):
-            if abs(s - sigma) <= 1e-9 * max(1.0, sigma):
-                return j
-        raise ValueError(f"trace has no mass probe at radius {sigma}")
 
 
 def project_initial(profile: RadialProfile, cfg: SolverConfig) -> GridField:
@@ -431,72 +424,6 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         t_event=t_event,
         final_field=field,
     )
-
-
-def energy_diagnostics(field: GridField, beta: float, sigma: float, m: float) -> tuple[float, float]:
-    """(integral of u^beta, integral of u^{m+beta-3} |grad u|^2) over B(0, sigma).
-
-    The gradient uses central differences, one-sided at the ends; the ball is
-    weighted by GridField.ball_weights.
-    """
-    if beta <= 1.0:
-        raise ValueError("beta must be > 1")
-    if np.any(field.u <= 0.0):
-        raise ValueError("energy diagnostics require a strictly positive field")
-    u, dr = field.u, field.dr
-    grad = np.empty_like(u)
-    grad[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-    grad[0] = (u[1] - u[0]) / dr
-    grad[-1] = (u[-1] - u[-2]) / dr
-
-    w = field.ball_weights(0.0, sigma)
-    mass_beta = float(np.dot(u**beta, w))
-    dirichlet = float(np.dot(u ** (m + beta - 3.0) * grad**2, w))
-    return mass_beta, dirichlet
-
-
-@dataclass(frozen=True)
-class DecayCheckReport:
-    C: float
-    window: tuple[float, float]
-    R: float
-    n_points: int
-
-
-def linfty_decay_check(trace: SolverTrace, params: ProblemParams, R: float) -> DecayCheckReport:
-    """Smallest C with sup(t) <= C t^{-N/kappa_r} M(t)^{2/kappa_r} + (t/R^2)^{1/(1-m)}
-    along the trace, where M(t) is the running max of the recorded mass at radius R.
-
-    The trace records plain ball masses, so r = 1.  The scan is restricted to
-    the window where t^{1/(p-1)} * sup(t) <= 1.
-    """
-    kr = kappa_r(params, 1.0)
-    if kr <= 0.0:
-        raise ValueError("kappa_r must be positive")
-    col = trace.probe_column(R)
-
-    t = trace.times
-    sup = trace.sup_norm
-    pexp = 1.0 / (params.p - 1.0)
-    in_window = (t > 0.0) & (t**pexp * sup <= 1.0)
-    if not np.any(in_window):
-        raise ValueError("empty window: no trace times satisfy t^{1/(p-1)} sup <= 1")
-
-    mass_running = np.maximum.accumulate(trace.ball_mass[:, col])
-    tw = t[in_window]
-    sw = sup[in_window]
-    mw = mass_running[in_window]
-    tail = (tw / R**2) ** (1.0 / (1.0 - params.m))
-    numer = np.maximum(sw - tail, 0.0)
-    C = 0.0
-    for k in range(len(tw)):
-        if numer[k] == 0.0:
-            continue
-        if mw[k] <= 0.0:
-            C = math.inf
-            break
-        C = max(C, numer[k] * tw[k] ** (params.N / kr) / mw[k] ** (2.0 / kr))
-    return DecayCheckReport(C=C, window=(float(tw[0]), float(tw[-1])), R=R, n_points=int(len(tw)))
 
 
 def scaling_transform(obj, lam: float, params: ProblemParams):

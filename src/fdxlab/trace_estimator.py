@@ -124,11 +124,9 @@ def estimate_trace(trace: SolverTrace) -> TraceEstimate:
 
 @dataclass(frozen=True)
 class TraceFitReport:
-    regime: Regime
     slope: Optional[float]  # supercritical: fitted log-log slope
     expected_slope: Optional[float]
     log_shape_residual: Optional[float]  # critical: relative residual of the log-shape fit
-    n_radii: int
 
 
 def fit_trace_bounds(est: TraceEstimate, params: ProblemParams, T: float) -> TraceFitReport:
@@ -155,22 +153,10 @@ def fit_trace_bounds(est: TraceEstimate, params: ProblemParams, T: float) -> Tra
         y = np.log(masses)
         slope, _ = np.polyfit(x, y, 1)
         expected = params.N - 2.0 / (params.p - params.m)
-        return TraceFitReport(
-            regime=regime,
-            slope=float(slope),
-            expected_slope=float(expected),
-            log_shape_residual=None,
-            n_radii=int(len(radii)),
-        )
+        return TraceFitReport(slope=float(slope), expected_slope=float(expected), log_shape_residual=None)
 
     theta = derive_exponents(params).theta
     shape = np.log(math.e + T**theta / radii) ** (-params.N / 2.0)
     C = float(np.dot(masses, shape) / np.dot(shape, shape))
     resid = float(np.linalg.norm(masses - C * shape) / np.linalg.norm(masses))
-    return TraceFitReport(
-        regime=regime,
-        slope=None,
-        expected_slope=None,
-        log_shape_residual=resid,
-        n_radii=int(len(radii)),
-    )
+    return TraceFitReport(slope=None, expected_slope=None, log_shape_residual=resid)

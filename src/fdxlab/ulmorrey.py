@@ -213,9 +213,11 @@ def _ball_quantity(f, spec: NormSpec, d: float, sigma: np.ndarray, scale: float)
 def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     """Max of the spec's weighted ball quantity over the scan grid.
 
-    For analytic power-law profiles scanned at the origin with an uncapped
-    Morrey norm, the sigma-dependence is the exact power sigma^{N/q - a}; a
-    genuinely divergent norm is reported as inf rather than a scan-edge value.
+    For analytic power-law profiles under a Morrey norm, the origin column is
+    the exact power sigma^{N/q - a} below the cutoff: a negative exponent
+    diverges as sigma -> 0 under every cap and cutoff, a positive one as
+    sigma -> inf when neither is set.  A genuinely divergent norm is reported
+    as inf rather than a scan-edge value.
     """
     if not scan.centers or not scan.radii:
         raise ValueError("scan grid must contain at least one center and one radius")
@@ -223,22 +225,15 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     if not radii:
         raise ValueError("scan grid has no radii below the cap R")
 
-    if (
-        spec.kind == MORREY
-        and isinstance(f, RadialProfile)
-        and f.kind == "power"
-        and f.cutoff is None
-        and math.isinf(spec.R)
-    ):
+    if spec.kind == MORREY and isinstance(f, RadialProfile) and f.kind == "power" and f.c > 0.0:
         grow = f.N / spec.q - f.a
-        if abs(grow) > 1e-13 and f.c > 0.0:
-            # sup over sigma in (0, inf) diverges at one end or the other
-            edge = radii[-1] if grow > 0.0 else radii[0]
+        # the sup over sigma in (0, R) diverges at the origin, or at infinity for uncut data under no cap
+        if grow < -1e-13 or (grow > 1e-13 and f.cutoff is None and math.isinf(spec.R)):
             return NormResult(
                 value=math.inf,
                 arg_center=0.0,
-                arg_radius=float(edge),
-                grid_resolution=f"analytic tail: sigma^{grow:+.3g} unbounded on (0, inf)",
+                arg_radius=float(radii[-1] if grow > 0.0 else radii[0]),
+                grid_resolution=f"analytic tail: sigma^{grow:+.3g} unbounded on (0, {spec.R:.3g})",
             )
 
     def column_max(d: float) -> tuple[float, float, float]:

@@ -36,6 +36,9 @@ CRITICAL = "p = 2.5\nprofile.kind = critical_log\nnorm.kind = orlicz_eta\nnorm.r
 # subcritical constant data with a verdict, as lines that override MINIMAL's
 P101 = "p = 1.01\nprofile.kind = constant\nnorm.delta = 1\n"
 
+# critical power data, whose decay and trace fits read norm.T, on a domain that holds the default probe
+CRITICAL_FIT = "p = 2.5\nsolver.r_dom = 4\n"
+
 # Barenblatt data, which read profile.cb and profile.t0 but no amplitude profile.c
 BARENBLATT = "N = 1\nm = 0.5\np = 3.0\nprofile.kind = barenblatt\nprofile.cb = 1\nprofile.t0 = 1\n"
 
@@ -208,6 +211,9 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("norms", P101 + "norm.T = 1e30", "'norm.T': T = 1e+30 gives T^theta = inf"),
         ("norms", P101 + "norm.T = 1e5", "'norm.T': T = 100000.0 gives T^(theta (N - 2/(p-m))) = 0.0"),
         ("norms", P101 + "norm.T = 1e-30", "'norm.T': T = 1e-30 gives T^theta = 0.0"),
+        # the decay and trace fits' T, read only for critical data
+        *[(sub, CRITICAL_FIT + f"norm.T = {T}", f"'norm.T': must be finite and > 0, got {float(T)!r}")
+          for sub in ("decay", "trace") for T in ("nan", "-1", "0", "inf")],
     ],
 )
 def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, subcommand, extra, named):
@@ -265,6 +271,15 @@ def test_norms_subcommand_value(tmp_path):
     assert lines[0] == "value,center,radius"
     value = float(lines[1].split(",")[0])
     assert value == pytest.approx(0.5, rel=1e-9)
+
+
+def test_norms_verdict_of_power_data_diverging_at_the_origin_is_unmet(tmp_path):
+    # N/q - a = 0.8 - 0.85 < 0: the ball quantity grows like sigma^-0.05 as sigma -> 0, under every cap R = T^theta
+    config = MINIMAL + "profile.c = 0.001\nprofile.a = 0.85\nnorm.q = 1.25\nnorm.alpha = 1.1\nnorm.delta = 1\nnorm.T = 1\n"
+    code, out = _run(tmp_path, "norms", config)
+    assert code == 0
+    assert (out / "norms.csv").read_text().splitlines()[1].startswith("inf,")
+    assert (out / "norms-verdict.csv").read_text().splitlines()[1] == "supercritical,inf,1,false,1"
 
 
 def test_gronwall_check_deterministic(tmp_path):

@@ -6,16 +6,10 @@ import pytest
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import barenblatt, constant
 from fdxlab.solver import STATUS_COMPLETED, SolverConfig, SolverTrace
-from fdxlab.experiments import (
-    decay_fit,
-    decay_proxy,
-    global_nonexistence_probe,
-    threshold_sweep,
-)
+from fdxlab.experiments import decay_fit, decay_proxy, threshold_sweep
 
 P2 = ProblemParams(N=1, m=0.5, p=2.0)
 P3 = ProblemParams(N=1, m=0.5, p=3.0)
-PSUB = ProblemParams(N=1, m=0.5, p=1.5)
 
 
 def _control_cfg(params, **kw):
@@ -160,37 +154,6 @@ def test_decay_proxy_flags_growth():
     )
     ratio2, ok2 = decay_proxy(blowing, P3, 1.0)
     assert not ok2 and ratio2 > 10.0
-
-
-# -- nonexistence probe -----------------------------------------------------------------
-
-
-def test_nonexistence_probe_subcritical_constant():
-    # p = 1.5 < p_m = 2.5: constant data must blow up at some horizon
-    # (pure-reaction t_b = u0^{1-p}/(p-1) = 20 for u0 = 0.01)
-    cfg = SolverConfig(
-        params=PSUB, t_end=1.0, n_cells=40, r_dom=4.0, boundary="zeroflux", u_floor=1e-6
-    )
-    report = global_nonexistence_probe(constant(0.01, 1), [1.0, 5.0, 25.0, 125.0], cfg)
-    assert report.consistent_with_nonexistence
-    assert report.first_blowup_horizon == 25.0
-    assert report.statuses[-1] != STATUS_COMPLETED
-
-
-def test_nonexistence_probe_supercritical_not_applicable():
-    cfg = SolverConfig(params=P3, t_end=1.0, n_cells=40, r_dom=4.0, boundary="zeroflux")
-    report = global_nonexistence_probe(constant(0.01, 1), [1.0], cfg)
-    assert report.note == "not applicable regime (p > p_m)"
-    assert not report.consistent_with_nonexistence
-
-
-def test_nonexistence_probe_floor_data_blows_up():
-    # the floor itself is nontrivial constant data in the subcritical regime
-    cfg = SolverConfig(
-        params=PSUB, t_end=1.0, n_cells=40, r_dom=4.0, boundary="zeroflux", u_floor=0.05
-    )
-    report = global_nonexistence_probe(constant(0.0, 1), [2.0, 20.0, 200.0], cfg)
-    assert report.consistent_with_nonexistence
 
 
 # -- labels ------------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from fdxlab.solver import (
     _GAMMA,
     _M,
     _Stepper,
-    energy_diagnostics,
-    linfty_decay_check,
     project_initial,
     scaling_transform,
     simulate,
@@ -388,81 +386,6 @@ def test_probe_beyond_the_domain_is_rejected():
     with pytest.raises(ValueError, match=r"probe radius 10\.0 .*R_dom=4\.0"):
         simulate(constant(0.5, 1), cfg, probes=[1.0, 10.0])
     assert simulate(constant(0.5, 1), cfg, probes=[4.0]).status == STATUS_COMPLETED
-
-
-# -- energy diagnostics ----------------------------------------------------------------
-
-
-def test_energy_constant_field():
-    f = GridField(N=1, dr=0.1, u=np.full(20, 2.0), R_dom=2.0)
-    mass_b, dirichlet = energy_diagnostics(f, beta=2.0, sigma=1.0, m=0.5)
-    assert mass_b == pytest.approx(2.0**2 * 2.0)  # c^beta * |B(0,1)| in 1-D
-    assert dirichlet == 0.0
-
-
-def test_energy_linear_field_closed_form():
-    # u = a + b r on [0, 2]; grad is exactly b everywhere (central + one-sided)
-    a, b, beta, m, sigma = 1.0, 0.5, 2.0, 0.5, 2.0
-    edges = np.linspace(0.0, 2.0, 201)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    f = GridField(N=1, dr=edges[1], u=a + b * centers, R_dom=2.0)
-    mass_b, dirichlet = energy_diagnostics(f, beta=beta, sigma=sigma, m=m)
-    q = m + beta - 3.0
-    exact_dir = 2.0 * b**2 * ((a + b * sigma) ** (q + 1) - a ** (q + 1)) / (b * (q + 1))
-    exact_mass = 2.0 * ((a + b * sigma) ** (beta + 1) - a ** (beta + 1)) / (b * (beta + 1))
-    assert dirichlet == pytest.approx(exact_dir, rel=1e-3)
-    assert mass_b == pytest.approx(exact_mass, rel=1e-3)
-
-
-def test_energy_requires_positive_field():
-    f = GridField(N=1, dr=0.1, u=np.zeros(10), R_dom=1.0)
-    with pytest.raises(ValueError):
-        energy_diagnostics(f, beta=1.5, sigma=0.5, m=0.5)
-    with pytest.raises(ValueError):
-        energy_diagnostics(GridField(N=1, dr=0.1, u=np.ones(10), R_dom=1.0), beta=1.0, sigma=0.5, m=0.5)
-
-
-# -- decay check -----------------------------------------------------------------------
-
-
-def test_linfty_decay_check_barenblatt():
-    cfg = _cfg(P3, source_on=False, t_end=1.0, n_cells=200, r_dom=12.0, u_floor=1e-8)
-    trace = simulate(barenblatt(1.0, 1.0, 1, 0.5), cfg, probes=[2.0])
-    report = linfty_decay_check(trace, P3, R=2.0)
-    assert 0.0 < report.C < 10.0
-    assert report.n_points > 10
-
-
-def test_linfty_decay_check_empty_window():
-    cfg = _cfg(P3, t_end=0.5)
-    trace = simulate(constant(50.0, 1), cfg, probes=[1.0])  # t^{1/2} sup > 1 immediately
-    with pytest.raises(ValueError):
-        linfty_decay_check(trace, P3, R=1.0)
-
-
-def test_linfty_decay_check_zero_solution():
-    # bound holds vacuously for the zero solution (synthetic trace; the scheme
-    # itself cannot evolve u = 0 because the diffusivity degenerates)
-    from fdxlab.solver import SolverTrace
-
-    ts = np.linspace(0.01, 1.0, 50)
-    trace = SolverTrace(
-        times=ts,
-        sup_norm=np.zeros(50),
-        probe_radii=(1.0,),
-        ball_mass=np.zeros((50, 1)),
-        status=STATUS_COMPLETED,
-    )
-    report = linfty_decay_check(trace, P3, R=1.0)
-    assert report.C == 0.0
-
-
-def test_linfty_decay_check_requires_a_probe_at_R():
-    cfg = _cfg(P3, source_on=False, t_end=0.2, u_floor=1e-6)
-    trace = simulate(constant(0.1, 1), cfg, probes=[1.0])
-    assert linfty_decay_check(trace, P3, R=1.0 + 1e-10).R == 1.0 + 1e-10  # within the probe tolerance
-    with pytest.raises(ValueError, match="no mass probe at radius 1.2"):
-        linfty_decay_check(trace, P3, R=1.2)
 
 
 # -- scaling ---------------------------------------------------------------------------

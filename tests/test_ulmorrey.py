@@ -80,6 +80,16 @@ def test_norm_divergent_power_profile_reports_inf():
     assert math.isinf(norm(prof, spec, scan).value)
 
 
+@pytest.mark.parametrize("R, cutoff", [(1.0, None), (math.inf, 0.5), (1.0, 0.5)])
+def test_norm_diverging_at_the_origin_is_inf_under_every_cap_and_cutoff(R, cutoff):
+    prof = power_law(0.001, 0.85, 1, cutoff)  # N/q - a = 0.8 - 0.85 < 0: grows as sigma -> 0
+    spec = morrey(q=1.25, alpha=1.1, R=R)
+    scan = ScanGrid.build(spec, r_min=1e-3, centers=(0.0,), radii_per_decade=4)
+    res = norm(prof, spec, scan)
+    assert math.isinf(res.value)
+    assert res.arg_radius == scan.radii[0]
+
+
 def test_norm_empty_scan_error():
     spec = morrey(q=1.25, alpha=1.0, R=1.0)
     with pytest.raises(ValueError):
@@ -166,6 +176,13 @@ def test_check_condition_supercritical_power_profile():
     assert v.condition_value == pytest.approx(0.1 * 6.8723925464104765, rel=1e-8)
     assert v.met
     assert math.isinf(v.T_used)
+
+
+def test_check_condition_supercritical_origin_divergence_is_unmet():
+    # the capped norm |||.|||_{1.25, 1.1; 1} of 0.001 |x|^-0.85 is infinite: sigma^{0.8 - 0.85} diverges as sigma -> 0
+    v = check_condition(SUP, power_law(0.001, 0.85, 1), T=1.0, delta=1.0, beta_or_alpha=1.1)
+    assert math.isinf(v.condition_value)
+    assert not v.met
 
 
 def test_check_condition_zero_data():
