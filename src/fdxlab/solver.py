@@ -21,13 +21,15 @@ One time step is the Strang split S(dt/2) D(dt) S(dt/2):
 Diffusion is linearly implicit and L-stable, so the singular diffusivity
 m u^{m-1} sets no step bound.  The step is
 
-    dt = min( dt_safety / (2 max_i u_i^{p-1}),  controller step,  output clipping ),
+    dt = min( dt_safety / (2 max_i u_i^{p-1}),  controller step,  t_end - t ),
 
 where the controller keeps the filtered embedded error of D,
 max |est| / (w + 1e-8 max w), below ERR_TOL_CELLS2 / n_cells^2, small
 enough that the time error stays below the space error.  Under
 "fixedfloor" the stages are clamped at u_floor; under "zeroflux" a stage
-that leaves positivity rejects the step.
+that leaves positivity rejects the step.  Steps do not stop at output
+times; a sample inside a step is its cubic Hermite dense output (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6).
 
 Initial data are projected by exact cell averages of the profile, then
 regularized as min(., n) + 1/n with n = 1/u_floor.
@@ -282,6 +284,13 @@ class _Stepper:
         out[1:] -= self.coef_l[1:] * g[:-1]
         return out
 
+    def rhs(self, u: np.ndarray) -> np.ndarray:
+        """f(u) = A(u^m) + u^p (no u^p with the source off), the slope of the samples' Hermite interpolant."""
+        f = self.div(u**self.m)
+        if self.cfg.source_on:
+            f += u**self.p
+        return f
+
     def source_flow(self, u: np.ndarray, h: float) -> np.ndarray:
         """Exact flow of u' = u^p over time h per cell, stopped at u_blowup."""
         p = self.p
@@ -353,37 +362,54 @@ def check_probes(probes, R_dom: float) -> tuple:
 def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:
     """Integrate from the regularized projection of the profile.
 
-    Each step is min(source bound, controller step, output clipping).  The
+    Each step is min(source bound, controller step, t_end - t).  The
     controller keeps the error norm of the third-order step D below
-    ERR_TOL_CELLS2 / n_cells^2: it starts from the output interval and scales
-    the step by 0.9 (tol / err)^{1/3}, within [0.2, 5], after every attempt;
-    a rejected step is retried with the smaller dt.
+    ERR_TOL_CELLS2 / n_cells^2: it starts from t_end and scales the step by
+    0.9 (tol / err)^{1/3}, within [0.2, 5], after every attempt; a rejected
+    step is retried with the smaller dt.
     Terminates at t_end (completed), at sup >= u_blowup (blew_up), when the
     source bound underflows below 1e-14 * t_end (dt_underflow), or when the
-    controller step does (stiff_underflow).  Samples are recorded at t = 0 and
-    every output interval.  A probe radius beyond R_dom raises ValueError; a
-    non-finite state raises RuntimeError.
+    controller step does (stiff_underflow).  Samples are recorded at t = 0,
+    at min(k * output interval, t_end) and at the end state; a time within
+    1e-12 * t_end of t_end counts as t_end.  Steps do not end at output
+    times: a sample inside a step is the cubic Hermite interpolant of the
+    step's end states u0, u1 with slopes dt f(u0), dt f(u1) (_Stepper.rhs).
+    A step that reaches u_blowup is never interpolated across: if it passes
+    an output time it is retried to end there, so blew_up's t_event is
+    resolved to one output interval.  A probe radius beyond R_dom raises
+    ValueError; a non-finite state raises RuntimeError.
     """
     probes = check_probes(probes, cfg.domain_radius())
     field = project_initial(profile, cfg)
     stepper = _Stepper(field, cfg)
     u = field.u
+    # interpolated samples live here; it shares the field's geometry and kept weight rows
+    snap = GridField(field.N, field.dr, u.copy(), field.R_dom)
+    snap._centered_rows = field._centered_rows
     times, sups, masses = [], [], []
 
-    def record(t: float) -> None:
+    def record(t: float, state: GridField) -> None:
         times.append(t)
-        sups.append(float(u.max()))
-        masses.append([field.ball_mass(s) for s in probes])
+        sups.append(float(state.u.max()))
+        masses.append([state.ball_mass(s) for s in probes])
 
-    out_dt = cfg.output_interval()
-    t, next_out = 0.0, min(out_dt, cfg.t_end)
-    record(0.0)
+    t_end, out_dt = cfg.t_end, cfg.output_interval()
+    end_tol = 1e-12 * t_end
+
+    def out_time(k: int) -> float:
+        return t_end if k * out_dt >= t_end - end_tol else k * out_dt
+
+    t, k = 0.0, 1
+    next_out = out_time(k)
+    record(0.0, field)
     status, t_event = STATUS_COMPLETED, None
-    dt_min = _DT_UNDERFLOW_FRACTION * cfg.t_end
+    dt_min = _DT_UNDERFLOW_FRACTION * t_end
     tol = ERR_TOL_CELLS2 / len(u) ** 2
-    dt_ctrl = out_dt
+    dt_ctrl = t_end
+    f_u = None  # f(u), kept from the last step that interpolated a sample
+    to_output = False  # retry a step that reached u_blowup so that it ends at next_out
 
-    while t < cfg.t_end:
+    while t < t_end:
         if float(u.max()) >= cfg.u_blowup:
             status, t_event = STATUS_BLEW_UP, t
             break
@@ -391,7 +417,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         if dt < dt_min:
             status, t_event = STATUS_DT_UNDERFLOW, t
             break
-        dt = min(dt, dt_ctrl, next_out - t)
+        dt = min(dt, dt_ctrl, (next_out if to_output else t_end) - t)
         new, err = stepper.apply(u, dt)
         fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * (tol / err) ** (1.0 / 3.0))) if err > 0.0 else _FAC_MAX
         if err > tol:
@@ -402,18 +428,35 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
             continue
         if math.isnan(err) or not np.isfinite(new).all():
             raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
-        # a step clipped by the source bound or an output time does not shrink the controller
+        t_new = t_end if t + dt >= t_end - end_tol else t + dt
+        if next_out < t_new - end_tol and float(new.max()) >= cfg.u_blowup:
+            to_output = True
+            continue
+        to_output = False
+        # a step clipped by the source bound, t_end or an output time does not shrink the controller
         dt_ctrl = dt * fac if dt >= dt_ctrl else max(dt_ctrl, dt * fac)
+        f_new = None
+        if next_out < t_new - end_tol:
+            f_u = stepper.rhs(u) if f_u is None else f_u
+            f_new = stepper.rhs(new)
+        while next_out < t_new - end_tol:
+            th = (next_out - t) / dt
+            h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
+            h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
+            snap.u[:] = h00 * u + h01 * new + h10 * f_u + h11 * f_new
+            record(next_out, snap)
+            k += 1
+            next_out = out_time(k)
+        f_u = f_new
         u[:] = new
-        t += dt
-        if t >= next_out - 1e-12 * cfg.t_end:
-            record(t)
-            next_out = min(next_out + out_dt, cfg.t_end)
-            if t >= cfg.t_end:
-                break
+        t = t_new
+        if next_out <= t + end_tol:
+            record(next_out, field)
+            k += 1
+            next_out = out_time(k)
 
-    if status != STATUS_COMPLETED and times[-1] < t:
-        record(t)
+    if status != STATUS_COMPLETED and t > times[-1] + end_tol:
+        record(t, field)
 
     return SolverTrace(
         times=np.asarray(times),

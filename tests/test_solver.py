@@ -10,6 +10,7 @@ from fdxlab.solver import (
     STATUS_COMPLETED,
     STATUS_DT_UNDERFLOW,
     STATUS_STIFF_UNDERFLOW,
+    ERR_TOL_CELLS2,
     GridField,
     SolverConfig,
     _A,
@@ -319,6 +320,8 @@ def test_source_flow_stops_at_blowup_threshold():
     assert trace.sup_norm[-1] == _cfg().u_blowup
     assert 0.25 <= trace.t_event <= 0.25 * 1.05  # t_b = u0^{1-p} / (p - 1)
     assert np.all(np.isfinite(trace.final_field.u))
+    # a step that reaches u_blowup is not interpolated across, so no sample before the end carries it
+    assert np.all(trace.sup_norm[:-1] < _cfg().u_blowup)
 
 
 def test_simulate_zero_profile_follows_floor_ode():
@@ -353,6 +356,41 @@ def test_output_interval_beyond_t_end_still_records_the_end_state():
     assert trace.status == STATUS_COMPLETED
     np.testing.assert_array_equal(trace.times, [0.0, 1.0])
     assert len(trace.csv_rows()[1]) == 2
+
+
+def _sweep_cfg(**kw) -> SolverConfig:
+    # the threshold sweep's runs: README power profile, 400 cells, r_dom 8, horizon 1
+    return SolverConfig(params=P3, t_end=1.0, n_cells=400, r_dom=8.0, **kw)
+
+
+def test_samples_end_exactly_at_t_end():
+    # output times are min(k * out_interval, t_end), not sums of steps, so no sliver step follows 0.9999999999999999
+    trace = simulate(power_law(0.0977, 0.8, 1), _sweep_cfg(out_interval=0.1), probes=[1.0])
+    assert trace.status == STATUS_COMPLETED
+    assert len(trace.times) == 11
+    assert trace.times[-1] == 1.0
+    np.testing.assert_allclose(trace.times, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("prof", [power_law(0.0977, 0.8, 1), constant(0.5, 1, cutoff=1.0)], ids=["power", "step"])
+def test_step_sequence_does_not_depend_on_output_times(prof):
+    # the source bound limits the first steps of the power data, the controller those of the step data
+    finals = [simulate(prof, _sweep_cfg(out_interval=oi), probes=[1.0]).final_field.u for oi in (1 / 200, 1 / 37, 1.0)]
+    np.testing.assert_array_equal(finals[0], finals[1])
+    np.testing.assert_array_equal(finals[0], finals[2])
+
+
+@pytest.mark.parametrize("c", [0.03, 0.0625])
+def test_interpolated_samples_match_a_tight_tolerance_run(monkeypatch, c):
+    # samples inside a step are cubic Hermite interpolants; they stay as accurate as the steps themselves
+    probes = [0.05, 0.5, 2.0]
+    trace = simulate(power_law(c, 0.8, 1), _sweep_cfg(), probes=probes)
+    monkeypatch.setattr("fdxlab.solver.ERR_TOL_CELLS2", ERR_TOL_CELLS2 / 100.0)
+    ref = simulate(power_law(c, 0.8, 1), _sweep_cfg(), probes=probes)
+    assert trace.status == ref.status == STATUS_COMPLETED
+    np.testing.assert_array_equal(trace.times, ref.times)
+    np.testing.assert_allclose(trace.sup_norm, ref.sup_norm, rtol=1e-4, atol=0.0)
+    np.testing.assert_allclose(trace.ball_mass, ref.ball_mass, rtol=1e-4, atol=0.0)
 
 
 def test_trace_csv_rows_shape():
