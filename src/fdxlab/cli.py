@@ -63,6 +63,7 @@ class RunConfig:
     norm: Optional[ulmorrey.NormSpec] = None
     scan: Optional[ulmorrey.ScanGrid] = None
     solver: Optional[SolverConfig] = None
+    args: dict = field(default_factory=dict)  # the runner's other inputs, named as the arguments they feed
     read: set = field(default_factory=set)  # every key get was asked for
 
     def get(self, key: str, default=None):
@@ -169,9 +170,11 @@ def _build(cfg: RunConfig) -> list:
     """Build the run's inputs into cfg, reading each key where its value is used; returns the violations."""
     sub = cfg.subcommand
     if sub == "gronwall-check":
-        n_draws, n_steps, T = _gronwall_args(cfg)
-        return (_at_least("gronwall.n_draws", n_draws, 1) + _at_least("gronwall.n_steps", n_steps, gronwall.MIN_STEPS)
-                + _violation("gronwall.T", gronwall.check_horizon, T))
+        args = cfg.args = dict(n_draws=cfg.get("gronwall.n_draws", 200), n_steps=cfg.get("gronwall.n_steps", 1000),
+                               T=cfg.get("gronwall.T", 1.0))
+        return (_at_least("gronwall.n_draws", args["n_draws"], 1)
+                + _at_least("gronwall.n_steps", args["n_steps"], gronwall.MIN_STEPS)
+                + _violation("gronwall.T", gronwall.check_horizon, args["T"]))
     missing = [f"key {k!r}: required for subcommand {sub!r}" for k in ("N", "m", "p") if cfg.get(k) is None]
     if missing:
         return missing
@@ -198,7 +201,7 @@ def _build(cfg: RunConfig) -> list:
 
 
 def _build_norm(cfg: RunConfig) -> list:
-    """The norm, its scan grid and the verdict's inputs of a norms run."""
+    """The norm, its scan grid and, given norm.delta, the verdict's (T, delta, beta) of a norms run."""
     violations = []
     kind, alpha, r_cap = cfg.get("norm.kind", "morrey"), cfg.get("norm.alpha", 1.0), cfg.get("norm.r_cap", math.inf)
     if kind not in _NORM_KINDS:
@@ -208,8 +211,8 @@ def _build_norm(cfg: RunConfig) -> list:
             cfg.norm = ulmorrey.morrey(cfg.get("norm.q", 1.0), alpha, r_cap) if kind == "morrey" else \
                 ulmorrey.orlicz_eta(alpha, r_cap)
         except ValueError as exc:
-            # a bad cap is reported under the key that set it
-            violations.append(f"key 'norm.r_cap': {exc}" if str(exc).startswith("R must") else f"norm: {exc}")
+            name = str(exc).split()[0]  # the message starts with the field it rejects; norm.r_cap sets the cap R
+            violations.append(f"key {'norm.r_cap' if name == 'R' else 'norm.' + name!r}: {exc}")
         else:
             try:
                 cfg.scan = ulmorrey.ScanGrid.build(
@@ -221,10 +224,13 @@ def _build_norm(cfg: RunConfig) -> list:
             except ValueError as exc:
                 name, _, why = str(exc).partition(" ")  # the message starts with the argument's name
                 violations.append(f"key 'scan.{name}': {why}")
-    verdict = _verdict_args(cfg, alpha)
-    if verdict is not None:
+    delta = cfg.get("norm.delta")
+    if delta is not None:
+        # the subcritical verdict reads no norm.beta
+        beta = alpha if classify_regime(cfg.params) is Regime.SUBCRITICAL else cfg.get("norm.beta", alpha)
+        cfg.args = dict(T=cfg.get("norm.T", 1.0), delta=delta, beta_or_alpha=beta)
         try:
-            ulmorrey.condition_spec(cfg.params, *verdict)
+            ulmorrey.condition_spec(cfg.params, **cfg.args)
         except ValueError as exc:
             # delta or T, else the exponent: norm.beta, which defaults to norm.alpha
             exponent = "norm.beta" if "norm.beta" in cfg.values else "norm.alpha"
@@ -242,23 +248,28 @@ def _build_solver(cfg: RunConfig) -> list:
     try:
         cfg.solver = SolverConfig(params=cfg.params, **fields)
     except ValueError as exc:
-        # a bad run length is reported under the key that set it
-        where = f"key {t_key!r}" if t_key != "solver.t_end" and str(exc).startswith("t_end") else "solver"
-        return [f"{where}: {exc}"]
-    violations = _violation("probes", check_probes, _probes(cfg), cfg.solver.domain_radius())
+        name = str(exc).split()[0]  # the message starts with the field it rejects; t_key sets the run length
+        return [f"key {t_key if name == 't_end' else 'solver.' + name!r}: {exc}"]
+    args = cfg.args = dict(probes=cfg.get("probes", (1.0,)))
+    violations = _violation("probes", check_probes, args["probes"], cfg.solver.domain_radius())
     if sub == "threshold":
-        bisect_steps, c_start = _threshold_args(cfg)
-        violations += _at_least("threshold.bisect_steps", bisect_steps, experiments.MIN_BISECT_STEPS)
-        violations += _violation("threshold.c_start", experiments.check_c_start, c_start)
+        args.update(bisect_steps=cfg.get("threshold.bisect_steps", 8), c_start=cfg.get("threshold.c_start", 1.0))
+        violations += _at_least("threshold.bisect_steps", args["bisect_steps"], experiments.MIN_BISECT_STEPS)
+        violations += _violation("threshold.c_start", experiments.check_c_start, args["c_start"])
     if sub == "decay":
-        offset, lo, hi = _decay_window(cfg)
+        # the window defaults to the last decade of the shifted run
+        offset = cfg.get("decay.t_offset", 0.0)
+        end = cfg.solver.t_end + offset
+        args.update(window=(cfg.get("decay.window_lo", end / 10.0), cfg.get("decay.window_hi", end)), t_offset=offset)
         try:
-            experiments.check_window((lo, hi), offset)
+            experiments.check_window(args["window"], offset)
         except ValueError as exc:
             keys = ", ".join(repr(k) for k in cfg.values if k.startswith("decay."))
             violations.append(f"key {keys}: {exc}")
     if sub in ("decay", "trace"):
-        T = _fit_T(cfg, None)  # the fit's norm.T, which critical data read
+        # the fit's T: only critical data read norm.T, whose default is the run length for trace and none for decay
+        default = cfg.solver.t_end if sub == "trace" else None
+        T = args["T"] = cfg.get("norm.T", default) if classify_regime(cfg.params) is Regime.CRITICAL else default
         if T is not None and not 0.0 < T < math.inf:
             violations.append(f"key 'norm.T': must be finite and > 0, got {T!r}")
     return violations
@@ -274,42 +285,10 @@ def build_profile(cfg: RunConfig) -> profiles.RadialProfile:
     if kind == "constant":
         return profiles.constant(c, params.N, cutoff)
     if kind == "power":
-        return profiles.power_law(c, cfg.get("profile.a", 2.0 / (params.p - params.m)), params.N, cutoff)
+        return profiles.power_law(c, cfg.get("profile.a", derive_exponents(params).a_ss), params.N, cutoff)
     if kind == "critical_log":
         return profiles.critical_log(c, params.N, cutoff)
     return profiles.critical_profile(params, c, cutoff)
-
-
-def _probes(cfg: RunConfig) -> tuple:
-    return cfg.get("probes", (1.0,))
-
-
-def _verdict_args(cfg: RunConfig, alpha: float) -> Optional[tuple]:
-    """(T, delta, beta) of the norms verdict, or None without norm.delta; the subcritical one reads no norm.beta."""
-    delta = cfg.get("norm.delta")
-    if delta is None:
-        return None
-    beta = alpha if classify_regime(cfg.params) is Regime.SUBCRITICAL else cfg.get("norm.beta", alpha)
-    return cfg.get("norm.T", 1.0), delta, beta
-
-
-def _threshold_args(cfg: RunConfig) -> tuple:
-    return cfg.get("threshold.bisect_steps", 8), cfg.get("threshold.c_start", 1.0)
-
-
-def _decay_window(cfg: RunConfig) -> tuple:
-    """(t_offset, lo, hi) of the decay fit; the window defaults to the last decade of the shifted run."""
-    t_end, offset = cfg.solver.t_end, cfg.get("decay.t_offset", 0.0)
-    return offset, cfg.get("decay.window_lo", (t_end + offset) / 10.0), cfg.get("decay.window_hi", t_end + offset)
-
-
-def _fit_T(cfg: RunConfig, default):
-    """norm.T of the decay and trace fits, which only critical data read; default otherwise."""
-    return cfg.get("norm.T", default) if classify_regime(cfg.params) is Regime.CRITICAL else default
-
-
-def _gronwall_args(cfg: RunConfig) -> tuple:
-    return cfg.get("gronwall.n_draws", 200), cfg.get("gronwall.n_steps", 1000), cfg.get("gronwall.T", 1.0)
 
 
 def _out_path(cfg: RunConfig, suffix: str = "") -> Path:
@@ -349,9 +328,8 @@ def run_norms(cfg: RunConfig) -> int:
     )
     print(f"norm value = {fmt(result.value)} at center {fmt(result.arg_center)}, radius {fmt(result.arg_radius)}")
 
-    verdict_args = _verdict_args(cfg, cfg.norm.alpha)
-    if verdict_args is not None:
-        verdict = ulmorrey.check_condition(cfg.params, cfg.profile, *verdict_args, scan=cfg.scan)
+    if cfg.args:  # norm.delta asks for the verdict
+        verdict = ulmorrey.check_condition(cfg.params, cfg.profile, scan=cfg.scan, **cfg.args)
         write_csv(
             _out_path(cfg, "verdict"),
             ["regime", "condition_value", "delta", "met", "T"],
@@ -363,7 +341,7 @@ def run_norms(cfg: RunConfig) -> int:
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
+    trace = simulate(cfg.profile, cfg.solver, cfg.args["probes"])
     header, rows = trace.csv_rows()
     status = trace.status if trace.t_event is None else f"{trace.status} t={fmt(trace.t_event)}"
     write_csv(_out_path(cfg), header, rows, status)
@@ -372,8 +350,7 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_threshold(cfg: RunConfig) -> int:
-    bisect_steps, c_start = _threshold_args(cfg)
-    result = experiments.threshold_sweep(cfg.profile, cfg.solver, bisect_steps, probes=_probes(cfg), c_start=c_start)
+    result = experiments.threshold_sweep(cfg.profile, cfg.solver, **cfg.args)
     rows = [
         [s.c, s.status, "" if s.t_event is None else s.t_event, s.proxy_ratio, s.proxy_bounded, s.sup_final]
         for s in result.history
@@ -389,9 +366,8 @@ def run_threshold(cfg: RunConfig) -> int:
 
 
 def run_decay(cfg: RunConfig) -> int:
-    trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
-    offset, lo, hi = _decay_window(cfg)
-    fit = experiments.decay_fit(trace, cfg.params, (lo, hi), t_offset=offset, T=_fit_T(cfg, None))
+    trace = simulate(cfg.profile, cfg.solver, cfg.args["probes"])
+    fit = experiments.decay_fit(trace, cfg.params, cfg.args["window"], cfg.args["t_offset"], cfg.args["T"])
     write_csv(
         _out_path(cfg),
         ["slope", "n_points", "window_lo", "window_hi", "log_corrected_sup"],
@@ -399,17 +375,17 @@ def run_decay(cfg: RunConfig) -> int:
           "" if fit.log_corrected_sup is None else fit.log_corrected_sup]],
         f"ok trace={trace.status}",
     )
-    print(f"decay slope = {fmt(fit.slope)} over window [{fmt(lo)}, {fmt(hi)}]")
+    print(f"decay slope = {fmt(fit.slope)} over window [{fmt(fit.window[0])}, {fmt(fit.window[1])}]")
     return 0
 
 
 def run_trace(cfg: RunConfig) -> int:
-    trace = simulate(cfg.profile, cfg.solver, _probes(cfg))
+    trace = simulate(cfg.profile, cfg.solver, cfg.args["probes"])
     est = trace_estimator.estimate_trace(trace)
     rows = [[s, m, flag] for s, m, flag in zip(est.radii, est.masses, est.converged)]
     status = "ok"
     try:
-        fit = trace_estimator.fit_trace_bounds(est, cfg.params, _fit_T(cfg, cfg.solver.t_end))
+        fit = trace_estimator.fit_trace_bounds(est, cfg.params, cfg.args["T"])
         if fit.slope is not None:
             status = f"ok slope={fmt(fit.slope)} expected={fmt(fit.expected_slope)}"
         else:
@@ -422,7 +398,7 @@ def run_trace(cfg: RunConfig) -> int:
 
 
 def run_gronwall_check(cfg: RunConfig) -> int:
-    n_draws, n_steps, T = _gronwall_args(cfg)
+    n_draws, n_steps, T = cfg.args["n_draws"], cfg.args["n_steps"], cfg.args["T"]
     rng = np.random.default_rng(cfg.seed)
     draws = []
     for _ in range(n_draws):

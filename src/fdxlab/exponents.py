@@ -7,6 +7,7 @@ exponent algebra from here, so this module is the single source of truth for
     theta = (p - m)/(2(p - 1))   parabolic radius scale T^theta
     theta' = 1/theta
     kappa = N(m - 1) + 2     positive iff p_m > 1
+    a_ss = 2/(p - m)         decay rate of the scale-invariant data |x|^{-a_ss}
     kappa_r = N(m - 1) + 2r
 """
 
@@ -43,6 +44,7 @@ class Exponents:
     theta: float
     theta_prime: float
     kappa: float
+    a_ss: float
 
 
 CRITICAL_REL_TOL = 1e-12  # p within this of p_m, relative to max(1, p_m), is the critical exponent
@@ -69,6 +71,7 @@ def derive_exponents(params: ProblemParams) -> Exponents:
         theta=(p - m) / (2.0 * (p - 1.0)),
         theta_prime=2.0 * (p - 1.0) / (p - m),
         kappa=N * (m - 1.0) + 2.0,
+        a_ss=2.0 / (p - m),
     )
 
 

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .exponents import ProblemParams, Regime, classify_regime
+from .exponents import ProblemParams, Regime, classify_regime, derive_exponents
 
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{N-1}|
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}  # |B(0,1)|
@@ -210,7 +210,7 @@ def critical_profile(params: ProblemParams, c: float, cutoff: float | None = Non
         raise ValueError("no sharp singular profile in the subcritical regime")
     if regime is Regime.CRITICAL:
         return critical_log(c, params.N, cutoff)
-    return power_law(c, 2.0 / (params.p - params.m), params.N, cutoff)
+    return power_law(c, derive_exponents(params).a_ss, params.N, cutoff)
 
 
 # -- sphere-cap slice measure and radial quadrature ---------------------------

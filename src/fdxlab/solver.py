@@ -197,7 +197,7 @@ class SolverConfig:
         if self.boundary not in ("zeroflux", "fixedfloor"):
             raise ValueError(f"boundary must be 'zeroflux' or 'fixedfloor', got {self.boundary!r}")
         if self.boundary == "fixedfloor" and self.u_floor <= 0.0:
-            raise ValueError("fixedfloor boundary requires u_floor > 0")
+            raise ValueError(f"u_floor must be > 0 under the fixedfloor boundary, got {self.u_floor!r}")
 
     def domain_radius(self) -> float:
         if self.r_dom is not None:
@@ -475,8 +475,8 @@ def scaling_transform(obj, lam: float, params: ProblemParams):
     transform accordingly)."""
     if lam <= 0.0:
         raise ValueError("lambda must be > 0")
-    s = 2.0 / (params.p - params.m)
-    tp = derive_exponents(params).theta_prime
+    ex = derive_exponents(params)
+    s, tp = ex.a_ss, ex.theta_prime
     if isinstance(obj, GridField):
         return GridField(obj.N, obj.dr / lam, lam**s * obj.u, obj.R_dom / lam)
     if isinstance(obj, SolverTrace):

@@ -152,7 +152,7 @@ def fit_trace_bounds(est: TraceEstimate, params: ProblemParams, T: float) -> Tra
         x = np.log(radii)
         y = np.log(masses)
         slope, _ = np.polyfit(x, y, 1)
-        expected = params.N - 2.0 / (params.p - params.m)
+        expected = params.N - derive_exponents(params).a_ss
         return TraceFitReport(slope=float(slope), expected_slope=float(expected), log_shape_residual=None)
 
     theta = derive_exponents(params).theta

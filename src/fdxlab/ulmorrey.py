@@ -54,13 +54,15 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind not in (MORREY, ORLICZ_ETA):
-            raise ValueError("norm kind must be 'morrey' or 'orlicz_eta'")
+            raise ValueError(f"kind must be 'morrey' or 'orlicz_eta', got {self.kind!r}")
         if not self.R > 0.0:
             raise ValueError("R must be > 0 (use math.inf for an uncapped norm)")
-        if self.kind == MORREY and not (self.q >= 1.0 and self.alpha >= 1.0):
-            raise ValueError("morrey norm requires q >= 1 and alpha >= 1")
+        if self.kind == MORREY and not self.q >= 1.0:
+            raise ValueError(f"q must be >= 1 for the morrey norm, got {self.q!r}")
+        if self.kind == MORREY and not self.alpha >= 1.0:
+            raise ValueError(f"alpha must be >= 1 for the morrey norm, got {self.alpha!r}")
         if self.kind == ORLICZ_ETA and not self.alpha > 0.0:
-            raise ValueError("orlicz_eta norm requires alpha > 0")
+            raise ValueError(f"alpha must be > 0 for the orlicz_eta norm, got {self.alpha!r}")
         if self.kind == ORLICZ_ETA and math.isinf(self.R):
             raise ValueError("R must be finite for the orlicz_eta norm: its weight eta(sigma/R) vanishes at R = inf")
 
@@ -263,17 +265,17 @@ def condition_spec(params: ProblemParams, T: float, delta: float, beta_or_alpha:
         raise ValueError("T = inf is admissible only in the supercritical regime")
     if not T > 0.0:
         raise ValueError(f"T must be > 0, got {T!r}")
-    theta = derive_exponents(params).theta
+    ex = derive_exponents(params)
     if math.isfinite(T):
-        _check_power_of_T(T, theta, "T^theta")
+        _check_power_of_T(T, ex.theta, "T^theta")
     if regime is Regime.SUBCRITICAL:
-        _check_power_of_T(T, theta * (params.N - 2.0 / (params.p - params.m)), "T^(theta (N - 2/(p-m)))")
+        _check_power_of_T(T, ex.theta * (params.N - ex.a_ss), "T^(theta (N - 2/(p-m)))")
         return None
     if regime is Regime.CRITICAL:
         _check_power_of_T(T, 1.0 / (params.p - 1.0), "T^(1/(p-1))")
-        return orlicz_eta(beta_or_alpha, R=T**theta)
+        return orlicz_eta(beta_or_alpha, R=T**ex.theta)
     validate_beta(params, beta_or_alpha)
-    return morrey(q=params.N * (params.p - params.m) / 2.0, alpha=beta_or_alpha, R=T**theta)
+    return morrey(q=params.N * (params.p - params.m) / 2.0, alpha=beta_or_alpha, R=T**ex.theta)
 
 
 def _check_power_of_T(T: float, expo: float, name: str) -> None:
@@ -314,7 +316,7 @@ def check_condition(
             mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
         else:
             mass = max(ball_mass(f, d, sigma) for d in centers)
-        threshold_scale = T ** (ex.theta * (params.N - 2.0 / (params.p - params.m)))
+        threshold_scale = T ** (ex.theta * (params.N - ex.a_ss))
         value = mass / threshold_scale
     elif regime is Regime.CRITICAL:
         if scan is None:

@@ -152,11 +152,13 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
     [
         ("simulate", "solver.ncells = 64", "'solver.ncells': unknown key"),
         ("simulate", "solver.source_on = flase", "'solver.source_on'"),
-        ("simulate", "solver.boundary = fixed", "solver: boundary"),
-        ("simulate", "solver.out_interval = 0", "solver: out_interval"),
-        ("simulate", "solver.t_end = nan", "solver: t_end"),
-        ("simulate", "solver.u_floor = nan", "solver: u_floor"),
-        ("simulate", "solver.n_cells = 1", "solver: n_cells"),
+        ("simulate", "solver.boundary = fixed", "'solver.boundary': boundary must be 'zeroflux' or 'fixedfloor'"),
+        ("simulate", "solver.out_interval = 0", "'solver.out_interval': out_interval must be > 0, got 0.0"),
+        ("simulate", "solver.t_end = nan", "'solver.t_end': t_end must be finite and > 0, got nan"),
+        ("simulate", "solver.u_floor = nan", "'solver.u_floor': u_floor must be >= 0, got nan"),
+        ("simulate", "solver.n_cells = 1", "'solver.n_cells': n_cells must be >= 3, got 1"),
+        ("simulate", "solver.boundary = fixedfloor\nsolver.u_floor = 0",
+         "'solver.u_floor': u_floor must be > 0 under the fixedfloor boundary, got 0.0"),
         ("simulate", "solver.n_cells = 64.0", "'solver.n_cells': expected an integer"),
         ("threshold", "threshold.horizon = inf", "'threshold.horizon': t_end must be finite"),
         ("threshold", "threshold.bisect_steps = 3", "'threshold.bisect_steps': must be >= 4, got 3"),
@@ -182,11 +184,13 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("norms", "norm.delta = 0", "'norm.delta': delta must be > 0, got 0.0"),
         ("norms", "norm.delta = 1\nnorm.beta = 5", "'norm.beta': beta=5.0 outside admissible range"),
         ("norms", "norm.delta = 1\nnorm.alpha = nan", "'norm.alpha': beta=nan outside admissible range"),
-        ("norms", "norm.q = nan", "norm: morrey norm requires q >= 1"),
-        ("norms", "norm.alpha = nan", "norm: morrey norm requires q >= 1 and alpha >= 1"),
+        ("norms", "norm.q = nan", "'norm.q': q must be >= 1 for the morrey norm, got nan"),
+        ("norms", "norm.alpha = nan", "'norm.alpha': alpha must be >= 1 for the morrey norm, got nan"),
+        ("norms", "norm.kind = orlicz_eta\nnorm.r_cap = 1\nnorm.alpha = 0",
+         "'norm.alpha': alpha must be > 0 for the orlicz_eta norm, got 0.0"),
         ("norms", CRITICAL + "norm.T = inf", "'norm.T': T = inf is admissible only in the supercritical regime"),
-        ("norms", CRITICAL + "norm.beta = 0", "'norm.beta': orlicz_eta norm requires alpha > 0"),
-        ("norms", CRITICAL + "norm.beta = nan", "'norm.beta': orlicz_eta norm requires alpha > 0"),
+        ("norms", CRITICAL + "norm.beta = 0", "'norm.beta': alpha must be > 0 for the orlicz_eta norm, got 0.0"),
+        ("norms", CRITICAL + "norm.beta = nan", "'norm.beta': alpha must be > 0 for the orlicz_eta norm, got nan"),
         ("norms", "scan.r_min = 0", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got 0.0"),
         ("norms", "scan.r_min = 1e9", "'scan.r_min': must lie in (0, 999999.9990000001)"),
         ("norms", "scan.r_min = nan", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got nan"),
@@ -375,6 +379,22 @@ def test_a_run_reads_no_key_its_validation_did_not_read(tmp_path, monkeypatch, s
     [(cfg, read_by_validation)] = validated
     assert code == 0
     assert cfg.read == read_by_validation
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_a_runner_takes_every_input_from_the_build(tmp_path, monkeypatch, subcommand):
+    def get(self, key, default=None):
+        raise AssertionError(f"the {subcommand} runner read key {key!r}")
+
+    def validate(*args):
+        cfg = validate_config(*args)
+        monkeypatch.setattr(cli.RunConfig, "get", get)  # from here on a read fails the run
+        return cfg
+
+    monkeypatch.setattr(cli, "validate_config", validate)
+    code, out = _run(tmp_path, subcommand, TINY_RUNS[subcommand])
+    assert code == 0
+    assert any(out.iterdir())
 
 
 def test_set_overrides_config(tmp_path):

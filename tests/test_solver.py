@@ -412,11 +412,13 @@ def test_trace_csv_rows_shape():
         ("dt_safety", float("nan")), ("dt_safety", 1.0),
         ("n_cells", 2), ("n_cells", 1), ("n_cells", 0),
         ("boundary", "fixed"),
+        ("u_floor", 0.0),  # rejected under the fixedfloor boundary only
     ],
 )
 def test_solver_config_rejects_bad_values_by_name(field, value):
+    boundary = "fixedfloor" if (field, value) == ("u_floor", 0.0) else "zeroflux"
     with pytest.raises(ValueError, match=rf"^{field} "):
-        _cfg(**{field: value})
+        _cfg(**{"boundary": boundary, field: value})
 
 
 def test_probe_beyond_the_domain_is_rejected():
