@@ -2,13 +2,14 @@
 one SolverConfig, and decay-rate fits.
 
 Bisection labels follow the trace status: Completed counts as survival to the
-horizon; BlewUp, or a dt underflow (the source bound 1/(2 u^{p-1}) shrinking
-below 1e-14 t_end as the sup runs away), counts as blow-up.  A stiff underflow
-(the diffusion step controller shrinking below that floor) is never a blow-up
-label: it says nothing about the source.  Each sample also records the
-boundedness proxy sup_{last decade} t^{1/(p-1)} sup_norm against 10x its
-window median; the proxy flags slow blow-ups just past the horizon but does
-not flip the bisection label.
+horizon; BlewUp, or a dt underflow (the source bound, at most dt_safety times
+the peak cell's blow-up time, shrinking below 1e-14 t_end as the sup runs
+away), counts as blow-up.  A stiff underflow (the diffusion step controller
+shrinking below that floor) is never a blow-up label: it says nothing about
+the source.  Each sample also records the boundedness proxy
+sup_{last decade} t^{1/(p-1)} sup_norm against 10x its window median; the
+proxy flags slow blow-ups just past the horizon but does not flip the
+bisection label.
 """
 
 from __future__ import annotations
@@ -167,10 +168,12 @@ def decay_fit(
     """Least-squares slope of log sup_norm vs log(t + t_offset) over the window.
 
     The window refers to the shifted times and must span at least one decade.
-    In the critical regime (and given T) the log-corrected decay quantity
-    sup_t t^{1/(p-1)} [log(e + T/t)]^{1/(p-1)} sup_norm is reported as well.
+    In the critical regime (and given T, which must be finite and > 0) the
+    log-corrected sup_t t^{1/(p-1)} [log(e + T/t)]^{1/(p-1)} sup_norm is reported as well.
     """
     check_window(window, t_offset)
+    if T is not None and not 0.0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     lo, hi = window
     t = trace.times + t_offset
     mask = (t >= lo) & (t <= hi) & (trace.sup_norm > 0.0)

@@ -21,15 +21,16 @@ One time step is the Strang split S(dt/2) D(dt) S(dt/2):
 Diffusion is linearly implicit and L-stable, so the singular diffusivity
 m u^{m-1} sets no step bound.  The step is
 
-    dt = min( dt_safety / (2 max_i u_i^{p-1}),  controller step,  t_end - t ),
+    dt = min( dt_safety min(1/2, 1/(p-1)) / max_i u_i^{p-1},  controller step,  t_end - t ),
 
-where the controller keeps the filtered embedded error of D,
-max |est| / (w + 1e-8 max w), below ERR_TOL_CELLS2 / n_cells^2, small
-enough that the time error stays below the space error.  Under
+where the source bound is at most dt_safety times the peak cell's blow-up
+time u^{1-p}/(p-1), and the controller keeps the filtered embedded error
+of D, max |est| / (w + 1e-8 max w), below ERR_TOL_CELLS2 / n_cells^2,
+small enough that the time error stays below the space error.  Under
 "fixedfloor" the stages are clamped at u_floor; under "zeroflux" a stage
-that leaves positivity rejects the step.  Steps do not stop at output
-times; a sample inside a step is its cubic Hermite dense output (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6).
+that leaves positivity rejects the step.  Output times only say where
+samples are taken: a sample inside a step is its cubic Hermite dense
+output (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
 
 Initial data are projected by exact cell averages of the profile, then
 regularized as min(., n) + 1/n with n = 1/u_floor.
@@ -245,15 +246,16 @@ def project_initial(profile: RadialProfile, cfg: SolverConfig) -> GridField:
 
 
 def stable_dt(field: GridField, cfg: SolverConfig) -> float:
-    """The source bound dt_safety / (2 max u^{p-1}).
+    """The source bound dt_safety min(1/2, 1/(p-1)) / max u^{p-1}.
 
-    Diffusion is linearly implicit and sets no stability bound, so with the
-    source off this is the output interval, the longest step simulate takes.
+    For p > 3 this is dt_safety times the peak cell's blow-up time
+    u^{1-p}/(p-1), so no step runs past it.  Diffusion is linearly implicit
+    and sets no stability bound, so with the source off this is t_end.
     """
     if not cfg.source_on:
-        return cfg.output_interval()
-    u_max = float(field.u.max())
-    return cfg.dt_safety * 0.5 * u_max ** (1.0 - cfg.params.p) if u_max > 0.0 else math.inf
+        return cfg.t_end
+    u_max, p = float(field.u.max()), cfg.params.p
+    return cfg.dt_safety * min(0.5, 1.0 / (p - 1.0)) * u_max ** (1.0 - p) if u_max > 0.0 else math.inf
 
 
 class _Stepper:
@@ -371,27 +373,26 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     source bound underflows below 1e-14 * t_end (dt_underflow), or when the
     controller step does (stiff_underflow).  Samples are recorded at t = 0,
     at min(k * output interval, t_end) and at the end state; a time within
-    1e-12 * t_end of t_end counts as t_end.  Steps do not end at output
-    times: a sample inside a step is the cubic Hermite interpolant of the
+    1e-12 * t_end of t_end counts as t_end.  Output times never steer the
+    steps: a sample inside a step is the cubic Hermite interpolant of the
     step's end states u0, u1 with slopes dt f(u0), dt f(u1) (_Stepper.rhs).
-    A step that reaches u_blowup is never interpolated across: if it passes
-    an output time it is retried to end there, so blew_up's t_event is
-    resolved to one output interval.  A probe radius beyond R_dom raises
-    ValueError; a non-finite state raises RuntimeError.
+    A step that reaches u_blowup is accepted but never interpolated across;
+    the end of the run records its end state at t_event.  A probe radius
+    beyond R_dom raises ValueError; a non-finite state raises RuntimeError.
     """
     probes = check_probes(probes, cfg.domain_radius())
     field = project_initial(profile, cfg)
     stepper = _Stepper(field, cfg)
     u = field.u
-    # interpolated samples live here; it shares the field's geometry and kept weight rows
+    # every sample is recorded from this snapshot, which keeps the ball-mass weight rows
     snap = GridField(field.N, field.dr, u.copy(), field.R_dom)
-    snap._centered_rows = field._centered_rows
     times, sups, masses = [], [], []
 
-    def record(t: float, state: GridField) -> None:
+    def record(t: float, state: np.ndarray) -> None:
+        snap.u[:] = state
         times.append(t)
-        sups.append(float(state.u.max()))
-        masses.append([state.ball_mass(s) for s in probes])
+        sups.append(float(snap.u.max()))
+        masses.append([snap.ball_mass(s) for s in probes])
 
     t_end, out_dt = cfg.t_end, cfg.output_interval()
     end_tol = 1e-12 * t_end
@@ -401,23 +402,19 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
 
     t, k = 0.0, 1
     next_out = out_time(k)
-    record(0.0, field)
+    record(0.0, u)
     status, t_event = STATUS_COMPLETED, None
     dt_min = _DT_UNDERFLOW_FRACTION * t_end
     tol = ERR_TOL_CELLS2 / len(u) ** 2
     dt_ctrl = t_end
     f_u = None  # f(u), kept from the last step that interpolated a sample
-    to_output = False  # retry a step that reached u_blowup so that it ends at next_out
 
-    while t < t_end:
-        if float(u.max()) >= cfg.u_blowup:
-            status, t_event = STATUS_BLEW_UP, t
-            break
+    while t < t_end and float(u.max()) < cfg.u_blowup:
         dt = stable_dt(field, cfg)
         if dt < dt_min:
             status, t_event = STATUS_DT_UNDERFLOW, t
             break
-        dt = min(dt, dt_ctrl, (next_out if to_output else t_end) - t)
+        dt = min(dt, dt_ctrl, t_end - t)
         new, err = stepper.apply(u, dt)
         fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * (tol / err) ** (1.0 / 3.0))) if err > 0.0 else _FAC_MAX
         if err > tol:
@@ -429,34 +426,32 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         if math.isnan(err) or not np.isfinite(new).all():
             raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
         t_new = t_end if t + dt >= t_end - end_tol else t + dt
-        if next_out < t_new - end_tol and float(new.max()) >= cfg.u_blowup:
-            to_output = True
-            continue
-        to_output = False
-        # a step clipped by the source bound, t_end or an output time does not shrink the controller
+        # a step clipped by the source bound or t_end does not shrink the controller
         dt_ctrl = dt * fac if dt >= dt_ctrl else max(dt_ctrl, dt * fac)
+        blew = float(new.max()) >= cfg.u_blowup
         f_new = None
-        if next_out < t_new - end_tol:
-            f_u = stepper.rhs(u) if f_u is None else f_u
-            f_new = stepper.rhs(new)
-        while next_out < t_new - end_tol:
+        while next_out < t_new - end_tol and not blew:
+            if f_new is None:
+                f_u = stepper.rhs(u) if f_u is None else f_u
+                f_new = stepper.rhs(new)
             th = (next_out - t) / dt
             h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
             h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
-            snap.u[:] = h00 * u + h01 * new + h10 * f_u + h11 * f_new
-            record(next_out, snap)
+            record(next_out, h00 * u + h01 * new + h10 * f_u + h11 * f_new)
             k += 1
             next_out = out_time(k)
         f_u = f_new
         u[:] = new
         t = t_new
-        if next_out <= t + end_tol:
-            record(next_out, field)
+        if abs(next_out - t) <= end_tol:
+            record(next_out, u)
             k += 1
             next_out = out_time(k)
 
+    if float(u.max()) >= cfg.u_blowup:
+        status, t_event = STATUS_BLEW_UP, t
     if status != STATUS_COMPLETED and t > times[-1] + end_tol:
-        record(t, field)
+        record(t, u)
 
     return SolverTrace(
         times=np.asarray(times),

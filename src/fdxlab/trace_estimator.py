@@ -133,9 +133,11 @@ def fit_trace_bounds(est: TraceEstimate, params: ProblemParams, T: float) -> Tra
     """Fit the regime's expected mass-vs-radius shape to the extrapolated masses.
 
     supercritical: least-squares slope of log nu_hat vs log sigma, to compare
-    against N - 2/(p-m).  critical: one-parameter fit of
-    C [log(e + T^theta/sigma)]^{-N/2} and its relative residual.
+    against N - 2/(p-m).  critical: one-parameter fit of C [log(e + T^theta/sigma)]^{-N/2}
+    and its relative residual.  T must be finite and > 0.
     """
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T!r}")
     regime = classify_regime(params)
     if regime is Regime.SUBCRITICAL:
         raise ValueError("trace bound shapes are defined for the critical and supercritical regimes")

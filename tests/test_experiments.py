@@ -110,6 +110,18 @@ def test_decay_fit_window_validation():
         decay_fit(trace, P3, (0.0, 5.0))
 
 
+@pytest.mark.parametrize("T", [math.nan, -1.0, 0.0, math.inf])
+def test_decay_fit_rejects_a_T_that_is_not_finite_and_positive(T):
+    # critical data read T in the log-corrected quantity; a NaN T used to give log_corrected_sup = nan
+    ts = np.logspace(-2, 0, 50)
+    trace = SolverTrace(
+        times=ts, sup_norm=ts ** (-2.0), probe_radii=(1.0,), ball_mass=np.ones((50, 1)),
+        status=STATUS_COMPLETED,
+    )
+    with pytest.raises(ValueError, match="T must be finite and > 0"):
+        decay_fit(trace, ProblemParams(N=2, m=0.5, p=1.5), (0.011, 1.0), T=T)
+
+
 def test_decay_fit_pure_reaction_backwards_from_blowup():
     # u = ((p-1)(t_b - t))^{-1/(p-1)}: slope -1/(p-1) in tau = t_b - t
     t_b, p = 1.0, 2.0

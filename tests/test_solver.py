@@ -139,7 +139,7 @@ def test_step_barenblatt_locally_consistent():
     # one step from Barenblatt data tracks the exact solution to O(dt) + O(dr^2)
     cfg = _cfg(P3, source_on=False, n_cells=256, r_dom=8.0, u_floor=0.0)
     field = project_initial(barenblatt(1.0, 1.0, 1, 0.5), cfg)
-    dt = stable_dt(field, cfg)
+    dt = cfg.output_interval()
     u = _step(field, cfg, dt)
     exact = barenblatt_value(field.r, 1.0 + dt, 1, 0.5, 1.0)
     interior = field.r < 4.0
@@ -312,16 +312,21 @@ def test_simulate_reaction_blowup_time():
 
 
 def test_source_flow_stops_at_blowup_threshold():
-    # for p = 5 the source bound admits steps longer than the time left to blow-up;
-    # the exact flow then stops at u_blowup instead of leaving the reals
+    # a flow longer than the time left to blow-up stops at u_blowup instead of leaving the reals
     params = ProblemParams(N=1, m=0.5, p=5.0)
+    cfg = _cfg(params)
+    u = np.array([0.5, 1.0, 2.0])  # blow-up times u^{1-p} / (p - 1): 4, 0.25 and 1/64
+    out = _Stepper(project_initial(constant(1.0, 1), cfg), cfg).source_flow(u, 0.3)
+    assert np.all(np.isfinite(out))
+    assert out[0] == pytest.approx((0.5**-4.0 - 4.0 * 0.3) ** -0.25, rel=1e-14)
+    np.testing.assert_array_equal(out[1:], cfg.u_blowup)  # the peak stops exactly at u_blowup
+    # the source bound keeps every step below the peak cell's blow-up time, so no sampling moves t_event
     trace = simulate(constant(1.0, 1), _cfg(params, t_end=0.5), probes=[1.0])
-    assert trace.status == STATUS_BLEW_UP
-    assert trace.sup_norm[-1] == _cfg().u_blowup
-    assert 0.25 <= trace.t_event <= 0.25 * 1.05  # t_b = u0^{1-p} / (p - 1)
+    assert trace.status in (STATUS_BLEW_UP, STATUS_DT_UNDERFLOW)
+    assert 0.25 * (1.0 - 1e-3) <= trace.t_event <= 0.25  # t_b = u0^{1-p} / (p - 1)
     assert np.all(np.isfinite(trace.final_field.u))
     # a step that reaches u_blowup is not interpolated across, so no sample before the end carries it
-    assert np.all(trace.sup_norm[:-1] < _cfg().u_blowup)
+    assert np.all(trace.sup_norm[:-1] < cfg.u_blowup)
 
 
 def test_simulate_zero_profile_follows_floor_ode():
@@ -372,12 +377,36 @@ def test_samples_end_exactly_at_t_end():
     np.testing.assert_allclose(trace.times, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("prof", [power_law(0.0977, 0.8, 1), constant(0.5, 1, cutoff=1.0)], ids=["power", "step"])
-def test_step_sequence_does_not_depend_on_output_times(prof):
-    # the source bound limits the first steps of the power data, the controller those of the step data
-    finals = [simulate(prof, _sweep_cfg(out_interval=oi), probes=[1.0]).final_field.u for oi in (1 / 200, 1 / 37, 1.0)]
-    np.testing.assert_array_equal(finals[0], finals[1])
-    np.testing.assert_array_equal(finals[0], finals[2])
+def _barenblatt_cfg(**kw) -> SolverConfig:
+    return _cfg(P3, source_on=False, u_floor=1e-8, **kw)
+
+
+def _blowup_cfg(**kw) -> SolverConfig:
+    return _cfg(ProblemParams(N=1, m=0.5, p=5.0), **kw)
+
+
+@pytest.mark.parametrize(
+    "prof, cfg, blows",
+    [
+        (power_law(0.0977, 0.8, 1), _sweep_cfg, False),
+        (constant(0.5, 1, cutoff=1.0), _sweep_cfg, False),
+        (barenblatt(1.0, 1.0, 1, 0.5), _barenblatt_cfg, False),
+        (constant(1.0, 1), _blowup_cfg, True),
+    ],
+    ids=["power", "step", "barenblatt", "blowup"],
+)
+def test_step_sequence_does_not_depend_on_output_times(prof, cfg, blows):
+    # the source bound limits the first steps of the power data, the controller those of the step data and of
+    # the source-off Barenblatt run; the p = 5 run reaches its blow-up time t_b = 0.25 (1 + u_floor)^{-4}
+    traces = [simulate(prof, cfg(out_interval=oi), probes=[1.0]) for oi in (1 / 200, 1 / 37, 1.0)]
+    for trace in traces[1:]:
+        np.testing.assert_array_equal(trace.final_field.u, traces[0].final_field.u)
+        assert (trace.status, trace.t_event) == (traces[0].status, traces[0].t_event)
+    if blows:
+        assert traces[0].status in (STATUS_BLEW_UP, STATUS_DT_UNDERFLOW)
+        assert 0.25 * (1.0 - 1e-3) <= traces[0].t_event <= 0.25
+    else:
+        assert traces[0].status == STATUS_COMPLETED
 
 
 @pytest.mark.parametrize("c", [0.03, 0.0625])

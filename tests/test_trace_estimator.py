@@ -137,6 +137,20 @@ def test_fit_critical_shape_residual():
     assert fit.log_shape_residual < 1e-12  # exact shape fits exactly
 
 
+@pytest.mark.parametrize("T", [math.nan, -1.0, 0.0, math.inf])
+def test_fit_rejects_a_T_that_is_not_finite_and_positive(T):
+    # a NaN T used to give log_shape_residual = nan, and T = -1 a ComplexWarning and a residual of 0.2857
+    from fdxlab.trace_estimator import TraceEstimate
+
+    radii = np.logspace(-2, 0, 12) * 0.9
+    est = TraceEstimate(
+        radii=tuple(radii), masses=tuple(0.7 * np.log(math.e + 1.0 / radii) ** -1.0),
+        converged=tuple(True for _ in radii), sample_times=(1e-3, 5e-4, 2.5e-4, 1.25e-4),
+    )
+    with pytest.raises(ValueError, match="T must be finite and > 0"):
+        fit_trace_bounds(est, ProblemParams(N=2, m=0.5, p=1.5), T=T)
+
+
 def test_fit_requires_radius_span():
     est_radii = (0.5, 1.0, 2.0)
     from fdxlab.trace_estimator import TraceEstimate
