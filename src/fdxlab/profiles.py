@@ -216,10 +216,13 @@ def critical_profile(params: ProblemParams, c: float, cutoff: float | None = Non
 # -- sphere-cap slice measure and radial quadrature ---------------------------
 
 
-def cap_measure(N: int, rho, d: float, sigma):
-    """Measure of the sphere {|x| = rho} inside B(z, sigma) with d = |z|; rho >= 0 and sigma broadcast."""
+def cap_measure(N: int, rho, d, sigma):
+    """Measure of the sphere {|x| = rho} inside B(z, sigma) with d = |z|; rho >= 0, d and sigma broadcast.
+
+    One offset d = 0 takes the centered closed form; an array of offsets must be > 0.
+    """
     rho = np.asarray(rho, dtype=float)
-    if d == 0.0:
+    if np.ndim(d) == 0 and d == 0.0:
         out = np.where((rho > 0.0) & (rho < sigma), SPHERE_AREA[N] * rho ** (N - 1), 0.0)
     elif N == 1:
         # points {+rho, -rho}: +rho is inside iff |rho - d| < sigma, -rho iff rho <= sigma - d
@@ -231,17 +234,17 @@ def cap_measure(N: int, rho, d: float, sigma):
     return float(out) if out.ndim == 0 else out
 
 
-def _versine(rho, d: float, sigma):
+def _versine(rho, d, sigma):
     """1 - cos of the cap's polar angle on {|x| = rho}, in factored form (no cancellation), clipped to [0, 2]."""
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 has no cap: fmax takes its nan to 0
         h = (sigma - rho + d) * (sigma + rho - d) / (2.0 * d * rho)
     return np.fmin(2.0, np.fmax(0.0, h))
 
 
-def lens_volume(N: int, r, d: float, sigma):
+def lens_volume(N: int, r, d, sigma):
     """|B(0, r) intersected with B(z, sigma)| for |z| = d, in the lens case |r - sigma| < d < r + sigma.
 
-    r and sigma broadcast.  For N = 1 the lens is the interval [d - sigma, r].
+    r, d and sigma broadcast (so d > 0).  For N = 1 the lens is the interval [d - sigma, r].
     Otherwise the divergence theorem for the field x (div x = N) over the lens
     boundary gives
     N V = r s_N(r; d, sigma) + sigma s_N(sigma; d, r) - d |D|: x.n = r on the

@@ -126,28 +126,34 @@ class GridField:
     def total_mass(self) -> float:
         return SPHERE_AREA[self.N] * float(np.dot(self.u, self.volumes))
 
-    def ball_weights(self, d: float, sigma) -> np.ndarray:
+    def ball_weights(self, d, sigma) -> np.ndarray:
         """Measure of each cell's shell inside B(z, sigma), |z| = d, in closed form for every N.
 
         The overlap |B(0, e) intersected with B(z, sigma)| at the cell edges e is
         BALL_VOLUME[N] min(e, sigma)^N where one ball holds the other, 0 where
         they are apart, and profiles.lens_volume in between, in one array call
         over the lens edges of every ball (none when d = 0); the weights are
-        its differences, so nothing beyond the last edge is counted.  sigma is
-        one radius or a 1-D array of them, with one row of weights per radius.
+        its differences, so nothing beyond the last edge is counted.  d is one
+        offset or a 1-D array of them and sigma one radius or a 1-D array of
+        them; the weights have shape d.shape + sigma.shape + (cells,), so a
+        grid norm scan gets a block of centers x radii x cells in one call.
         """
+        d = np.asarray(d, dtype=float)
         s = np.asarray(sigma, dtype=float)
         if not (s > 0.0).all():
             raise ValueError("sigma must be > 0")
         e = self.edges
         s = s[..., None]
         vol = BALL_VOLUME[self.N] * np.minimum(e, s) ** self.N
-        if d != 0.0:
-            lens = (e > np.abs(s - d)) & (e < s + d)
+        if d.any():
+            d = d.reshape(d.shape + (1,) * s.ndim)  # centers on the leading axis
             vol = np.where(e <= d - s, 0.0, vol)
+            lens = (e > np.abs(s - d)) & (e < s + d)
             if lens.any():
-                r, rs = np.broadcast_arrays(e, s)
-                vol[lens] = lens_volume(self.N, r[lens], d, rs[lens])
+                r, rs, ds = np.broadcast_arrays(e, s, d)
+                vol[lens] = lens_volume(self.N, r[lens], ds[lens], rs[lens])
+        elif d.ndim:  # centered rows skip the lens path, which is empty for them
+            vol = np.broadcast_to(vol, d.shape + vol.shape)
         return np.diff(vol, axis=-1)
 
     def ball_mass(self, sigma: float) -> float:

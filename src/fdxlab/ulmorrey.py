@@ -14,6 +14,16 @@ configured offsets for analytic radial profiles (the radially decreasing
 structure puts the sup at the singularity, which the off-center monotonicity
 property test cross-checks), and all grid nodes for gridded fields.  Radii are
 scanned on a log grid.
+
+A scan fills one (center x radius) matrix of the weighted ball quantity and
+takes its first maximum in row-major order: the first center, then the first
+radius.  A profile fills it one center at a time, all radii of a center in
+one batched quadrature pass.  A grid field fills it with one
+GridField.ball_weights call and one matmul per block of centers (at most
+CENTER_BLOCK_ENTRIES weights), so memory stays bounded for dense scans.
+Phi^{-1} stays a scalar call per element (libm pow for Morrey, psi_inv for
+Orlicz-eta): a vectorised np.log differs from libm log in the last ulp on
+some machines, which would move digits of the verdict CSV.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ ORLICZ_ETA = "orlicz_eta"
 
 DEFAULT_RADIUS_CAP = 1e6  # stands in for R = infinity
 DEFAULT_RADII_PER_DECADE = 64
+CENTER_BLOCK_ENTRIES = 2**18  # at most this many cell weights per ball_weights call of a grid scan
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,7 @@ def orlicz_ball_average(f, alpha: float, z, sigma, scale: float = 1.0):
     s, scalar = as_radii(sigma)
     d = radial_offset(z)
     if isinstance(f, GridField):
-        out = np.array([psi_inv(alpha, y) for y in _grid_average(f, psi(alpha, scale * f.u), d, s).tolist()])
+        out = _grid_orlicz_averages(f, alpha, np.array([d]), s, scale)[0]
         return float(out[0]) if scalar else out
     profile: RadialProfile = f
     out = np.empty(len(s))
@@ -192,21 +203,58 @@ def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float) -> Optional[W
     return WSlice(log_gw, tail - alpha)
 
 
-def _grid_average(field: GridField, values: np.ndarray, d: float, sigma: np.ndarray) -> np.ndarray:
-    """Averages over B(z, sigma), |z| = d, of per-cell values of the field's grid, for an array of radii."""
-    return field.ball_weights(d, sigma) @ values / ball_volume(field.N, sigma)
+def _weight_blocks(field: GridField, centers: np.ndarray, sigma):
+    """ball_weights over blocks of the centers, each of at most CENTER_BLOCK_ENTRIES weights."""
+    per_block = max(1, CENTER_BLOCK_ENTRIES // (np.size(sigma) * len(field.u)))
+    for i in range(0, len(centers), per_block):
+        yield field.ball_weights(centers[i : i + per_block], sigma)
 
 
-def _ball_quantity(f, spec: NormSpec, d: float, sigma: np.ndarray, scale: float) -> np.ndarray:
-    """The weighted quantity whose (z, sigma)-sup defines the norm, for one center and an array of radii."""
+def _grid_averages(field: GridField, values: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Averages of per-cell values over B(z, sigma), |z| = d, one row per center offset d and one column per radius.
+
+    w @ values multiplies each center's (radius x cell) weights by values, so
+    every row is bit for bit the single-center ball_weights(d, sigma) @ values.
+    """
+    vol = ball_volume(field.N, sigma)
+    return np.concatenate([w @ values / vol for w in _weight_blocks(field, centers, sigma)])
+
+
+def _grid_orlicz_averages(field: GridField, alpha: float, centers, sigma, scale: float) -> np.ndarray:
+    """orlicz_ball_average of a grid field for every (center, radius) pair, psi_inv one element at a time."""
+    avg = _grid_averages(field, psi(alpha, scale * field.u), centers, sigma)
+    return _by_rows(lambda row: [psi_inv(alpha, y) for y in row], avg)
+
+
+def _by_rows(fn, matrix: np.ndarray) -> np.ndarray:
+    """fn of each row as a list of Python floats (libm arithmetic), one row's list alive at a time."""
+    out = np.empty_like(matrix)
+    for i, row in enumerate(matrix):
+        out[i] = fn(row.tolist())
+    return out
+
+
+def _morrey_weighting(N: int, spec: NormSpec, sigma: np.ndarray):
+    """avg -> sigma^{N/q} avg^{1/alpha} per radius, in libm pow as in ball_average_power's closed form."""
+    xs = [x ** (N / spec.q) for x in sigma.tolist()]
+    return lambda avg: [x * a ** (1.0 / spec.alpha) for x, a in zip(xs, avg)]
+
+
+def _ball_quantities(f, spec: NormSpec, centers: np.ndarray, sigma: np.ndarray, scale: float) -> np.ndarray:
+    """The weighted quantity whose (z, sigma)-sup defines the norm, one row per center and one column per radius."""
+    if not isinstance(f, GridField):
+        return np.array([_profile_column(f, spec, d, sigma, scale) for d in centers.tolist()])
+    if spec.kind == ORLICZ_ETA:
+        return eta(f.N, sigma / spec.R) * _grid_orlicz_averages(f, spec.alpha, np.abs(centers), sigma, scale)
+    avg = _grid_averages(f, f.u**spec.alpha, np.abs(centers), sigma) * scale**spec.alpha
+    return _by_rows(_morrey_weighting(f.N, spec, sigma), avg)
+
+
+def _profile_column(f: RadialProfile, spec: NormSpec, d: float, sigma: np.ndarray, scale: float) -> np.ndarray:
+    """The weighted ball quantity of a profile for one center and an array of radii (one batched quadrature pass)."""
     if spec.kind == MORREY:
-        N = f.N
-        if isinstance(f, GridField):
-            avg = _grid_average(f, f.u**spec.alpha, d, sigma) * scale**spec.alpha
-        else:
-            avg = ball_average_power(f, spec.alpha, d, sigma) * scale**spec.alpha
-        # libm pow, as in ball_average_power's closed form
-        return np.array([x ** (N / spec.q) * a ** (1.0 / spec.alpha) for x, a in zip(sigma.tolist(), avg.tolist())])
+        avg = ball_average_power(f, spec.alpha, d, sigma) * scale**spec.alpha
+        return np.array(_morrey_weighting(f.N, spec, sigma)(avg.tolist()))
     # orlicz_eta: weight eta(sigma / R) with R = T^theta playing the reference scale
     w = eta(f.N, sigma / spec.R)
     return w * orlicz_ball_average(f, spec.alpha, d, sigma, scale=scale)
@@ -238,14 +286,12 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
                 grid_resolution=f"analytic tail: sigma^{grow:+.3g} unbounded on (0, {spec.R:.3g})",
             )
 
-    def column_max(d: float) -> tuple[float, float, float]:
-        values = _ball_quantity(f, spec, d, np.array(radii), scale)
-        best = int(np.argmax(values))  # the first of equal maxima
-        return float(values[best]), d, radii[best]
-
-    value, center, radius = max((column_max(d) for d in scan.centers), key=lambda t: t[0])
+    values = _ball_quantities(f, spec, np.array(scan.centers), np.array(radii), scale)
+    i, j = divmod(int(np.argmax(values)), len(radii))  # the first of equal maxima: first center, then first radius
     res = f"{len(scan.centers)} centers x {len(radii)} radii in [{radii[0]:.3g}, {radii[-1]:.3g}]"
-    return NormResult(value=float(value), arg_center=float(center), arg_radius=float(radius), grid_resolution=res)
+    return NormResult(
+        value=float(values[i, j]), arg_center=float(scan.centers[i]), arg_radius=float(radii[j]), grid_resolution=res
+    )
 
 
 def condition_spec(params: ProblemParams, T: float, delta: float, beta_or_alpha: float) -> Optional[NormSpec]:
@@ -313,7 +359,9 @@ def check_condition(
         sigma = T**ex.theta
         centers = scan.centers if scan is not None else (0.0,)
         if isinstance(f, GridField):
-            mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
+            offsets = np.array([radial_offset(d) for d in centers])
+            # one np.dot per row, as ball_mass_at takes it
+            mass = max(float(np.dot(f.u, w)) for block in _weight_blocks(f, offsets, sigma) for w in block)
         else:
             mass = max(ball_mass(f, d, sigma) for d in centers)
         threshold_scale = T ** (ex.theta * (params.N - ex.a_ss))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -85,6 +87,20 @@ def test_ball_weights_sum_to_the_ball_volume(N):
         assert w.sum() == pytest.approx(ball_volume(N, sigma), rel=1e-12), (d, sigma)
         # one row per radius when sigma is an array (a norm-scan column)
         np.testing.assert_array_equal(f.ball_weights(d, np.array([0.5, sigma, 3.0]))[1], w)
+    # an array of centers (a block of a grid norm scan) gives exactly the stacked per-center rows;
+    # 1.1 - 0.6 and 0.625 + nextafter(0.625, 1) land within an ulp of the edges 0.5 and 1.25
+    centers = np.array([0.0, 0.4, 2.1, 1.0, 0.25, 1.1, np.nextafter(0.625, 1.0), 0.0])
+    radii = np.array([0.5, 0.6, 0.625, 0.75, 1.3, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = f.ball_weights(centers, radii)
+        assert block.shape == (len(centers), len(radii), len(f.u))
+        np.testing.assert_array_equal(block, [f.ball_weights(d, radii) for d in centers])
+        np.testing.assert_array_equal(f.ball_weights(centers, 1.3), block[:, 4])
+    # the d = 0 rows are the centered rows ball_mass keeps for the solver's records
+    f.u[:] = np.linspace(0.0, 1.0, len(f.u))
+    assert [f.ball_mass(s) for s in radii] == [float(np.dot(f.u, w)) for w in block[0]]
+    np.testing.assert_array_equal(block[-1], block[0])
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from fdxlab.exponents import ProblemParams, Regime
-from fdxlab.profiles import constant, critical_log, power_law
+from fdxlab.profiles import ball_volume, constant, critical_log, power_law
 from fdxlab.solver import GridField
+from fdxlab.special_functions import eta, psi, psi_inv
 from fdxlab.ulmorrey import (
+    CENTER_BLOCK_ENTRIES,
     ScanGrid,
     check_condition,
     morrey,
@@ -280,8 +282,6 @@ def test_orlicz_eta_norm_weight_maximum_inside():
     scan = ScanGrid.build(spec, r_min=1e-3, centers=(0.0,), radii_per_decade=16)
     res = norm(constant(0.5, 2), spec, scan)
     assert res.arg_radius == pytest.approx(1.0, rel=1e-6)
-    from fdxlab.special_functions import eta
-
     assert res.value == pytest.approx(eta(2, res.arg_radius / 1.0) * 0.5, rel=1e-9)
 
 
@@ -357,3 +357,77 @@ def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
         v = check_condition(params, f, T, 1.0, 1.0, scan=scan)
         assert v.regime is Regime.SUBCRITICAL
         assert v.condition_value == pytest.approx(exact / T ** (theta * (1 - 2.0 / (params.p - params.m))), rel=1e-12)
+
+
+# -- grid scans against a per-center reference --------------------------------------
+
+
+def _per_center_norm(f: GridField, spec, scan: ScanGrid, scale: float) -> tuple:
+    """(value, arg_center, arg_radius) of a grid norm from one ball_weights call per center.
+
+    The same arithmetic as the scan, one center at a time: a later center wins
+    only when strictly larger, and np.argmax takes the first of equal radii.
+    """
+    radii = np.array([s for s in scan.radii if s < spec.R])
+    vol = ball_volume(f.N, radii)
+    best = None
+    for d in scan.centers:
+        w = f.ball_weights(abs(d), radii)
+        if spec.kind == "morrey":
+            avg = w @ f.u**spec.alpha / vol * scale**spec.alpha
+            q = np.array([x ** (f.N / spec.q) * a ** (1.0 / spec.alpha) for x, a in zip(radii.tolist(), avg.tolist())])
+        else:
+            avg = w @ psi(spec.alpha, scale * f.u) / vol
+            q = eta(f.N, radii / spec.R) * np.array([psi_inv(spec.alpha, y) for y in avg.tolist()])
+        j = int(np.argmax(q))
+        if best is None or q[j] > best[0]:
+            best = (float(q[j]), d, float(radii[j]))
+    return best
+
+
+def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
+    rng = np.random.default_rng(20)
+    specs = [morrey(q, alpha, R) for q, alpha, R in ((1.0, 1.0, 2.0), (2.0, 1.5, math.inf), (3.5, 2.0, 0.7))]
+    specs += [orlicz_eta(alpha, R=2.0) for alpha in (0.25, 0.5, 1.5)]
+    cases = []
+    for N in (1, 2, 3):
+        for spec in specs:
+            f = _random_field(rng, N=N, cells=int(rng.integers(12, 60)), R=4.0)
+            f.u[rng.uniform(size=len(f.u)) < 0.3] = 0.0  # zero cells
+            cases.append((f, spec, ScanGrid.for_field(f, spec), float(rng.choice([1.0, 0.3, 2.5]))))
+    # more weights than one center block holds, so the scan takes several ball_weights calls
+    big = _random_field(rng, N=2, cells=200, R=4.0)
+    for spec in (morrey(2.0, 1.5, R=2.0), orlicz_eta(0.5, R=2.0)):
+        scan = ScanGrid.for_field(big, spec)
+        assert len(scan.centers) * len(scan.radii) * len(big.u) > 4 * CENTER_BLOCK_ENTRIES
+        cases.append((big, spec, scan, 1.7))
+    for f, spec, scan, scale in cases:
+        res = norm(f, spec, scan, scale=scale)
+        assert (res.value, res.arg_center, res.arg_radius) == _per_center_norm(f, spec, scan, scale), (f.N, spec)
+    # ties go to the first center, then the first radius: a zero field ties every ball, and N = 1
+    # unit data on binary radii and offsets tie every ball inside the domain exactly, so the
+    # largest radius wins at the first such center in either order of the centers
+    zero = GridField(N=2, dr=0.25, u=np.zeros(16), R_dom=4.0)
+    ones = GridField(N=1, dr=0.25, u=np.ones(16), R_dom=4.0)
+    radii = (0.25, 0.5, 1.0, 2.0)
+    for spec in (morrey(2.0, 1.5, R=4.0), orlicz_eta(0.5, R=4.0)):
+        for centers, first in (((3.5, 1.5, 0.5, 0.0), 1.5), ((0.0, 0.5, 1.5, 3.5), 0.0)):
+            scan = ScanGrid(centers=centers, radii=radii)
+            res = norm(zero, spec, scan, scale=2.0)
+            assert (res.value, res.arg_center, res.arg_radius) == (0.0, centers[0], 0.25)
+            res = norm(ones, spec, scan)
+            assert (res.arg_center, res.arg_radius) == (first, 2.0)
+            assert (res.value, res.arg_center, res.arg_radius) == _per_center_norm(ones, spec, scan, 1.0)
+    # one unit cell [1, 1.25] ties (1, 0.25) with (1.125, 0.125) exactly: the first center wins, not the first radius
+    cell = GridField(N=1, dr=0.25, u=np.eye(16)[4], R_dom=4.0)
+    res = norm(cell, morrey(1.0, 1.0, R=4.0), ScanGrid(centers=(1.0, 1.125), radii=(0.125, 0.25, 0.5)))
+    assert (res.value, res.arg_center, res.arg_radius) == (0.125, 1.0, 0.25)
+    # the subcritical grid verdict is the largest per-center ball_mass_at, bit for bit
+    params = ProblemParams(N=2, m=0.5, p=1.2)
+    theta = (params.p - params.m) / (2.0 * (params.p - 1.0))
+    centers = (0.0, 0.7, -1.3, *big.r[::3])
+    for T in (0.05, 0.5):
+        sigma = T**theta
+        v = check_condition(params, big, T, 1.0, 1.0, scan=ScanGrid(centers=centers, radii=(1.0,)))
+        mass = max(big.ball_mass_at(abs(d), sigma) for d in centers)
+        assert v.condition_value == mass / T ** (theta * (params.N - 2.0 / (params.p - params.m)))
