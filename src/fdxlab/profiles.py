@@ -229,9 +229,13 @@ def cap_measure(N: int, rho, d, sigma):
         out = np.where(rho > 0.0, (np.abs(rho - d) < sigma) + (rho <= sigma - d) * 1.0, 0.0)
     else:
         # 1 - cos clips to 2 on a sphere inside the ball (rho <= sigma - d) and to 0 on one outside it
-        h = _versine(rho, d, sigma)
-        out = 4.0 * rho * np.arcsin(np.sqrt(0.5 * h)) if N == 2 else 2.0 * math.pi * rho * rho * h
+        out = _cap_area(N, rho, _versine(rho, d, sigma))
     return float(out) if out.ndim == 0 else out
+
+
+def _cap_area(N: int, rho, h):
+    """Measure of the cap of {|x| = rho} whose polar angle has 1 - cos = h, for N = 2, 3."""
+    return 4.0 * rho * np.arcsin(np.sqrt(0.5 * h)) if N == 2 else 2.0 * math.pi * rho * rho * h
 
 
 def _versine(rho, d, sigma):
@@ -252,13 +256,20 @@ def lens_volume(N: int, r, d, sigma):
     z.n integrates to -d |D| there, D being the flat disk spanned by the rim.
     |D| is 2a, pi a^2 for N = 2, 3 with rim radius a, and
     a^2 = r^2 h (2 - h) with h = 1 - cos of the rim's polar angle.
+
+    The lens lies inside both balls, so the result is capped at the smaller
+    ball's volume: where B(z, sigma) all but fills the lens (r within
+    rounding of sigma + d) the formula rounds above it by up to about
+    sqrt(eps) relative.
     """
     if N == 1:
-        return r + sigma - d
-    h = _versine(r, d, sigma)
-    a2 = r * r * h * (2.0 - h)
-    disk = 2.0 * np.sqrt(a2) if N == 2 else math.pi * a2
-    return (r * cap_measure(N, r, d, sigma) + sigma * cap_measure(N, sigma, d, r) - d * disk) / N
+        lens = r + sigma - d
+    else:
+        h = _versine(r, d, sigma)
+        a2 = r * r * h * (2.0 - h)
+        disk = 2.0 * np.sqrt(a2) if N == 2 else math.pi * a2
+        lens = (r * _cap_area(N, r, h) + sigma * cap_measure(N, sigma, d, r) - d * disk) / N
+    return np.minimum(lens, BALL_VOLUME[N] * np.minimum(r, sigma) ** N)
 
 
 def log_rho_of_w(w):

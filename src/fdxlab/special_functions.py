@@ -77,6 +77,38 @@ def psi_inv(alpha: float, y: float) -> float:
         x = x_new
 
 
+def psi_inv_array(alpha: float, y) -> np.ndarray:
+    """psi_inv of every element of y, by the same Newton iteration from the same start, in numpy.
+
+    Each element stops where a step no longer lowers it, as in psi_inv; a
+    stopped element recomputes the same step and stays put, so the whole
+    array steps until none moves.  0 and inf map to themselves.  np.log may
+    differ from libm log in the last ulp, so an element may differ from
+    psi_inv by a few ulps.
+    """
+    if alpha < 0.0:
+        raise ValueError("alpha must be >= 0")
+    y = np.array(y, dtype=float)
+    if np.any(y < 0.0):
+        raise ValueError("psi_inv requires y >= 0")
+    live = (y > 0.0) & (y < math.inf)
+    yl = y[live]
+
+    def newton(x: np.ndarray) -> np.ndarray:
+        lg = np.log(_E + x)
+        return x - (x * lg**alpha - yl) / (lg**alpha + x * alpha * lg ** (alpha - 1.0) / (_E + x))
+
+    x = newton(yl / np.log(_E + yl) ** alpha)
+    while True:
+        x_new = newton(x)
+        down = x_new < x
+        if not down.any():
+            break
+        x = np.where(down, x_new, x)
+    y[live] = x
+    return y
+
+
 def eta(N: int, xi):
     """eta(xi) = xi^N * log(e + 1/xi)^{N/2}; the xi -> 0+ limit 0 is returned exactly."""
     if N < 1:

@@ -311,6 +311,17 @@ def test_lens_volume_matches_closed_forms():
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
+def test_lens_volume_stays_inside_the_smaller_ball_near_tangency(N):
+    # r a few ulps below sigma + d: B(z, sigma) all but fills the lens, which the formula
+    # rounded above |B(z, sigma)| (by up to 1.2e-8 relative for N = 2) before the cap
+    rng = np.random.default_rng(4)
+    d, sigma = rng.uniform(0.05, 3.0, 2000), rng.uniform(0.01, 2.0, 2000)
+    r = (sigma + d) * (1.0 - rng.integers(1, 64, 2000) * 2.0**-52)
+    assert np.all(np.abs(r - sigma) < d)
+    assert np.all(lens_volume(N, r, d, sigma) <= ball_volume(N, np.minimum(r, sigma)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
 def test_grid_ball_mass_matches_closed_form_overlaps(N):
     rng = np.random.default_rng(20 + N)
     f = GridField(N=N, dr=0.1, u=rng.uniform(0.0, 1.0, size=40), R_dom=4.0)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from fdxlab.exponents import ProblemParams
-from fdxlab.special_functions import _TABLE_XS, GammaFn, _cumulative_weights, c_eta, eta, psi, psi_inv
+from fdxlab.special_functions import _TABLE_XS, GammaFn, _cumulative_weights, c_eta, eta, psi, psi_inv, psi_inv_array
 
 E = math.e
 
@@ -54,6 +54,24 @@ def test_psi_inv_residual_over_the_float_range():
             x = psi_inv(float(alpha), float(y))
             assert abs(x * math.log(E + x) ** alpha - y) <= 1e-12 * max(1.0, y), (alpha, y)
     assert psi_inv(1.0, math.inf) == math.inf
+
+
+def test_psi_inv_array_matches_the_scalar_newton():
+    rng = np.random.default_rng(21)
+    ys = 10.0 ** rng.uniform(-300.0, 300.0, size=(40, 50))
+    for alpha in (0.25, 0.5, 1.0, 1.5, 2.0):
+        got = psi_inv_array(alpha, ys)
+        want = np.array([[psi_inv(alpha, y) for y in row] for row in ys.tolist()])
+        assert got.shape == ys.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(psi_inv_array(alpha, [0.0, math.inf, 0.0]), [0.0, math.inf, 0.0])
+
+
+def test_psi_inv_array_errors():
+    with pytest.raises(ValueError):
+        psi_inv_array(1.0, [2.0, -1.0])
+    with pytest.raises(ValueError):
+        psi_inv_array(-0.5, [2.0])
 
 
 def test_psi_round_trip_random():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fdxlab import ulmorrey
 from fdxlab.exponents import ProblemParams, Regime
-from fdxlab.profiles import ball_volume, constant, critical_log, power_law
+from fdxlab.profiles import ball_average_power, ball_volume, constant, critical_log, power_law
 from fdxlab.solver import GridField
 from fdxlab.special_functions import eta, psi, psi_inv
 from fdxlab.ulmorrey import (
@@ -362,27 +363,68 @@ def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
 # -- grid scans against a per-center reference --------------------------------------
 
 
-def _per_center_norm(f: GridField, spec, scan: ScanGrid, scale: float) -> tuple:
-    """(value, arg_center, arg_radius) of a grid norm from one ball_weights call per center.
+def _per_center_norm(f, spec, scan: ScanGrid, scale: float) -> tuple:
+    """(value, arg_center, arg_radius) of a norm scan, one center at a time, with scalar Phi^{-1} throughout.
 
-    The same arithmetic as the scan, one center at a time: a later center wins
-    only when strictly larger, and np.argmax takes the first of equal radii.
+    A grid field takes one ball_weights call per center, a profile its
+    ball_average_power or orlicz_ball_average column; Phi^{-1} is libm pow
+    or psi_inv per element.  A later center wins only when strictly larger,
+    and np.argmax takes the first of equal radii.
     """
     radii = np.array([s for s in scan.radii if s < spec.R])
     vol = ball_volume(f.N, radii)
     best = None
+    grid = isinstance(f, GridField)
     for d in scan.centers:
-        w = f.ball_weights(abs(d), radii)
         if spec.kind == "morrey":
-            avg = w @ f.u**spec.alpha / vol * scale**spec.alpha
+            if grid:
+                avg = f.ball_weights(abs(d), radii) @ f.u**spec.alpha / vol * scale**spec.alpha
+            else:
+                avg = ball_average_power(f, spec.alpha, d, radii) * scale**spec.alpha
             q = np.array([x ** (f.N / spec.q) * a ** (1.0 / spec.alpha) for x, a in zip(radii.tolist(), avg.tolist())])
-        else:
-            avg = w @ psi(spec.alpha, scale * f.u) / vol
+        elif grid:
+            avg = f.ball_weights(abs(d), radii) @ psi(spec.alpha, scale * f.u) / vol
             q = eta(f.N, radii / spec.R) * np.array([psi_inv(spec.alpha, y) for y in avg.tolist()])
+        else:
+            q = eta(f.N, radii / spec.R) * orlicz_ball_average(f, spec.alpha, d, radii, scale=scale)
         j = int(np.argmax(q))
         if best is None or q[j] > best[0]:
             best = (float(q[j]), d, float(radii[j]))
     return best
+
+
+def test_scalar_recheck_breaks_a_near_tie_that_numpy_gets_wrong(monkeypatch):
+    # N = 1 unit data tie the radius-2 balls at the centers 1.5, 0.5 and 0 exactly; a numpy
+    # Phi^{-1} one ulp low at (1.5, 2) and exact at (0.5, 2) puts the numpy maximum at center 0.5
+    ones = GridField(N=1, dr=0.25, u=np.ones(16), R_dom=4.0)
+    spec, scan = orlicz_eta(0.5, R=4.0), ScanGrid(centers=(3.5, 1.5, 0.5, 0.0), radii=(0.25, 0.5, 1.0, 2.0))
+    numpy_inv = ulmorrey.psi_inv_array
+
+    def one_ulp_low(alpha, y):
+        out = numpy_inv(alpha, y)
+        out[1, 3] = np.nextafter(out[1, 3], 0.0)
+        return out
+
+    monkeypatch.setattr(ulmorrey, "psi_inv_array", one_ulp_low)
+    res = norm(ones, spec, scan)
+    assert (res.value, res.arg_center, res.arg_radius) == _per_center_norm(ones, spec, scan, 1.0)
+    assert (res.arg_center, res.arg_radius) == (1.5, 2.0)
+    monkeypatch.setattr(ulmorrey, "RECHECK_MARGIN", 0.0)  # recheck the numpy maximum alone
+    res = norm(ones, spec, scan)
+    assert (res.arg_center, res.arg_radius) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("spec", [morrey(2.0, 1.5, R=4.0), orlicz_eta(0.5, R=4.0)], ids=["morrey", "orlicz_eta"])
+def test_grid_norm_near_outer_tangency(spec):
+    # balls whose edge e lies within rounding of sigma + d: the lens formula there exceeded the
+    # smaller ball by about sqrt(eps), a weight went negative (-1.06e-9), and norm raised
+    f = GridField(N=2, dr=0.4, u=np.eye(10)[9], R_dom=4.0)
+    radii = np.logspace(math.log10(f.dr / 2.0), math.log10(2.0), 40)[:-1]
+    assert f.ball_weights(f.r, radii).min() > -1e-20
+    scan = ScanGrid(centers=tuple(f.r), radii=tuple(radii))
+    res = norm(f, spec, scan)
+    assert 0.0 < res.value < math.inf
+    assert (res.value, res.arg_center, res.arg_radius) == _per_center_norm(f, spec, scan, 1.0)
 
 
 def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
@@ -401,9 +443,28 @@ def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
         scan = ScanGrid.for_field(big, spec)
         assert len(scan.centers) * len(scan.radii) * len(big.u) > 4 * CENTER_BLOCK_ENTRIES
         cases.append((big, spec, scan, 1.7))
+    # analytic profiles: critical_log verdict scans at scale T^{1/(p-1)} (alpha >= N/2 has infinite
+    # closed-form columns), off-center power-law Morrey columns (the N = 1 origin column is flat, so
+    # every radius is a near-tie) and constant data under orlicz_eta (closed form inside the cutoff)
+    for N in (1, 2, 3):
+        params = ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N)
+        theta = (params.p - params.m) / (2.0 * (params.p - 1.0))
+        for T, alpha in ((0.5, N / 4.0), (2.0, N / 3.0), (1.0, N / 2.0)):
+            spec = orlicz_eta(alpha, R=T**theta)
+            scan = ScanGrid.build(spec, r_min=1e-3 * spec.R, centers=(0.0, 0.4 * spec.R), radii_per_decade=16)
+            cases.append((critical_log(0.02, N), spec, scan, T ** (1.0 / (params.p - 1.0))))
+    for f, spec in (
+        (power_law(0.1, 0.8, 1), morrey(1.25, 1.0)),
+        (power_law(0.3, 0.6, 2, cutoff=1.5), morrey(2.5, 1.5, R=3.0)),
+        (power_law(0.2, 0.5, 3, cutoff=2.0), morrey(4.0, 1.2, R=1.0)),
+    ):
+        cases.append((f, spec, ScanGrid.build(spec, r_min=1e-3, centers=(0.0, 0.05, 0.2, 1.0), radii_per_decade=16), 1.0))
+    for f in (constant(0.7, 1), constant(0.7, 2, cutoff=0.8), constant(0.7, 3, cutoff=1.1)):
+        spec = orlicz_eta(0.5, R=1.5)
+        cases.append((f, spec, ScanGrid.build(spec, r_min=1e-2, centers=(0.0, 0.3), radii_per_decade=16), 1.3))
     for f, spec, scan, scale in cases:
         res = norm(f, spec, scan, scale=scale)
-        assert (res.value, res.arg_center, res.arg_radius) == _per_center_norm(f, spec, scan, scale), (f.N, spec)
+        assert (res.value, res.arg_center, res.arg_radius) == _per_center_norm(f, spec, scan, scale), (f, spec)
     # ties go to the first center, then the first radius: a zero field ties every ball, and N = 1
     # unit data on binary radii and offsets tie every ball inside the domain exactly, so the
     # largest radius wins at the first such center in either order of the centers
