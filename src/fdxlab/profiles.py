@@ -440,25 +440,31 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
     if profile.kind == "power" and ae >= N:
         raise ValueError(f"power profile with a*alpha = {ae} >= N = {N} is not locally integrable")
     out = np.empty(len(s))
-    inside_cutoff = np.full(len(s), True) if profile.cutoff is None else d + s <= profile.cutoff
-    rest = np.full(len(s), True)
+    closed = np.full(len(s), profile.kind == "constant" or (profile.kind == "power" and d == 0.0))
+    if profile.cutoff is not None:
+        closed &= d + s <= profile.cutoff
     if profile.kind == "constant":
-        out[inside_cutoff], rest = profile.c**expo, ~inside_cutoff
-    elif profile.kind == "power" and d == 0.0:
+        out[closed] = profile.c**expo
+    else:
         # in Python floats (libm pow), so a flat column keeps the bits, and the first-max radius, of a scalar scan
-        out[inside_cutoff] = [(profile.c**expo) * N / (N - ae) * x ** (-ae) for x in s[inside_cutoff].tolist()]
-        rest = ~inside_cutoff
-    if rest.any():
-        total = radial_ball_integral(
-            lambda rho: profile.value(rho) ** expo,
-            N,
-            d,
-            s[rest],
-            gw=profile.power_times_vol_w(expo),
-            cutoff=profile.cutoff,
-        )
-        out[rest] = total / ball_volume(N, s[rest])
+        out[closed] = [(profile.c**expo) * N / (N - ae) * x ** (-ae) for x in s[closed].tolist()]
+    gw = profile.power_times_vol_w(expo)
+    out = ball_average_tail(profile, lambda rho: profile.value(rho) ** expo, gw, d, s, out, closed)
     return float(out[0]) if scalar else out
+
+
+def ball_average_tail(profile: RadialProfile, g, gw: Optional[WSlice], d: float, s: np.ndarray, out, closed):
+    """out with every entry not closed set to the average of g(|x|) over B(z, s), |z| = d.
+
+    A profile's ball averages take their closed-form entries first; the rest
+    of the radii s go through one radial_ball_integral pass, with gw the
+    origin slice of g and the profile's cutoff.
+    """
+    rest = ~closed
+    if rest.any():
+        total = radial_ball_integral(g, profile.N, d, s[rest], gw=gw, cutoff=profile.cutoff)
+        out[rest] = total / ball_volume(profile.N, s[rest])
+    return out
 
 
 def ball_average(profile: RadialProfile, z, sigma):
@@ -487,8 +493,6 @@ def cell_averages(profile: RadialProfile, edges: np.ndarray) -> np.ndarray:
     if profile.kind == "constant" and profile.cutoff is None:
         return np.full(len(vols), profile.c)
     if profile.kind == "power" and profile.cutoff is None:
-        if profile.a >= N:
-            raise ValueError("power profile not locally integrable")
         e = N - profile.a
         ints = profile.c * (edges[1:] ** e - edges[:-1] ** e) / e
         return ints / vols

@@ -46,9 +46,10 @@ def psi(alpha: float, xi):
     return float(out) if np.isscalar(xi) or xi_arr.ndim == 0 else out
 
 
-def _psi_derivative(alpha: float, x: float) -> float:
-    lg = math.log(_E + x)
-    return lg**alpha + x * alpha * lg ** (alpha - 1.0) / (_E + x)
+def _psi_newton(alpha: float, x, y, log):
+    """One Newton step on psi_alpha(x) = y from x: log is math.log for a float x, np.log for an array."""
+    lg = log(_E + x)
+    return x - (x * lg**alpha - y) / (lg**alpha + x * alpha * lg ** (alpha - 1.0) / (_E + x))
 
 
 def psi_inv(alpha: float, y: float) -> float:
@@ -65,26 +66,23 @@ def psi_inv(alpha: float, y: float) -> float:
         raise ValueError("psi_inv requires y >= 0")
     if y == 0.0 or math.isinf(y):
         return y
-
-    def newton(x: float) -> float:
-        return x - (x * math.log(_E + x) ** alpha - y) / _psi_derivative(alpha, x)
-
-    x = newton(y / math.log(_E + y) ** alpha)
+    x = _psi_newton(alpha, y / math.log(_E + y) ** alpha, y, math.log)
     while True:
-        x_new = newton(x)
+        x_new = _psi_newton(alpha, x, y, math.log)
         if not x_new < x:
             return x
         x = x_new
 
 
 def psi_inv_array(alpha: float, y) -> np.ndarray:
-    """psi_inv of every element of y, by the same Newton iteration from the same start, in numpy.
+    """psi_inv of every element of y: the same Newton step (_psi_newton) from the same start, with np.log.
 
     Each element stops where a step no longer lowers it, as in psi_inv; a
     stopped element recomputes the same step and stays put, so the whole
     array steps until none moves.  0 and inf map to themselves.  np.log may
     differ from libm log in the last ulp, so an element may differ from
-    psi_inv by a few ulps.
+    psi_inv by a few ulps (about 4e-16 relative); ulmorrey rechecks the
+    entries near a scan's maximum with psi_inv.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
@@ -93,14 +91,9 @@ def psi_inv_array(alpha: float, y) -> np.ndarray:
         raise ValueError("psi_inv requires y >= 0")
     live = (y > 0.0) & (y < math.inf)
     yl = y[live]
-
-    def newton(x: np.ndarray) -> np.ndarray:
-        lg = np.log(_E + x)
-        return x - (x * lg**alpha - yl) / (lg**alpha + x * alpha * lg ** (alpha - 1.0) / (_E + x))
-
-    x = newton(yl / np.log(_E + yl) ** alpha)
+    x = _psi_newton(alpha, yl / np.log(_E + yl) ** alpha, yl, np.log)
     while True:
-        x_new = newton(x)
+        x_new = _psi_newton(alpha, x, yl, np.log)
         down = x_new < x
         if not down.any():
             break

@@ -15,21 +15,22 @@ structure puts the sup at the singularity, which the off-center monotonicity
 property test cross-checks), and all grid nodes for gridded fields.  Radii are
 scanned on a log grid.
 
-A scan fills one (center x radius) matrix of the weighted ball quantity and
-takes its first maximum in row-major order: the first center, then the first
-radius.  A profile fills it one center at a time, all radii of a center in
-one batched quadrature pass.  A grid field fills it with one
-GridField.ball_weights call and one matmul per block of centers (at most
-CENTER_BLOCK_ENTRIES weights), so memory stays bounded for dense scans.
-The weight and Phi^{-1} then act on the whole matrix of averages in numpy
-(np.power for Morrey, special_functions.psi_inv_array for Orlicz-eta).
-np.log and np.power may differ from libm in the last ulp, so every entry
-within RECHECK_MARGIN = 1e-9 (relative) of the matrix maximum is recomputed
-by the scalar path (libm pow, psi_inv).  The two paths agree to a few ulps
-(about 4e-16 relative for psi_inv), far inside the margin, so the value and
+Both gauges take one path.  A scan fills one (center x radius) matrix of
+ball averages of Phi(scale f) and takes the first maximum of the weighted
+matrix in row-major order: the first center, then the first radius.  A
+profile fills it one center at a time: closed forms first, then all other
+radii of the center in one batched quadrature pass.  A grid field fills it
+with one GridField.ball_weights call and one matmul per block of centers
+(at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.  The weight
+rho(sigma) and Phi^{-1} then act on the whole matrix in numpy (np.power, or
+special_functions.psi_inv_array).  np.power and np.log may differ from libm
+in the last ulp, so every entry within RECHECK_MARGIN = 1e-9 (relative) of
+the matrix maximum is recomputed with the same weight and the scalar
+Phi^{-1} (libm pow, or psi_inv: the same Newton step, with math.log).  The
+two agree to about 4e-16 relative, far inside the margin, so the value and
 place of the maximum, ties included, are the scalar scan's bit for bit.
-Closed-form entries (constant data, infinite critical_log columns) are
-final and skip Phi^{-1}.
+Closed-form Orlicz-eta entries (constant data, infinite critical_log
+columns) are final and skip Phi^{-1}.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .profiles import (
     WSlice,
     as_radii,
     ball_average_power,
+    ball_average_tail,
     ball_mass,
     ball_volume,
-    radial_ball_integral,
     radial_offset,
 )
 from .special_functions import eta, psi, psi_inv, psi_inv_array
@@ -81,6 +82,8 @@ class NormSpec:
             raise ValueError(f"alpha must be >= 1 for the morrey norm, got {self.alpha!r}")
         if self.kind == ORLICZ_ETA and not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0 for the orlicz_eta norm, got {self.alpha!r}")
+        if math.isinf(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if self.kind == ORLICZ_ETA and math.isinf(self.R):
             raise ValueError("R must be finite for the orlicz_eta norm: its weight eta(sigma/R) vanishes at R = inf")
 
@@ -165,48 +168,42 @@ def orlicz_ball_average(f, alpha: float, z, sigma, scale: float = 1.0):
     scalar psi_inv of each element.
     """
     s, scalar = as_radii(sigma)
-    avg, closed = _orlicz_averages(f, alpha, np.array([radial_offset(z)]), s, scale)
+    avg, closed = _averages(f, ORLICZ_ETA, alpha, np.array([radial_offset(z)]), s, scale)
     out = [a if c else psi_inv(alpha, a) for a, c in zip(avg[0].tolist(), closed[0].tolist())]
     return out[0] if scalar else np.array(out)
 
 
-def _orlicz_averages(f, alpha: float, centers: np.ndarray, sigma: np.ndarray, scale: float) -> tuple:
-    """Ball averages of psi_alpha(scale * f), one row per center offset and one column per radius, and their closed mask.
+def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray, scale: float) -> tuple:
+    """Ball averages of Phi(scale * f), one row per center offset and one column per radius, and their closed mask.
 
-    A closed entry holds psi_alpha^{-1} of its average, which needs no
-    inversion: scale c for constant data on balls inside the cutoff, inf for
-    critical_log data with alpha >= N/2 on balls that reach the origin.
+    Phi is xi^alpha (morrey: the average of f^alpha times scale^alpha) or
+    psi_alpha (orlicz_eta).  A closed entry holds Phi^{-1} of its average,
+    which needs no inversion: orlicz_eta profiles only, scale c for constant
+    data on balls inside the cutoff, inf for critical_log data with
+    alpha >= N/2 on balls that reach the origin.
     """
+    closed = np.full((len(centers), len(sigma)), False)
     if isinstance(f, GridField):
-        avg = _grid_averages(f, psi(alpha, scale * f.u), np.abs(centers), sigma)
-        return avg, np.full(avg.shape, False)
-    rows = [_profile_orlicz_averages(f, alpha, abs(d), sigma, scale) for d in centers.tolist()]
-    return np.array([a for a, _ in rows]), np.array([c for _, c in rows])
+        avg = _grid_averages(f, f.u**alpha if kind == MORREY else psi(alpha, scale * f.u), np.abs(centers), sigma)
+    elif kind == MORREY:
+        avg = np.array([ball_average_power(f, alpha, d, sigma) for d in centers.tolist()])
+    else:
+        avg = np.array([_orlicz_row(f, alpha, abs(d), sigma, scale, c) for d, c in zip(centers.tolist(), closed)])
+    return (avg * scale**alpha if kind == MORREY else avg), closed
 
 
-def _profile_orlicz_averages(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, scale: float) -> tuple:
-    """One center's row of _orlicz_averages, the radii that need quadrature in one batched pass."""
+def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, scale: float, closed: np.ndarray):
+    """One center's orlicz_eta averages: closed forms, marked in the row closed, then ball_average_tail for the rest."""
     avg = np.empty(len(s))
-    closed = np.full(len(s), False)
     if profile.kind == "constant":
-        closed = np.full(len(s), True) if profile.cutoff is None else d + s <= profile.cutoff
+        closed[:] = True if profile.cutoff is None else d + s <= profile.cutoff
         avg[closed] = scale * profile.c
     elif profile.kind == "critical_log" and min(profile.c, scale) > 0.0 and alpha >= profile.N / 2.0:
         # psi_alpha(scale f) rho^{N-1} d rho ~ L^{alpha-N/2-1} dL, L = log(1/rho): diverges at the origin
-        closed = d <= s
+        closed[:] = d <= s
         avg[closed] = math.inf
-    rest = ~closed
-    if rest.any():
-        total = radial_ball_integral(
-            lambda rho: psi(alpha, scale * profile.value(rho)),
-            profile.N,
-            d,
-            s[rest],
-            gw=_orlicz_gw(profile, alpha, scale),
-            cutoff=profile.cutoff,
-        )
-        avg[rest] = total / ball_volume(profile.N, s[rest])
-    return avg, closed
+    g = _orlicz_gw(profile, alpha, scale)
+    return ball_average_tail(profile, lambda rho: psi(alpha, scale * profile.value(rho)), g, d, s, avg, closed)
 
 
 def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float) -> Optional[WSlice]:
@@ -251,31 +248,25 @@ def _grid_averages(field: GridField, values: np.ndarray, centers: np.ndarray, si
 def _ball_quantities(f, spec: NormSpec, centers: np.ndarray, sigma: np.ndarray, scale: float) -> np.ndarray:
     """The weighted quantity whose (z, sigma)-sup defines the norm, one row per center and one column per radius.
 
-    The weight and Phi^{-1} act on the whole matrix of averages in numpy;
-    _rechecked then puts the scalar value in every entry near the maximum,
-    so the matrix's first maximum is the scalar scan's.
+    The weight, one array for both paths (libm pow sigma^{N/q}, or eta(sigma/R)
+    with R = T^theta as reference scale), times the numpy Phi^{-1} of the
+    averages fills the matrix; _rechecked then puts the scalar Phi^{-1} in
+    every entry near the maximum, so its first maximum is the scalar scan's.
     """
+    avg, closed = _averages(f, spec.kind, spec.alpha, centers, sigma, scale)
     if spec.kind == MORREY:
-        if isinstance(f, GridField):
-            avg = _grid_averages(f, f.u**spec.alpha, np.abs(centers), sigma)
-        else:
-            avg = np.array([ball_average_power(f, spec.alpha, d, sigma) for d in centers.tolist()])
-        avg *= scale**spec.alpha
         k, a = f.N / spec.q, 1.0 / spec.alpha
+        w = np.array([s**k for s in sigma.tolist()])
+        inv_array, inv = (lambda x: np.power(x, a)), (lambda x: x**a)
+    else:
+        w = eta(f.N, sigma / spec.R)
+        inv_array, inv = (lambda x: psi_inv_array(spec.alpha, x)), (lambda x: psi_inv(spec.alpha, x))
 
-        def morrey_exact(near: tuple) -> list:  # libm pow, as in ball_average_power's closed form
-            return [s**k * x**a for s, x in zip(sigma[near[1]].tolist(), avg[near].tolist())]
-
-        return _rechecked(np.power(sigma, k) * np.power(avg, a), morrey_exact)
-    # orlicz_eta: weight eta(sigma / R) with R = T^theta playing the reference scale
-    avg, closed = _orlicz_averages(f, spec.alpha, centers, sigma, scale)
-    w = eta(f.N, sigma / spec.R)
-
-    def orlicz_exact(near: tuple) -> list:
+    def exact(near: tuple) -> list:
         rows = zip(w[near[1]].tolist(), avg[near].tolist(), closed[near].tolist())
-        return [wj * (x if c else psi_inv(spec.alpha, x)) for wj, x, c in rows]
+        return [wj * (x if c else inv(x)) for wj, x, c in rows]
 
-    return _rechecked(w * np.where(closed, avg, psi_inv_array(spec.alpha, np.where(closed, 0.0, avg))), orlicz_exact)
+    return _rechecked(w * np.where(closed, avg, inv_array(np.where(closed, 0.0, avg))), exact)
 
 
 def _rechecked(values: np.ndarray, exact) -> np.ndarray:
@@ -397,18 +388,12 @@ def check_condition(
             mass = max(float(np.dot(f.u, w)) for block in _weight_blocks(f, offsets, sigma) for w in block)
         else:
             mass = max(ball_mass(f, d, sigma) for d in centers)
-        threshold_scale = T ** (ex.theta * (params.N - ex.a_ss))
-        value = mass / threshold_scale
-    elif regime is Regime.CRITICAL:
-        if scan is None:
-            scan = ScanGrid.build(spec, r_min=1e-3 * spec.R)
-        scale = T ** (1.0 / (params.p - 1.0))
-        value = norm(f, spec, scan, scale=scale).value
+        value = mass / T ** (ex.theta * (params.N - ex.a_ss))  # normalized by the threshold scale
     else:
+        critical = regime is Regime.CRITICAL
         if scan is None:
-            r_hi = spec.radius_cap()
-            scan = ScanGrid.build(spec, r_min=1e-6 * min(r_hi, 1e3))
-        value = norm(f, spec, scan).value
+            scan = ScanGrid.build(spec, r_min=1e-3 * spec.R if critical else 1e-6 * min(spec.radius_cap(), 1e3))
+        value = norm(f, spec, scan, scale=T ** (1.0 / (params.p - 1.0)) if critical else 1.0).value
 
     return SolvabilityVerdict(
         regime=regime,

@@ -188,9 +188,13 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("norms", "norm.alpha = nan", "'norm.alpha': alpha must be >= 1 for the morrey norm, got nan"),
         ("norms", "norm.kind = orlicz_eta\nnorm.r_cap = 1\nnorm.alpha = 0",
          "'norm.alpha': alpha must be > 0 for the orlicz_eta norm, got 0.0"),
+        ("norms", "norm.alpha = inf", "'norm.alpha': alpha must be finite, got inf"),
+        ("norms", "norm.kind = orlicz_eta\nnorm.r_cap = 1\nnorm.alpha = inf",
+         "'norm.alpha': alpha must be finite, got inf"),
         ("norms", CRITICAL + "norm.T = inf", "'norm.T': T = inf is admissible only in the supercritical regime"),
         ("norms", CRITICAL + "norm.beta = 0", "'norm.beta': alpha must be > 0 for the orlicz_eta norm, got 0.0"),
         ("norms", CRITICAL + "norm.beta = nan", "'norm.beta': alpha must be > 0 for the orlicz_eta norm, got nan"),
+        ("norms", CRITICAL + "norm.beta = inf", "'norm.beta': alpha must be finite, got inf"),
         ("norms", "scan.r_min = 0", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got 0.0"),
         ("norms", "scan.r_min = 1e9", "'scan.r_min': must lie in (0, 999999.9990000001)"),
         ("norms", "scan.r_min = nan", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got nan"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdxlab import ulmorrey
-from fdxlab.exponents import ProblemParams, Regime
+from fdxlab.exponents import ProblemParams, Regime, classify_regime
 from fdxlab.profiles import ball_average_power, ball_volume, constant, critical_log, power_law
 from fdxlab.solver import GridField
 from fdxlab.special_functions import eta, psi, psi_inv
@@ -231,6 +231,24 @@ def test_critical_verdicts_meet_their_tolerance_without_warning_or_fallback(N):
     assert 0.0 < v.condition_value < math.inf
 
 
+_GRID = GridField(N=1, dr=0.125, u=np.random.default_rng(9).uniform(0.0, 1.0, 32) ** 2, R_dom=4.0)
+
+
+@pytest.mark.parametrize("params, data, beta, T", [
+    *[(ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N), critical_log(0.02, N), N / 4.0, T) for N in (1, 2, 3)
+      for T in (0.5, 2.0)],
+    *[(SUP, data, 1.1, T) for data in (power_law(0.1, 0.8, 1), _GRID) for T in (0.5, 2.0, math.inf)],
+])
+def test_default_verdict_is_the_norm_on_the_documented_scan_and_scale(params, data, beta, T):
+    # critical: r_min = 1e-3 R and scale T^(1/(p-1)); supercritical: r_min = 1e-6 min(R_cap, 1e3) and scale 1
+    spec = ulmorrey.condition_spec(params, T, 1.0, beta)
+    if classify_regime(params) is Regime.CRITICAL:
+        want = norm(data, spec, ScanGrid.build(spec, r_min=1e-3 * spec.R), scale=T ** (1.0 / (params.p - 1.0)))
+    else:
+        want = norm(data, spec, ScanGrid.build(spec, r_min=1e-6 * min(spec.radius_cap(), 1e3)))
+    assert check_condition(params, data, T, 1.0, beta).condition_value == want.value
+
+
 @pytest.mark.parametrize("params", [ProblemParams(N=1, m=0.5, p=1.2), ProblemParams(N=1, m=0.5, p=2.5), SUP])
 def test_check_condition_rejects_nan_delta_and_T(params):
     # NaN passes every `x <= 0` test: the verdict read met = True for T = nan and met = False for delta = nan
@@ -262,6 +280,14 @@ def test_norm_specs_reject_nan_exponents():
             morrey(**{"q": 1.25, "alpha": 1.0, name: math.nan})
     with pytest.raises(ValueError, match="^alpha must be > 0 for the orlicz_eta norm, got nan"):
         orlicz_eta(math.nan, 1.0)
+    # an infinite alpha read 0.9999999992 for the Morrey norm of constant(0.5) (exactly 0.4999999996)
+    # and raised in the Orlicz-eta origin slice of power data
+    with pytest.raises(ValueError, match="^alpha must be finite, got inf"):
+        morrey(1.25, math.inf, R=1.0)
+    with pytest.raises(ValueError, match="^alpha must be finite, got inf"):
+        orlicz_eta(math.inf, 1.0)
+    with pytest.raises(ValueError, match="^alpha must be finite, got inf"):
+        check_condition(ProblemParams(N=1, m=0.5, p=2.5), critical_log(0.02, 1), 1.0, 1.0, math.inf)
 
 
 def test_check_condition_infinite_T_needs_supercritical():
@@ -391,6 +417,17 @@ def _per_center_norm(f, spec, scan: ScanGrid, scale: float) -> tuple:
         if best is None or q[j] > best[0]:
             best = (float(q[j]), d, float(radii[j]))
     return best
+
+
+def test_numpy_power_matches_libm_pow_far_inside_the_recheck_margin():
+    # the Morrey half of RECHECK_MARGIN: np.power(avg, 1/alpha) may differ from libm's x ** (1/alpha)
+    # in the last ulp (about 5% of values, by at most 2.2e-16, on AVX-512 machines)
+    rng = np.random.default_rng(22)
+    avg = 10.0 ** rng.uniform(-300.0, 300.0, 20000)
+    for alpha in (1.0, 1.1, 1.25, 1.5, 2.0, 3.7):
+        want = np.array([x ** (1.0 / alpha) for x in avg.tolist()])
+        np.testing.assert_allclose(np.power(avg, 1.0 / alpha), want, rtol=4e-16, atol=0.0)
+    assert 4e-16 < 1e-6 * ulmorrey.RECHECK_MARGIN
 
 
 def test_scalar_recheck_breaks_a_near_tie_that_numpy_gets_wrong(monkeypatch):
