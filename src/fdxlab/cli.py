@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import experiments, gronwall, profiles, trace_estimator, ulmorrey
-from .exponents import ProblemParams, Regime, classify_regime, derive_exponents
+from .exponents import ProblemParams, Regime, check_finite_positive, classify_regime, derive_exponents
 from .solver import SolverConfig, check_probes, simulate
 
 SUBCOMMANDS = ("exponents", "norms", "simulate", "threshold", "decay", "trace", "gronwall-check")
@@ -153,13 +153,19 @@ def validate_config(subcommand: str, raw: dict, out_dir: Path, seed: int) -> Run
     return cfg
 
 
-def _violation(key: str, check, *args) -> list:
-    """check(*args)'s ValueError, if it raises one, as a violation of key."""
+def _checked(violations: list, key, build, *args, **kwargs):
+    """build(*args, **kwargs), or None after adding its ValueError to violations as "key '<key>': <message>".
+
+    key is the config key, or a function of the argument name that the
+    library's message starts with; either may instead give a list of the keys
+    that set that argument together.
+    """
     try:
-        check(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        return [f"key {key!r}: {exc}"]
-    return []
+        keys = key(str(exc).partition(" ")[0]) if callable(key) else key
+        violations.append(f"key {', '.join(map(repr, [keys] if isinstance(keys, str) else keys))}: {exc}")
+        return None
 
 
 def _at_least(key: str, value: int, low: int) -> list:
@@ -172,107 +178,91 @@ def _build(cfg: RunConfig) -> list:
     if sub == "gronwall-check":
         args = cfg.args = dict(n_draws=cfg.get("gronwall.n_draws", 200), n_steps=cfg.get("gronwall.n_steps", 1000),
                                T=cfg.get("gronwall.T", 1.0))
-        return (_at_least("gronwall.n_draws", args["n_draws"], 1)
-                + _at_least("gronwall.n_steps", args["n_steps"], gronwall.MIN_STEPS)
-                + _violation("gronwall.T", gronwall.check_horizon, args["T"]))
-    missing = [f"key {k!r}: required for subcommand {sub!r}" for k in ("N", "m", "p") if cfg.get(k) is None]
-    if missing:
-        return missing
-    try:
-        cfg.params = ProblemParams(N=cfg.get("N"), m=cfg.get("m"), p=cfg.get("p"))
-    except ValueError as exc:
-        return [f"key {str(exc).split()[0]!r}: {exc}"]  # the message starts with the key
-    if sub == "exponents":
-        return []
+        violations = (_at_least("gronwall.n_draws", args["n_draws"], 1)
+                      + _at_least("gronwall.n_steps", args["n_steps"], gronwall.MIN_STEPS))
+        _checked(violations, "gronwall.T", check_finite_positive, "T", args["T"])
+        return violations
+    violations = [f"key {k!r}: required for subcommand {sub!r}" for k in ("N", "m", "p") if cfg.get(k) is None]
+    if violations:
+        return violations
+    cfg.params = _checked(violations, lambda name: name, ProblemParams, N=cfg.get("N"), m=cfg.get("m"), p=cfg.get("p"))
+    if violations or sub == "exponents":
+        return violations
 
-    violations = _build_norm(cfg) if sub == "norms" else []
+    if sub == "norms":
+        _build_norm(cfg, violations)
     kind = cfg.get("profile.kind")
     if kind not in _PROFILE_KINDS:
         violations.append("key 'profile.kind': " + ("required" if kind is None else f"unknown kind {kind!r}"))
     elif sub == "threshold" and kind == "barenblatt":
         violations.append("key 'profile.kind': barenblatt has no amplitude profile.c to bisect")
     else:
-        try:
-            cfg.profile = build_profile(cfg)
-        except ValueError as exc:
-            key = f"profile.{str(exc).split()[0]}"  # the message starts with the argument it rejects
-            violations.append(f"key {key!r}: {exc}" if key in _KEYS else f"profile: {exc}")
-    return violations if sub == "norms" else violations + _build_solver(cfg)
+        # profile messages start with the argument they reject: a profile.* field, the kind, N or m
+        cfg.profile = _checked(violations, lambda name: name if name in ("N", "m") else "profile." + name,
+                               build_profile, cfg)
+    if sub != "norms":
+        _build_solver(cfg, violations)
+    return violations
 
 
-def _build_norm(cfg: RunConfig) -> list:
+def _build_norm(cfg: RunConfig, violations: list) -> None:
     """The norm, its scan grid and, given norm.delta, the verdict's (T, delta, beta) of a norms run."""
-    violations = []
     kind, alpha, r_cap = cfg.get("norm.kind", "morrey"), cfg.get("norm.alpha", 1.0), cfg.get("norm.r_cap", math.inf)
     if kind not in _NORM_KINDS:
         violations.append(f"key 'norm.kind': unknown kind {kind!r}")
     else:
-        try:
-            cfg.norm = ulmorrey.morrey(cfg.get("norm.q", 1.0), alpha, r_cap) if kind == "morrey" else \
-                ulmorrey.orlicz_eta(alpha, r_cap)
-        except ValueError as exc:
-            name = str(exc).split()[0]  # the message starts with the field it rejects; norm.r_cap sets the cap R
-            violations.append(f"key {'norm.r_cap' if name == 'R' else 'norm.' + name!r}: {exc}")
-        else:
-            try:
-                cfg.scan = ulmorrey.ScanGrid.build(
-                    cfg.norm,
-                    r_min=cfg.get("scan.r_min", 1e-3),
-                    centers=cfg.get("scan.centers", (0.0,)),
-                    radii_per_decade=cfg.get("scan.radii_per_decade", ulmorrey.DEFAULT_RADII_PER_DECADE),
-                )
-            except ValueError as exc:
-                name, _, why = str(exc).partition(" ")  # the message starts with the argument's name
-                violations.append(f"key 'scan.{name}': {why}")
+        build, args = (ulmorrey.morrey, (cfg.get("norm.q", 1.0), alpha, r_cap)) if kind == "morrey" else \
+            (ulmorrey.orlicz_eta, (alpha, r_cap))
+        # norm.r_cap sets the cap R
+        cfg.norm = _checked(violations, lambda name: "norm.r_cap" if name == "R" else "norm." + name, build, *args)
+    if cfg.norm is not None:
+        cfg.scan = _checked(
+            violations, lambda name: "scan." + name, ulmorrey.ScanGrid.build, cfg.norm,
+            r_min=cfg.get("scan.r_min", 1e-3),
+            centers=cfg.get("scan.centers", (0.0,)),
+            radii_per_decade=cfg.get("scan.radii_per_decade", ulmorrey.DEFAULT_RADII_PER_DECADE),
+        )
     delta = cfg.get("norm.delta")
     if delta is not None:
         # the subcritical verdict reads no norm.beta
         beta = alpha if classify_regime(cfg.params) is Regime.SUBCRITICAL else cfg.get("norm.beta", alpha)
         cfg.args = dict(T=cfg.get("norm.T", 1.0), delta=delta, beta_or_alpha=beta)
-        try:
-            ulmorrey.condition_spec(cfg.params, **cfg.args)
-        except ValueError as exc:
-            # delta or T, else the exponent: norm.beta, which defaults to norm.alpha
-            exponent = "norm.beta" if "norm.beta" in cfg.values else "norm.alpha"
-            key = {"delta": "norm.delta", "T": "norm.T"}.get(str(exc).split()[0], exponent)
-            violations.append(f"key {key!r}: {exc}")
-    return violations
+        # delta or T, else the exponent: norm.beta, which defaults to norm.alpha
+        exponent = "norm.beta" if "norm.beta" in cfg.values else "norm.alpha"
+        _checked(violations, lambda name: {"delta": "norm.delta", "T": "norm.T"}.get(name, exponent),
+                 ulmorrey.condition_spec, cfg.params, **cfg.args)
 
 
-def _build_solver(cfg: RunConfig) -> list:
+def _build_solver(cfg: RunConfig, violations: list) -> None:
     """The SolverConfig of a solver run, and the probes and subcommand inputs checked against it."""
     sub = cfg.subcommand
     t_key = "threshold.horizon" if sub == "threshold" else "solver.t_end"
     fields = {k[len("solver."):]: cfg.get(k) for k in cfg.values if k.startswith("solver.") and k != "solver.t_end"}
     fields["t_end"] = cfg.get(t_key, 2e-3 if sub == "trace" else 1.0)
-    try:
-        cfg.solver = SolverConfig(params=cfg.params, **fields)
-    except ValueError as exc:
-        name = str(exc).split()[0]  # the message starts with the field it rejects; t_key sets the run length
-        return [f"key {t_key if name == 't_end' else 'solver.' + name!r}: {exc}"]
+    # t_key sets the run length
+    cfg.solver = _checked(violations, lambda name: t_key if name == "t_end" else "solver." + name,
+                          SolverConfig, params=cfg.params, **fields)
+    if cfg.solver is None:
+        return
     args = cfg.args = dict(probes=cfg.get("probes", (1.0,)))
-    violations = _violation("probes", check_probes, args["probes"], cfg.solver.domain_radius())
+    _checked(violations, "probes", check_probes, args["probes"], cfg.solver.domain_radius())
     if sub == "threshold":
         args.update(bisect_steps=cfg.get("threshold.bisect_steps", 8), c_start=cfg.get("threshold.c_start", 1.0))
         violations += _at_least("threshold.bisect_steps", args["bisect_steps"], experiments.MIN_BISECT_STEPS)
-        violations += _violation("threshold.c_start", experiments.check_c_start, args["c_start"])
+        _checked(violations, "threshold.c_start", check_finite_positive, "c_start", args["c_start"])
     if sub == "decay":
         # the window defaults to the last decade of the shifted run
         offset = cfg.get("decay.t_offset", 0.0)
         end = cfg.solver.t_end + offset
         args.update(window=(cfg.get("decay.window_lo", end / 10.0), cfg.get("decay.window_hi", end)), t_offset=offset)
-        try:
-            experiments.check_window(args["window"], offset)
-        except ValueError as exc:
-            keys = ", ".join(repr(k) for k in cfg.values if k.startswith("decay."))
-            violations.append(f"key {keys}: {exc}")
+        _checked(violations, [k for k in cfg.values if k.startswith("decay.")], experiments.check_window,
+                 args["window"], offset)
     if sub in ("decay", "trace"):
         # the fit's T: only critical data read norm.T, whose default is the run length for trace and none for decay
         default = cfg.solver.t_end if sub == "trace" else None
         T = args["T"] = cfg.get("norm.T", default) if classify_regime(cfg.params) is Regime.CRITICAL else default
-        if T is not None and not 0.0 < T < math.inf:
-            violations.append(f"key 'norm.T': must be finite and > 0, got {T!r}")
-    return violations
+        if T is not None:
+            _checked(violations, "norm.T", check_finite_positive, "T", T)
 
 
 def build_profile(cfg: RunConfig) -> profiles.RadialProfile:

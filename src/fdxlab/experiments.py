@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponents import ProblemParams, Regime, classify_regime
+from .exponents import ProblemParams, Regime, check_finite_positive, classify_regime
 from .profiles import RadialProfile
 from .solver import (
     STATUS_BLEW_UP,
@@ -75,12 +75,6 @@ def decay_proxy(trace: SolverTrace, params: ProblemParams, horizon: float) -> tu
     return ratio, ratio <= PROXY_FACTOR
 
 
-def check_c_start(c_start: float) -> None:
-    """Reject a starting amplitude that is not finite and > 0 (NaN included)."""
-    if not 0.0 < c_start < math.inf:
-        raise ValueError(f"c_start must be finite and > 0, got {c_start!r}")
-
-
 def threshold_sweep(
     profile: RadialProfile,
     cfg: SolverConfig,
@@ -98,7 +92,7 @@ def threshold_sweep(
     """
     if bisect_steps < MIN_BISECT_STEPS:
         raise ValueError(f"bisect_steps must be >= {MIN_BISECT_STEPS}")
-    check_c_start(c_start)
+    check_finite_positive("c_start", c_start)
     if profile.kind == "barenblatt":
         raise ValueError("a barenblatt profile has no amplitude c to bisect")
     history: list[SweepSample] = []
@@ -172,8 +166,8 @@ def decay_fit(
     log-corrected sup_t t^{1/(p-1)} [log(e + T/t)]^{1/(p-1)} sup_norm is reported as well.
     """
     check_window(window, t_offset)
-    if T is not None and not 0.0 < T < math.inf:
-        raise ValueError(f"T must be finite and > 0, got {T!r}")
+    if T is not None:
+        check_finite_positive("T", T)
     lo, hi = window
     t = trace.times + t_offset
     mask = (t >= lo) & (t <= hi) & (trace.sup_norm > 0.0)

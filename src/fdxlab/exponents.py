@@ -18,6 +18,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+def check_finite_positive(name: str, value: float) -> None:
+    """Reject a value that is not finite and > 0 (NaN included), naming it first in the message."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Dimension and the two nonlinearity exponents, validated on construction.

@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import check_finite_positive
+
 MIN_STEPS = 100  # the fewest RK4 steps verify_against_ode accepts
-
-
-def check_horizon(T: float) -> None:
-    """Reject a horizon T that is not finite and > 0 (NaN included)."""
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"T must be finite and > 0, got {T!r}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,7 @@ class GronwallCoeffs:
             raise ValueError("A1, A2, A3 must be >= 0")
         if not (0.0 < self.m < 1.0):
             raise ValueError("m must lie in (0, 1)")
-        check_horizon(self.T)
+        check_finite_positive("T", self.T)
 
 
 def gronwall_bound(c: GronwallCoeffs, t: float) -> float:

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .exponents import ProblemParams, Regime, classify_regime, derive_exponents
+from .exponents import ProblemParams, Regime, check_finite_positive, classify_regime, derive_exponents
 
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{N-1}|
 BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}  # |B(0,1)|
@@ -64,7 +64,7 @@ def barenblatt_value(r, t: float, N: int, m: float, cb: float):
     """
     kappa = N * (m - 1.0) + 2.0
     if kappa <= 0.0:
-        raise ValueError("Barenblatt profile requires kappa = N(m-1) + 2 > 0")
+        raise ValueError(f"m must be > 1 - 2/N for the Barenblatt profile (kappa = N(m-1) + 2 > 0), got {m!r}")
     if t <= 0.0:
         raise ValueError("Barenblatt profile requires t > 0")
     k1 = (1.0 - m) / (2.0 * m * kappa)
@@ -99,18 +99,18 @@ class RadialProfile:
     cutoff: Optional[float] = None
 
     def __post_init__(self):
-        if self.N not in SPHERE_AREA:
-            raise ValueError("profiles support N in {1, 2, 3}")
-        if self.kind not in ("constant", "power", "critical_log", "barenblatt"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
         # each message starts with the field it rejects; NaN fails every check
+        if self.N not in SPHERE_AREA:
+            raise ValueError(f"N must be 1, 2 or 3 for profiles, got {self.N!r}")
+        if self.kind not in ("constant", "power", "critical_log", "barenblatt"):
+            raise ValueError(f"kind must be 'constant', 'power', 'critical_log' or 'barenblatt', got {self.kind!r}")
         if not 0.0 <= self.c < math.inf:
             raise ValueError(f"c must be finite and >= 0, got {self.c!r}")
         if self.kind == "power" and not (0.0 <= self.a < self.N):
             raise ValueError(f"a must satisfy 0 <= a < N for local integrability, got {self.a!r}")
         for name, value in (("cb", self.cb), ("t0", self.t0), ("cutoff", self.cutoff)):
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            if value is not None:
+                check_finite_positive(name, value)
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -207,7 +207,7 @@ def critical_profile(params: ProblemParams, c: float, cutoff: float | None = Non
         raise ValueError(f"c must be finite and >= 0, got {c!r}")
     regime = classify_regime(params)
     if regime is Regime.SUBCRITICAL:
-        raise ValueError("no sharp singular profile in the subcritical regime")
+        raise ValueError("kind critical_profile needs p >= p_m: no sharp singular profile in the subcritical regime")
     if regime is Regime.CRITICAL:
         return critical_log(c, params.N, cutoff)
     return power_law(c, derive_exponents(params).a_ss, params.N, cutoff)

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .exponents import ProblemParams, derive_exponents
+from .exponents import ProblemParams, check_finite_positive, derive_exponents
 from .profiles import BALL_VOLUME, SPHERE_AREA, RadialProfile, cell_averages, lens_volume
 
 STATUS_COMPLETED = "completed"
@@ -187,8 +187,7 @@ class SolverConfig:
 
     def __post_init__(self):
         # every check is written so that NaN fails it
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
+        check_finite_positive("t_end", self.t_end)
         if not 0.0 < self.dt_safety < 1.0:
             raise ValueError(f"dt_safety must lie in (0, 1), got {self.dt_safety!r}")
         if not self.u_blowup > 1.0:
@@ -197,8 +196,8 @@ class SolverConfig:
             raise ValueError(f"u_floor must be >= 0, got {self.u_floor!r}")
         if not self.n_cells >= 3:  # scipy's dgttrf wrapper rejects a 2 x 2 system
             raise ValueError(f"n_cells must be >= 3, got {self.n_cells!r}")
-        if self.r_dom is not None and not 0.0 < self.r_dom < math.inf:
-            raise ValueError(f"r_dom must be finite and > 0, got {self.r_dom!r}")
+        if self.r_dom is not None:
+            check_finite_positive("r_dom", self.r_dom)
         if self.out_interval is not None and not self.out_interval > 0.0:
             raise ValueError(f"out_interval must be > 0, got {self.out_interval!r}")
         if self.boundary not in ("zeroflux", "fixedfloor"):

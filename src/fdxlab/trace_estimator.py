@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exponents import ProblemParams, Regime, classify_regime, derive_exponents
+from .exponents import ProblemParams, Regime, check_finite_positive, classify_regime, derive_exponents
 from .solver import SolverTrace
 
 GAMMA_RANGE = (0.3, 2.0)
@@ -136,8 +136,7 @@ def fit_trace_bounds(est: TraceEstimate, params: ProblemParams, T: float) -> Tra
     against N - 2/(p-m).  critical: one-parameter fit of C [log(e + T^theta/sigma)]^{-N/2}
     and its relative residual.  T must be finite and > 0.
     """
-    if not 0.0 < T < math.inf:
-        raise ValueError(f"T must be finite and > 0, got {T!r}")
+    check_finite_positive("T", T)
     regime = classify_regime(params)
     if regime is Regime.SUBCRITICAL:
         raise ValueError("trace bound shapes are defined for the critical and supercritical regimes")

@@ -180,16 +180,25 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
     psi_alpha (orlicz_eta).  A closed entry holds Phi^{-1} of its average,
     which needs no inversion: orlicz_eta profiles only, scale c for constant
     data on balls inside the cutoff, inf for critical_log data with
-    alpha >= N/2 on balls that reach the origin.
+    alpha >= N/2 on balls that reach the origin.  A Morrey average of data
+    whose f^alpha leaves the floats is a ValueError naming alpha.
     """
     closed = np.full((len(centers), len(sigma)), False)
-    if isinstance(f, GridField):
-        avg = _grid_averages(f, f.u**alpha if kind == MORREY else psi(alpha, scale * f.u), np.abs(centers), sigma)
-    elif kind == MORREY:
-        avg = np.array([ball_average_power(f, alpha, d, sigma) for d in centers.tolist()])
+    if kind == MORREY:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf f^alpha (and inf times 0) is rejected below
+                avg = _grid_averages(f, f.u**alpha, np.abs(centers), sigma) if isinstance(f, GridField) else \
+                    np.array([ball_average_power(f, alpha, d, sigma) for d in centers.tolist()])
+                avg = avg * scale**alpha
+        except OverflowError:  # a Python float power: c^alpha, sigma^(-a alpha) or scale^alpha
+            avg = np.array([math.inf])
+        if not np.isfinite(avg).all():
+            raise ValueError(f"alpha = {alpha!r} takes the Morrey gauge f^alpha of the data past the largest float")
+    elif isinstance(f, GridField):
+        avg = _grid_averages(f, psi(alpha, scale * f.u), np.abs(centers), sigma)
     else:
         avg = np.array([_orlicz_row(f, alpha, abs(d), sigma, scale, c) for d, c in zip(centers.tolist(), closed)])
-    return (avg * scale**alpha if kind == MORREY else avg), closed
+    return avg, closed
 
 
 def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, scale: float, closed: np.ndarray):
@@ -287,11 +296,11 @@ def _rechecked(values: np.ndarray, exact) -> np.ndarray:
 def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     """Max of the spec's weighted ball quantity over the scan grid.
 
-    For analytic power-law profiles under a Morrey norm, the origin column is
-    the exact power sigma^{N/q - a} below the cutoff: a negative exponent
-    diverges as sigma -> 0 under every cap and cutoff, a positive one as
-    sigma -> inf when neither is set.  A genuinely divergent norm is reported
-    as inf rather than a scan-edge value.
+    For analytic power-law and constant profiles (a = 0) under a Morrey norm,
+    the origin column is the exact power sigma^{N/q - a} below the cutoff: a
+    negative exponent diverges as sigma -> 0 under every cap and cutoff, a
+    positive one as sigma -> inf when neither is set.  A genuinely divergent
+    norm is reported as inf rather than a scan-edge value.
     """
     if not scan.centers or not scan.radii:
         raise ValueError("scan grid must contain at least one center and one radius")
@@ -299,7 +308,7 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     if not radii:
         raise ValueError("scan grid has no radii below the cap R")
 
-    if spec.kind == MORREY and isinstance(f, RadialProfile) and f.kind == "power" and f.c > 0.0:
+    if spec.kind == MORREY and isinstance(f, RadialProfile) and f.kind in ("power", "constant") and f.c > 0.0:
         grow = f.N / spec.q - f.a
         # the sup over sigma in (0, R) diverges at the origin, or at infinity for uncut data under no cap
         if grow < -1e-13 or (grow > 1e-13 and f.cutoff is None and math.isinf(spec.R)):

@@ -169,7 +169,7 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("gronwall-check", "gronwall.n_steps = 0", "'gronwall.n_steps': must be >= 100, got 0"),
         ("gronwall-check", "gronwall.T = -1", "'gronwall.T': T must be finite and > 0, got -1.0"),
         ("simulate", "solver.r_dom = 2\nprobes = 0.5, 3", "'probes': probe radius 3.0 must lie in (0, R_dom=2.0]"),
-        ("norms", "scan.radii_per_decade = 0", "'scan.radii_per_decade': must be >= 1, got 0"),
+        ("norms", "scan.radii_per_decade = 0", "'scan.radii_per_decade': radii_per_decade must be >= 1, got 0"),
         ("threshold", "threshold.c_start = 0", "'threshold.c_start': c_start must be finite and > 0, got 0.0"),
         ("threshold", "threshold.c_start = inf", "'threshold.c_start': c_start must be finite and > 0, got inf"),
         ("threshold", "threshold.c_start = nan", "'threshold.c_start': c_start must be finite and > 0, got nan"),
@@ -195,10 +195,12 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("norms", CRITICAL + "norm.beta = 0", "'norm.beta': alpha must be > 0 for the orlicz_eta norm, got 0.0"),
         ("norms", CRITICAL + "norm.beta = nan", "'norm.beta': alpha must be > 0 for the orlicz_eta norm, got nan"),
         ("norms", CRITICAL + "norm.beta = inf", "'norm.beta': alpha must be finite, got inf"),
-        ("norms", "scan.r_min = 0", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got 0.0"),
-        ("norms", "scan.r_min = 1e9", "'scan.r_min': must lie in (0, 999999.9990000001)"),
-        ("norms", "scan.r_min = nan", "'scan.r_min': must lie in (0, 999999.9990000001) below the radius cap, got nan"),
-        ("norms", "scan.centers = 0, nan", "'scan.centers': must be finite, got (0.0, nan)"),
+        ("norms", "scan.r_min = 0",
+         "'scan.r_min': r_min must lie in (0, 999999.9990000001) below the radius cap, got 0.0"),
+        ("norms", "scan.r_min = 1e9", "'scan.r_min': r_min must lie in (0, 999999.9990000001)"),
+        ("norms", "scan.r_min = nan",
+         "'scan.r_min': r_min must lie in (0, 999999.9990000001) below the radius cap, got nan"),
+        ("norms", "scan.centers = 0, nan", "'scan.centers': centers must be finite, got (0.0, nan)"),
         # the decay window, checked before the simulation runs
         ("decay", "decay.window_lo = 0", "'decay.window_lo': window must satisfy 0 < lo < hi, got (0.0, 1.0)"),
         ("decay", "decay.window_lo = nan", "'decay.window_lo': window must satisfy 0 < lo < hi"),
@@ -215,12 +217,19 @@ def test_bool_keys_take_exactly_eight_spellings(spelling, value):
         ("simulate", "profile.kind = barenblatt\nprofile.cb = nan", "'profile.cb': cb must be finite and > 0, got nan"),
         ("simulate", "profile.kind = barenblatt\nprofile.t0 = nan", "'profile.t0': t0 must be finite and > 0, got nan"),
         ("simulate", "profile.kind = barenblatt\nprofile.t0 = 0", "'profile.t0': t0 must be finite and > 0, got 0.0"),
+        ("simulate", "profile.kind = powr", "'profile.kind': unknown kind 'powr'"),
+        # profile inputs that (N, m, p) rule out, named by the key that rules them out
+        ("norms", "N = 4\nprofile.kind = constant", "'N': N must be 1, 2 or 3 for profiles, got 4"),
+        ("simulate", "N = 3\nm = 0.3\nprofile.kind = barenblatt",
+         "'m': m must be > 1 - 2/N for the Barenblatt profile (kappa = N(m-1) + 2 > 0), got 0.3"),
+        ("simulate", "p = 2\nprofile.kind = critical_profile",
+         "'profile.kind': kind critical_profile needs p >= p_m: no sharp singular profile in the subcritical regime"),
         # a verdict T whose powers leave the floats (theta = 25.5 at p = 1.01)
         ("norms", P101 + "norm.T = 1e30", "'norm.T': T = 1e+30 gives T^theta = inf"),
         ("norms", P101 + "norm.T = 1e5", "'norm.T': T = 100000.0 gives T^(theta (N - 2/(p-m))) = 0.0"),
         ("norms", P101 + "norm.T = 1e-30", "'norm.T': T = 1e-30 gives T^theta = 0.0"),
         # the decay and trace fits' T, read only for critical data
-        *[(sub, CRITICAL_FIT + f"norm.T = {T}", f"'norm.T': must be finite and > 0, got {float(T)!r}")
+        *[(sub, CRITICAL_FIT + f"norm.T = {T}", f"'norm.T': T must be finite and > 0, got {float(T)!r}")
           for sub in ("decay", "trace") for T in ("nan", "-1", "0", "inf")],
     ],
 )
@@ -229,6 +238,22 @@ def test_bad_input_exits_2_before_running_and_names_the_key(tmp_path, capsys, su
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()  # nothing ran, so no CSV was written
+
+
+def test_a_config_without_profile_kind_exits_2_and_names_it(tmp_path, capsys):
+    code, out = _run(tmp_path, "simulate", "N = 1\nm = 0.5\np = 3.0\n")
+    assert code == 2
+    assert capsys.readouterr().err == "error: key 'profile.kind': required\n"
+    assert not out.exists()
+
+
+def test_a_run_that_fails_exits_1_with_one_error_line(tmp_path, capsys):
+    # constant 10 to the power 400 leaves the floats: the norm run stops with a ValueError naming alpha
+    config = MINIMAL + "profile.kind = constant\nprofile.c = 10\nnorm.q = 1.25\nnorm.alpha = 400\nnorm.r_cap = 1\n"
+    code, _ = _run(tmp_path, "norms", config.replace("profile.a = 0.8\n", ""))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha = 400.0 ") and err.count("\n") == 1
 
 
 def test_missing_subcommand_is_usage_error():
@@ -288,6 +313,20 @@ def test_norms_verdict_of_power_data_diverging_at_the_origin_is_unmet(tmp_path):
     assert code == 0
     assert (out / "norms.csv").read_text().splitlines()[1].startswith("inf,")
     assert (out / "norms-verdict.csv").read_text().splitlines()[1] == "supercritical,inf,1,false,1"
+
+
+@pytest.mark.parametrize(
+    "p, status",
+    [
+        ("3.0", "# status: ok slope="),  # supercritical: a log-log slope against N - 2/(p-m)
+        ("2.0", "# status: ok (no shape fit: trace bound shapes are defined for the critical and supercritical"),
+    ],
+)
+def test_trace_status_reports_the_regimes_shape_fit(tmp_path, p, status):
+    config = MINIMAL.replace("p = 3.0", f"p = {p}") + "solver.n_cells = 16\nsolver.r_dom = 4\nprobes = 0.01, 0.1, 1\n"
+    code, out = _run(tmp_path, "trace", config)
+    assert code == 0
+    assert (out / "trace.csv").read_text().splitlines()[-1].startswith(status)
 
 
 def test_gronwall_check_deterministic(tmp_path):

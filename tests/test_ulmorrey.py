@@ -83,6 +83,29 @@ def test_norm_divergent_power_profile_reports_inf():
     assert math.isinf(norm(prof, spec, scan).value)
 
 
+def test_uncut_constant_data_have_the_same_infinite_norm_as_flat_power_data():
+    # constant(1) and power_law(1, 0) are the same function: both grow like sigma^0.8 under no cap
+    spec = morrey(q=1.25, alpha=1.0, R=math.inf)
+    scan = ScanGrid.build(spec, r_min=1e-3)
+    flat, const = norm(power_law(1.0, 0.0, 1), spec, scan), norm(constant(1.0, 1), spec, scan)
+    assert math.isinf(const.value) and const == flat
+
+
+@pytest.mark.parametrize(
+    "data",
+    [constant(10.0, 1), power_law(10.0, 0.001, 1), GridField(N=1, dr=0.1, u=np.full(20, 10.0), R_dom=2.0),
+     GridField(N=2, dr=0.1, u=np.r_[np.ones(10), 10.0, np.ones(9)], R_dom=2.0)],
+)
+def test_a_morrey_gauge_past_the_largest_float_is_an_error_naming_alpha(data):
+    # 10^400 passes the largest float, so no ball average of f^alpha has a float value
+    spec = morrey(q=1.25, alpha=400.0, R=1.0)
+    scan = ScanGrid.for_field(data, spec) if isinstance(data, GridField) else ScanGrid.build(spec, r_min=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^alpha = 400\.0 takes the Morrey gauge f\^alpha of the data past"):
+            norm(data, spec, scan)
+
+
 @pytest.mark.parametrize("R, cutoff", [(1.0, None), (math.inf, 0.5), (1.0, 0.5)])
 def test_norm_diverging_at_the_origin_is_inf_under_every_cap_and_cutoff(R, cutoff):
     prof = power_law(0.001, 0.85, 1, cutoff)  # N/q - a = 0.8 - 0.85 < 0: grows as sigma -> 0
