@@ -432,6 +432,12 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
     """Average of profile^expo over B(z, sigma) for one radius or an array of them; closed form when possible.
 
     expo >= 1 in norm usage, but any expo > 0 with an integrable power works.
+    Closed forms: constant data on balls inside the cutoff, power data on
+    centered balls inside it, and every N = 1 ball of power or constant data
+    off the origin (an interval, see _line_power_integral); the other radii
+    go through ball_average_tail.  c^expo, or a Barenblatt snapshot's peak
+    f(0)^expo, is taken first in Python floats, so data whose f^expo leaves
+    the floats raise OverflowError before any quadrature.
     """
     s, scalar = as_radii(sigma)
     d = radial_offset(z)
@@ -439,18 +445,44 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
     ae = profile.a * expo
     if profile.kind == "power" and ae >= N:
         raise ValueError(f"power profile with a*alpha = {ae} >= N = {N} is not locally integrable")
+    c_expo = (profile.value(0.0) if profile.kind == "barenblatt" else profile.c) ** expo
     out = np.empty(len(s))
     closed = np.full(len(s), profile.kind == "constant" or (profile.kind == "power" and d == 0.0))
     if profile.cutoff is not None:
         closed &= d + s <= profile.cutoff
     if profile.kind == "constant":
-        out[closed] = profile.c**expo
+        out[closed] = c_expo
     else:
         # in Python floats (libm pow), so a flat column keeps the bits, and the first-max radius, of a scalar scan
-        out[closed] = [(profile.c**expo) * N / (N - ae) * x ** (-ae) for x in s[closed].tolist()]
+        out[closed] = [c_expo * N / (N - ae) * x ** (-ae) for x in s[closed].tolist()]
+    if N == 1 and d > 0.0 and profile.kind in ("constant", "power"):
+        line = ~closed
+        out[line] = c_expo * _line_power_integral(d, s[line], ae, profile.cutoff) / (2.0 * s[line])
+        closed[:] = True
     gw = profile.power_times_vol_w(expo)
     out = ball_average_tail(profile, lambda rho: profile.value(rho) ** expo, gw, d, s, out, closed)
     return float(out[0]) if scalar else out
+
+
+def _line_power_integral(d: float, s: np.ndarray, ae: float, cutoff: Optional[float]) -> np.ndarray:
+    """integral of |x|^-ae over [d - s, d + s] clipped to [-cutoff, cutoff], for d > 0 and 0 <= ae < 1.
+
+    With F(x) = x^k / k, k = 1 - ae, and each end clipped to the cutoff, it is
+    F(d + s) + F(s - d) for s >= d, where the interval holds the origin, and
+    F(d + s) - F(d - s) otherwise.  That difference is taken as
+    x^k expm1(k log1p(w / x)) / k with x = d - s and w the clipped width (2 s
+    inside the cutoff), so a radius s << d keeps its digits.
+    """
+    L = math.inf if cutoff is None else cutoff
+    k = 1.0 - ae
+    hi = np.minimum(d + s, L)
+    out = np.empty(len(s))
+    across = s >= d
+    out[across] = (hi[across] ** k + np.minimum(s[across] - d, L) ** k) / k
+    x = np.minimum(d - s[~across], L)
+    w = np.where(d + s[~across] <= L, 2.0 * s[~across], hi[~across] - x)
+    out[~across] = x**k * np.expm1(k * np.log1p(w / x)) / k
+    return out
 
 
 def ball_average_tail(profile: RadialProfile, g, gw: Optional[WSlice], d: float, s: np.ndarray, out, closed):

@@ -18,17 +18,18 @@ scanned on a log grid.
 Both gauges take one path.  A scan fills one (center x radius) matrix of
 ball averages of Phi(scale f) and takes the first maximum of the weighted
 matrix in row-major order: the first center, then the first radius.  A
-profile fills it one center at a time: closed forms first, then all other
-radii of the center in one batched quadrature pass.  A grid field fills it
-with one GridField.ball_weights call and one matmul per block of centers
-(at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.  The weight
-rho(sigma) and Phi^{-1} then act on the whole matrix in numpy (np.power, or
-special_functions.psi_inv_array).  np.power and np.log may differ from libm
-in the last ulp, so every entry within RECHECK_MARGIN = 1e-9 (relative) of
-the matrix maximum is recomputed with the same weight and the scalar
-Phi^{-1} (libm pow, or psi_inv: the same Newton step, with math.log).  The
-two agree to about 4e-16 relative, far inside the margin, so the value and
-place of the maximum, ties included, are the scalar scan's bit for bit.
+profile fills it one center at a time: closed forms first (centered power
+balls, and every N = 1 Morrey ball of power or constant data, an interval),
+then all other radii of the center in one batched quadrature pass.  A grid
+field fills it with one GridField.ball_weights call and one matmul per block
+of centers (at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.
+The weight rho(sigma) and Phi^{-1} then act on the whole matrix in numpy
+(np.power, or special_functions.psi_inv_array).  np.power and np.log may
+differ from libm in the last ulp, so every entry within RECHECK_MARGIN = 1e-9
+(relative) of the matrix maximum is recomputed with the same weight and the
+scalar Phi^{-1} (libm pow, or psi_inv: the same Newton step, with math.log).
+The two agree to about 4e-16 relative, far inside the margin, so the value
+and place of the maximum, ties included, are the scalar scan's bit for bit.
 Closed-form Orlicz-eta entries (constant data, infinite critical_log
 columns) are final and skip Phi^{-1}.
 """
@@ -181,23 +182,27 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
     which needs no inversion: orlicz_eta profiles only, scale c for constant
     data on balls inside the cutoff, inf for critical_log data with
     alpha >= N/2 on balls that reach the origin.  A Morrey average of data
-    whose f^alpha leaves the floats is a ValueError naming alpha.
+    whose f^alpha leaves the floats, or a grid Orlicz-eta average whose
+    psi_alpha(scale f) does, is a ValueError naming alpha.
     """
     closed = np.full((len(centers), len(sigma)), False)
-    if kind == MORREY:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # an inf f^alpha (and inf times 0) is rejected below
-                avg = _grid_averages(f, f.u**alpha, np.abs(centers), sigma) if isinstance(f, GridField) else \
+    grid = isinstance(f, GridField)
+    if kind == ORLICZ_ETA and not grid:
+        rows = [_orlicz_row(f, alpha, abs(d), sigma, scale, c) for d, c in zip(centers.tolist(), closed)]
+        return np.array(rows), closed
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf Phi(scale f) (and inf times 0) is rejected below
+            if kind == ORLICZ_ETA:
+                avg = _grid_averages(f, psi(alpha, scale * f.u), np.abs(centers), sigma)
+            else:
+                avg = _grid_averages(f, f.u**alpha, np.abs(centers), sigma) if grid else \
                     np.array([ball_average_power(f, alpha, d, sigma) for d in centers.tolist()])
                 avg = avg * scale**alpha
-        except OverflowError:  # a Python float power: c^alpha, sigma^(-a alpha) or scale^alpha
-            avg = np.array([math.inf])
-        if not np.isfinite(avg).all():
-            raise ValueError(f"alpha = {alpha!r} takes the Morrey gauge f^alpha of the data past the largest float")
-    elif isinstance(f, GridField):
-        avg = _grid_averages(f, psi(alpha, scale * f.u), np.abs(centers), sigma)
-    else:
-        avg = np.array([_orlicz_row(f, alpha, abs(d), sigma, scale, c) for d, c in zip(centers.tolist(), closed)])
+    except OverflowError:  # a Python float power: c^alpha or f(0)^alpha, sigma^(-a alpha) or scale^alpha
+        avg = np.array([math.inf])
+    if not np.isfinite(avg).all():
+        gauge = "Morrey gauge f^alpha" if kind == MORREY else "Orlicz gauge psi_alpha(scale f)"
+        raise ValueError(f"alpha = {alpha!r} takes the {gauge} of the data past the largest float")
     return avg, closed
 
 

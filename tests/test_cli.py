@@ -256,6 +256,23 @@ def test_a_run_that_fails_exits_1_with_one_error_line(tmp_path, capsys):
     assert err.startswith("error: alpha = 400.0 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "data",
+    ["profile.kind = barenblatt\nprofile.cb = 1e-3\nprofile.t0 = 1\n", "N = 2\nprofile.c = 10\nprofile.a = 0.001\n"],
+    ids=["barenblatt", "power-N2"],
+)
+def test_a_quadrature_column_past_the_largest_float_exits_1_with_one_error_line(tmp_path, capsys, data):
+    # f^400 leaves the floats on an off-center ball that the G7/K15 quadrature would take
+    base = MINIMAL.replace("N = 1\n", "") if data.startswith("N") else "N = 1\nm = 0.5\np = 3.0\n"
+    config = base.replace("profile.c = 0.1\nprofile.a = 0.8\n", "") + data
+    config += "norm.q = 1.25\nnorm.alpha = 400\nnorm.r_cap = 1\nscan.centers = 0.5\n"
+    code, out = _run(tmp_path, "norms", config)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha = 400.0 takes the Morrey gauge") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
     assert main(["not-a-subcommand"]) == 2

@@ -174,6 +174,53 @@ def test_balls_grazing_the_singular_origin_match_the_n1_closed_form():
     assert ball_average(power_law(0.1, 0.8, 1), 1.0, 0.9999999) == pytest.approx(want[-2], rel=1e-9)
 
 
+def test_n1_interval_averages_match_the_ball_quadrature():
+    # the cap-slice quadrature called directly stays the oracle of the N = 1 closed form
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        a = float(rng.choice([0.0, rng.uniform(0.0, 0.95)]))
+        expo = float(rng.uniform(1.0, min(2.0, 0.99 / a) if a > 0.0 else 2.0))
+        c, d = float(rng.uniform(0.1, 5.0)), float(10.0 ** rng.uniform(-2.0, 1.0))
+        cutoff = None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-1.0, 1.0))
+        sigma = 10.0 ** rng.uniform(-3.0, 2.0, 6)
+        prof = power_law(c, a, 1, cutoff)
+        got = ball_average_power(prof, expo, d, sigma)
+        total = radial_ball_integral(lambda rho: prof.value(rho) ** expo, 1, d, sigma, 1e-12,
+                                     gw=prof.power_times_vol_w(expo), cutoff=cutoff)
+        np.testing.assert_allclose(got, total / (2.0 * sigma), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("a, expo", [(0.8, 1.0), (0.5, 1.7), (0.1, 1.1)])
+@pytest.mark.parametrize("d", [1e-3, 1.0, 5.0])
+def test_n1_interval_average_of_a_tiny_ball_keeps_its_digits(a, expo, d):
+    # sigma = 1e-6 d: the average of |x|^-beta is d^-beta (1 + beta (beta + 1) sigma^2 / (6 d^2)) to O(sigma^4)
+    beta, sigma = a * expo, 1e-6 * d
+    want = 0.3**expo * d**-beta * (1.0 + beta * (beta + 1.0) * sigma**2 / (6.0 * d**2))
+    assert ball_average_power(power_law(0.3, a, 1), expo, d, sigma) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _clipped_line_average(c, beta, d, sigma, cutoff):
+    """Average of c |x|^-beta clipped to |x| <= cutoff over [d - sigma, d + sigma], from x^k / k in 40 digits."""
+    with mpmath.workdps(40):
+        k = 1 - mpmath.mpf(beta)
+        lo, hi = max(mpmath.mpf(d) - sigma, -cutoff), min(mpmath.mpf(d) + sigma, cutoff)
+        ends = [mpmath.sign(x) * abs(x) ** k / k for x in (lo, hi)]  # odd antiderivative of |x|^-beta
+        return float(c * max(ends[1] - ends[0], 0) / (2 * mpmath.mpf(sigma)))
+
+
+@pytest.mark.parametrize(
+    "d, sigma",
+    [(0.8, 0.1), (0.8, 0.5), (0.5, 0.7), (0.5, 2.0), (3.0, 1.0), (0.3, 0.2)],
+    ids=["inside", "across-cutoff", "across-origin", "across-both", "outside", "inside-far-cutoff"],
+)
+@pytest.mark.parametrize("kind", ["power", "constant"])
+def test_n1_interval_average_clips_to_the_cutoff(kind, d, sigma):
+    cutoff = 10.0 if sigma == 0.2 else 1.0
+    prof = power_law(2.0, 0.6, 1, cutoff) if kind == "power" else constant(2.0, 1, cutoff)
+    want = _clipped_line_average(2.0**1.5, 1.5 * prof.a, d, sigma, cutoff)
+    assert ball_average_power(prof, 1.5, d, sigma) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_budget_exhaustion_raises_naming_the_radii():
     # without the w-space slice, r^-0.999 at the origin needs more bisections than the panel budget
     prof = power_law(1.0, 0.999, 1)

@@ -8,7 +8,7 @@ import pytest
 
 from fdxlab import ulmorrey
 from fdxlab.exponents import ProblemParams, Regime, classify_regime
-from fdxlab.profiles import ball_average_power, ball_volume, constant, critical_log, power_law
+from fdxlab.profiles import ball_average_power, ball_volume, barenblatt, constant, critical_log, power_law
 from fdxlab.solver import GridField
 from fdxlab.special_functions import eta, psi, psi_inv
 from fdxlab.ulmorrey import (
@@ -104,6 +104,30 @@ def test_a_morrey_gauge_past_the_largest_float_is_an_error_naming_alpha(data):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^alpha = 400\.0 takes the Morrey gauge f\^alpha of the data past"):
             norm(data, spec, scan)
+
+
+@pytest.mark.parametrize(
+    "data", [barenblatt(1e-3, 1.0, 1, 0.5), power_law(10.0, 0.001, 2), power_law(10.0, 0.001, 1)],
+    ids=["barenblatt", "power-N2", "power-N1"],
+)
+def test_an_off_center_morrey_gauge_past_the_largest_float_is_an_error_naming_alpha(data):
+    # f^400 passes the largest float near the origin (10^400, or the snapshot's peak 1e6 to the 400), so the
+    # quadrature (N = 2, Barenblatt) or interval (N = 1) column stops before it integrates
+    spec = morrey(q=1.25, alpha=400.0, R=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^alpha = 400\.0 takes the Morrey gauge f\^alpha of the data past"):
+            norm(data, spec, ScanGrid.build(spec, r_min=1e-3, centers=(0.5,)))
+
+
+def test_a_grid_orlicz_gauge_past_the_largest_float_is_an_error_naming_alpha():
+    # scale u = 1e310 passes the largest float, so psi_alpha(scale u) and its averages have no float value
+    field = GridField(N=1, dr=0.1, u=np.full(20, 1e300), R_dom=2.0)
+    spec = orlicz_eta(5.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^alpha = 5\.0 takes the Orlicz gauge psi_alpha\(scale f\) of the data"):
+            norm(field, spec, ScanGrid.for_field(field, spec), scale=1e10)
 
 
 @pytest.mark.parametrize("R, cutoff", [(1.0, None), (math.inf, 0.5), (1.0, 0.5)])
