@@ -244,8 +244,10 @@ def _build_solver(cfg: RunConfig, violations: list) -> None:
                           SolverConfig, params=cfg.params, **fields)
     if cfg.solver is None:
         return
-    args = cfg.args = dict(probes=cfg.get("probes", (1.0,)))
-    _checked(violations, "probes", check_probes, args["probes"], cfg.solver.domain_radius())
+    probes = cfg.get("probes", (1.0,))
+    _checked(violations, "probes", check_probes, probes, cfg.solver.domain_radius())
+    # threshold reads only the sup norms of its runs: it checks probes but records no masses
+    args = cfg.args = {} if sub == "threshold" else dict(probes=probes)
     if sub == "threshold":
         args.update(bisect_steps=cfg.get("threshold.bisect_steps", 8), c_start=cfg.get("threshold.c_start", 1.0))
         violations += _at_least("threshold.bisect_steps", args["bisect_steps"], experiments.MIN_BISECT_STEPS)

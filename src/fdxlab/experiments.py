@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -79,14 +79,13 @@ def threshold_sweep(
     profile: RadialProfile,
     cfg: SolverConfig,
     bisect_steps: int,
-    probes: Sequence[float] = (1.0,),
     c_start: float = 1.0,
 ) -> ThresholdResult:
     """Bisect the profile's amplitude c between a surviving and a blowing-up sample.
 
-    Each run is simulate(replace(profile, c=c), cfg, probes) to the horizon cfg.t_end, so the
-    profile's own c is never run.  A geometric scan from
-    c_start, halving c while runs blow up and doubling it while they survive (at most MAX_SCANS
+    Each run is simulate(replace(profile, c=c), cfg, ()) to the horizon cfg.t_end, so the
+    profile's own c is never run and, as a sample reads only the status, t_event and sup norms,
+    no ball mass is recorded.  A geometric scan from c_start, halving c while runs blow up and doubling it while they survive (at most MAX_SCANS
     runs), finds the bracket; bisect_steps halvings narrow it to (initial width) * 2^{-bisect_steps}.
     A barenblatt profile has no amplitude and raises ValueError before the first run.
     """
@@ -98,7 +97,7 @@ def threshold_sweep(
     history: list[SweepSample] = []
 
     def blew(c: float) -> bool:
-        trace = simulate(replace(profile, c=c), cfg, probes)
+        trace = simulate(replace(profile, c=c), cfg, ())
         ratio, bounded = decay_proxy(trace, cfg.params, cfg.t_end)
         sample = SweepSample(
             c=c,

@@ -80,6 +80,10 @@ _C = np.array([
 ])
 _M = np.array([1.8239969947745134, -0.12430565256672005, 0.9999999999999999, 0.435866521508459])
 _E = np.array([0.12106190353047645, -0.6116252919522573, 0.7726301276675509, 0.2179332607542295])  # M - M_hat
+# every coefficient that the step scales by h, in one array: the rows of _A below the diagonal, _M and _E
+_COEFS = np.concatenate([_A[1, :1], _A[2, :2], _A[3, :3], _M, _E])
+_STAGE_ROWS = (slice(0, 1), slice(1, 3), slice(3, 6))
+_M_ROW, _E_ROW = slice(6, 10), slice(10, 14)
 
 
 @dataclass
@@ -278,16 +282,23 @@ class _Stepper:
         if self.floor is None:
             self.coef_r[-1] = 0.0  # zero flux through the domain boundary
         self.coef_c = self.coef_r + self.coef_l  # the diagonal of -A
+        # -A by diagonals, each entry in the column of the cell whose u^{m-1} it multiplies in J:
+        # the sub-diagonal -coef_l[1:] in row 0, the diagonal in row 1, the super-diagonal -coef_r[:-1] in row 2
+        n = len(field.u)
+        self.bands = np.zeros((3, n))
+        self.bands[0, :-1] = -self.coef_l[1:]
+        self.bands[1] = self.coef_c
+        self.bands[2, 1:] = -self.coef_r[:-1]
         self.ghost_v = cfg.u_floor**self.m if self.floor is not None else 0.0
-        self.g = np.empty(len(field.u))  # face differences, rewritten by every div
+        self.g = np.empty(n)  # face differences, rewritten by every div
         self.flow_cap = cfg.u_blowup ** (1.0 - self.p)
 
-    def div(self, v: np.ndarray) -> np.ndarray:
-        """A v: the conservative flux divergence of v = u^m (fixed-floor ghost outside)."""
+    def div(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """A v: the conservative flux divergence of v = u^m (fixed-floor ghost outside), into out if given."""
         g = self.g  # v_{i+1} - v_i at the outer face of cell i
         np.subtract(v[1:], v[:-1], out=g[:-1])
         g[-1] = self.ghost_v - v[-1]
-        out = self.coef_r * g
+        out = np.multiply(self.coef_r, g, out=out)
         out[1:] -= self.coef_l[1:] * g[:-1]
         return out
 
@@ -299,11 +310,24 @@ class _Stepper:
         return f
 
     def source_flow(self, u: np.ndarray, h: float) -> np.ndarray:
-        """Exact flow of u' = u^p over time h per cell, stopped at u_blowup."""
+        """Exact flow of u' = u^p over time h per cell, stopped at u_blowup.
+
+        A cell hits u_blowup within h where s = 1 - (p-1) h u^{p-1} <= reach = u^{p-1} u_blowup^{1-p}.
+        When the largest g = u^{p-1} does not, no cell does, since rounding is monotone:
+        g <= max g gives s >= min s > max reach >= reach.
+        """
         p = self.p
         g = u ** (p - 1.0)
-        reach = g * self.flow_cap  # the flow hits u_blowup within h where s <= reach
-        s = np.maximum(1.0 - (p - 1.0) * h * g, reach)
+        g_max = g.max()
+        ph = (p - 1.0) * h
+        if 1.0 - ph * g_max > g_max * self.flow_cap:
+            g *= ph
+            s = np.subtract(1.0, g, out=g)
+            out = s ** (1.0 / (1.0 - p))
+            out *= u
+            return out
+        reach = g * self.flow_cap
+        s = np.maximum(1.0 - ph * g, reach)
         return np.where(s > reach, u * s ** (1.0 / (1.0 - p)), self.cfg.u_blowup)
 
     def _admissible(self, u: np.ndarray) -> Optional[np.ndarray]:
@@ -322,29 +346,37 @@ class _Stepper:
         """
         if u.min() <= 0.0:  # the diffusivity m u^{m-1} is unbounded
             return None, math.inf
-        m, gh = self.m, _GAMMA * h
+        m = self.m
         v = u**m
         d = m * v / u
-        *lu, info = dgttrf(-gh * self.coef_l[1:] * d[:-1], 1.0 + gh * self.coef_c * d, -gh * self.coef_r[:-1] * d[1:],
-                           overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        w = (_GAMMA * h) * self.bands  # I - gamma h J by diagonals
+        w *= d
+        w[1] += 1.0
+        *lu, info = dgttrf(w[0, :-1], w[1], w[2, 1:], overwrite_dl=True, overwrite_d=True, overwrite_du=True)
         if info != 0:
             raise LinAlgError(f"I - gamma h J is singular (dgttrf info={info})")
 
-        def solve(b):
-            return dgttrs(*lu, b, overwrite_b=True)[0]
+        def solve(b):  # in place: b is a contiguous row
+            dgttrs(*lu, b, overwrite_b=True)
 
+        hc = h * _COEFS
         z = np.empty((4, len(u)))  # the transformed stages, one per row
-        z[0] = solve(self.div(v))
-        for i in range(1, 4):
-            stage = self._admissible(u + (h * _A[i, :i]) @ z[:i])
+        solve(self.div(v, out=z[0]))
+        for i, a in enumerate(_STAGE_ROWS, start=1):
+            stage = self._admissible(u + hc[a] @ z[:i])
             if stage is None:
                 return None, math.inf
-            z[i] = solve(self.div(stage**m) + _C[i, :i] @ z[:i])
-        new = self._admissible(u + (h * _M) @ z)
+            zi = self.div(stage**m, out=z[i])
+            zi += _C[i, :i] @ z[:i]
+            solve(zi)
+        new = self._admissible(u + hc[_M_ROW] @ z)
         if new is None:
             return None, math.inf
-        est = solve((h * _E) @ z)
-        return new, float(np.max(np.abs(est) / (new + 1e-8 * new.max())))
+        est = hc[_E_ROW] @ z
+        solve(est)
+        np.abs(est, out=est)
+        est /= new + 1e-8 * new.max()
+        return new, float(est.max())
 
     def apply(self, u: np.ndarray, dt: float) -> tuple[Optional[np.ndarray], float]:
         """One Strang step S(dt/2) D(dt) S(dt/2) from u (left unchanged).
@@ -413,8 +445,9 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     tol = ERR_TOL_CELLS2 / len(u) ** 2
     dt_ctrl = t_end
     f_u = None  # f(u), kept from the last step that interpolated a sample
+    u_max = float(u.max())
 
-    while t < t_end and float(u.max()) < cfg.u_blowup:
+    while t < t_end and u_max < cfg.u_blowup:
         dt = stable_dt(field, cfg)
         if dt < dt_min:
             status, t_event = STATUS_DT_UNDERFLOW, t
@@ -428,12 +461,13 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
                 status, t_event = STATUS_STIFF_UNDERFLOW, t
                 break
             continue
-        if math.isnan(err) or not np.isfinite(new).all():
+        new_max = float(new.max())  # NaN if any cell is; states are never below the floor or zero
+        if math.isnan(err) or not new_max < math.inf:
             raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
         t_new = t_end if t + dt >= t_end - end_tol else t + dt
         # a step clipped by the source bound or t_end does not shrink the controller
         dt_ctrl = dt * fac if dt >= dt_ctrl else max(dt_ctrl, dt * fac)
-        blew = float(new.max()) >= cfg.u_blowup
+        blew = new_max >= cfg.u_blowup
         f_new = None
         while next_out < t_new - end_tol and not blew:
             if f_new is None:
@@ -447,13 +481,14 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
             next_out = out_time(k)
         f_u = f_new
         u[:] = new
+        u_max = new_max
         t = t_new
         if abs(next_out - t) <= end_tol:
             record(next_out, u)
             k += 1
             next_out = out_time(k)
 
-    if float(u.max()) >= cfg.u_blowup:
+    if u_max >= cfg.u_blowup:
         status, t_event = STATUS_BLEW_UP, t
     if status != STATUS_COMPLETED and t > times[-1] + end_tol:
         record(t, u)

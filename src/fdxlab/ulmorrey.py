@@ -182,32 +182,37 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
     which needs no inversion: orlicz_eta profiles only, scale c for constant
     data on balls inside the cutoff, inf for critical_log data with
     alpha >= N/2 on balls that reach the origin.  A Morrey average of data
-    whose f^alpha leaves the floats, or a grid Orlicz-eta average whose
+    whose f^alpha leaves the floats, or an Orlicz-eta average whose
     psi_alpha(scale f) does, is a ValueError naming alpha.
     """
     closed = np.full((len(centers), len(sigma)), False)
     grid = isinstance(f, GridField)
     if kind == ORLICZ_ETA and not grid:
-        rows = [_orlicz_row(f, alpha, abs(d), sigma, scale, c) for d, c in zip(centers.tolist(), closed)]
-        return np.array(rows), closed
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf Phi(scale f) (and inf times 0) is rejected below
-            if kind == ORLICZ_ETA:
-                avg = _grid_averages(f, psi(alpha, scale * f.u), np.abs(centers), sigma)
-            else:
-                avg = _grid_averages(f, f.u**alpha, np.abs(centers), sigma) if grid else \
-                    np.array([ball_average_power(f, alpha, d, sigma) for d in centers.tolist()])
-                avg = avg * scale**alpha
-    except OverflowError:  # a Python float power: c^alpha or f(0)^alpha, sigma^(-a alpha) or scale^alpha
-        avg = np.array([math.inf])
-    if not np.isfinite(avg).all():
+        avg = np.array([_orlicz_row(f, alpha, abs(d), sigma, scale, c) for d, c in zip(centers.tolist(), closed)])
+    else:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf Phi(scale f) (and inf times 0) is rejected below
+                if kind == ORLICZ_ETA:
+                    avg = _grid_averages(f, psi(alpha, scale * f.u), np.abs(centers), sigma)
+                else:
+                    avg = _grid_averages(f, f.u**alpha, np.abs(centers), sigma) if grid else \
+                        np.array([ball_average_power(f, alpha, d, sigma) for d in centers.tolist()])
+                    avg = avg * scale**alpha
+        except OverflowError:  # a Python float power: c^alpha or f(0)^alpha, sigma^(-a alpha) or scale^alpha
+            avg = np.full(closed.shape, math.inf)
+    if not np.isfinite(avg[~closed]).all():  # a closed entry is Phi^{-1} of its average, inf where it diverges
         gauge = "Morrey gauge f^alpha" if kind == MORREY else "Orlicz gauge psi_alpha(scale f)"
         raise ValueError(f"alpha = {alpha!r} takes the {gauge} of the data past the largest float")
     return avg, closed
 
 
 def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, scale: float, closed: np.ndarray):
-    """One center's orlicz_eta averages: closed forms, marked in the row closed, then ball_average_tail for the rest."""
+    """One center's orlicz_eta averages: closed forms, marked in the row closed, then ball_average_tail for the rest.
+
+    psi_alpha(scale f) at the data's peak, or at the amplitude c of singular
+    data, is taken first: where it leaves the floats, the rest is inf and
+    runs no quadrature.
+    """
     avg = np.empty(len(s))
     if profile.kind == "constant":
         closed[:] = True if profile.cutoff is None else d + s <= profile.cutoff
@@ -216,6 +221,11 @@ def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, s
         # psi_alpha(scale f) rho^{N-1} d rho ~ L^{alpha-N/2-1} dL, L = log(1/rho): diverges at the origin
         closed[:] = d <= s
         avg[closed] = math.inf
+    with np.errstate(over="ignore"):
+        peak = psi(alpha, scale * (profile.value(0.0) if profile.kind == "barenblatt" else profile.c))
+    if not math.isfinite(peak):
+        avg[~closed] = math.inf
+        return avg
     g = _orlicz_gw(profile, alpha, scale)
     return ball_average_tail(profile, lambda rho: psi(alpha, scale * profile.value(rho)), g, d, s, avg, closed)
 

@@ -264,7 +264,7 @@ def test_criterion_7_reaction_control():
         params=ProblemParams(N=1, m=0.5, p=2.0), t_end=1.0, n_cells=100, r_dom=4.0,
         boundary="zeroflux", u_floor=1e-6, dt_safety=0.15,
     )
-    res = threshold_sweep(constant(1.0, 1), cfg2, 6, probes=[1.0])
+    res = threshold_sweep(constant(1.0, 1), cfg2, 6)
     ok_bracket = res.c_low <= 1.0 <= res.c_high
     report(
         7,
@@ -280,7 +280,7 @@ def test_criterion_8_singular_profile_dichotomy():
     cfg = SolverConfig(
         params=P3, t_end=1.0, n_cells=400, r_dom=8.0, boundary="zeroflux", u_floor=1e-4
     )
-    res = threshold_sweep(power_law(1.0, 0.8, 1), cfg, 8, probes=[1.0])
+    res = threshold_sweep(power_law(1.0, 0.8, 1), cfg, 8)
     ok_bracket = 0.0 < res.c_low < res.c_high < math.inf
 
     survivors = [s for s in res.history if s.c <= res.c_low]

@@ -273,6 +273,17 @@ def test_a_quadrature_column_past_the_largest_float_exits_1_with_one_error_line(
     assert "Traceback" not in err
 
 
+def test_a_profile_orlicz_column_past_the_largest_float_exits_1_with_one_error_line(tmp_path, capsys):
+    # psi_5(1e300) leaves the floats; balls of radius above 0.1 about 0.5 cross the cutoff and need quadrature
+    config = "N = 1\nm = 0.5\np = 3.0\nprofile.kind = constant\nprofile.c = 1e300\nprofile.cutoff = 0.6\n"
+    config += "norm.kind = orlicz_eta\nnorm.alpha = 5\nnorm.r_cap = 1\nscan.centers = 0.5\nscan.radii_per_decade = 4\n"
+    code, out = _run(tmp_path, "norms", config)
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha = 5.0 takes the Orlicz gauge") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
     assert main(["not-a-subcommand"]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import barenblatt, constant
-from fdxlab.solver import STATUS_COMPLETED, SolverConfig, SolverTrace
+from fdxlab.solver import STATUS_COMPLETED, GridField, SolverConfig, SolverTrace, simulate
 from fdxlab.experiments import decay_fit, decay_proxy, threshold_sweep
 
 P2 = ProblemParams(N=1, m=0.5, p=2.0)
@@ -26,14 +26,14 @@ def _control_cfg(params, **kw):
 def test_threshold_constant_control_brackets_analytic_value():
     # c* = ((p-1) H)^{-1/(p-1)} = 1 for p = 2, H = 1
     cfg = _control_cfg(P2)
-    res = threshold_sweep(constant(1.0, 1), cfg, 6, probes=[1.0])
+    res = threshold_sweep(constant(1.0, 1), cfg, 6)
     assert res.c_low <= 1.0 <= res.c_high
     assert res.c_high - res.c_low <= 1.0 * 2.0**-6 + 1e-12
 
 
 def test_threshold_labels_consistent_and_monotone():
     cfg = _control_cfg(P2)
-    res = threshold_sweep(constant(1.0, 1), cfg, 5, probes=[1.0])
+    res = threshold_sweep(constant(1.0, 1), cfg, 5)
     for s in res.history:
         if s.c <= res.c_low:
             assert s.status == STATUS_COMPLETED
@@ -44,17 +44,33 @@ def test_threshold_labels_consistent_and_monotone():
 
 def test_threshold_deterministic_rerun():
     cfg = _control_cfg(P2)
-    a = threshold_sweep(constant(1.0, 1), cfg, 5, probes=[1.0])
-    b = threshold_sweep(constant(1.0, 1), cfg, 5, probes=[1.0])
+    a = threshold_sweep(constant(1.0, 1), cfg, 5)
+    b = threshold_sweep(constant(1.0, 1), cfg, 5)
     assert a.c_low == b.c_low and a.c_high == b.c_high
     assert [s.c for s in a.history] == [s.c for s in b.history]
+
+
+def test_threshold_records_no_ball_masses(monkeypatch):
+    # a sample reads the status, t_event and sup norms only, so the runs take no probe masses
+    calls = []
+    ball_mass = GridField.ball_mass
+
+    def counted(self, sigma):
+        calls.append(sigma)
+        return ball_mass(self, sigma)
+
+    monkeypatch.setattr(GridField, "ball_mass", counted)
+    res = threshold_sweep(constant(1.0, 1), _control_cfg(P2), 4)
+    assert len(res.history) > 4 and calls == []
+    simulate(constant(0.5, 1), _control_cfg(P2, t_end=0.01), [1.0])  # the counter sees a run that records
+    assert calls
 
 
 def test_threshold_no_bracket_raises():
     # with the source disabled nothing ever blows up, so no bracket can exist
     cfg = _control_cfg(P2, source_on=False)
     with pytest.raises(RuntimeError, match="within 40 geometric scans"):
-        threshold_sweep(constant(1.0, 1), cfg, 4, probes=[1.0])
+        threshold_sweep(constant(1.0, 1), cfg, 4)
 
 
 @pytest.mark.parametrize(
@@ -73,7 +89,7 @@ def test_bracket_scan_run_order_is_pinned(c_start, expected):
 def test_threshold_requires_minimum_bisection():
     cfg = _control_cfg(P2)
     with pytest.raises(ValueError):
-        threshold_sweep(constant(1.0, 1), cfg, 3, probes=[1.0])
+        threshold_sweep(constant(1.0, 1), cfg, 3)
 
 
 def test_threshold_rejects_a_profile_without_amplitude(monkeypatch):

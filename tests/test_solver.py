@@ -1,9 +1,11 @@
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import SPHERE_AREA, ball_volume, barenblatt, barenblatt_value, constant, power_law
@@ -202,15 +204,30 @@ def test_zero_cells_end_as_stiff_underflow():
     assert trace.t_event == 0.0
 
 
-def test_non_finite_state_raises(monkeypatch):
-    def poisoned(self, u, h):
-        out = u.copy()
-        out[3] = np.nan
-        return out
+@pytest.mark.parametrize(
+    "method, value, boundary",
+    [
+        ("source_flow", np.nan, "zeroflux"),  # diffusion carries the NaN into the error norm
+        ("source_flow", np.nan, "fixedfloor"),  # the floor clamp np.maximum passes the NaN on
+        ("apply", np.inf, "zeroflux"),  # a finite error norm: only the state's max sees the cell
+        ("apply", np.nan, "fixedfloor"),
+    ],
+)
+def test_non_finite_state_raises(monkeypatch, method, value, boundary):
+    original = getattr(_Stepper, method)
 
-    monkeypatch.setattr(_Stepper, "source_flow", poisoned)
+    def poisoned(self, u, h):
+        out = original(self, u, h)
+        if method == "apply":
+            out, err = out
+            assert math.isfinite(err)
+        out = out.copy()
+        out[3] = value
+        return (out, err) if method == "apply" else out
+
+    monkeypatch.setattr(_Stepper, method, poisoned)
     with pytest.raises(RuntimeError, match="non-finite state .* t=0.0"):
-        simulate(constant(0.5, 1), _cfg(P3, t_end=0.1), probes=[1.0])
+        simulate(constant(0.5, 1), _cfg(P3, t_end=0.1, boundary=boundary), probes=[1.0])
 
 
 # ROS34PW2 as published (Rang & Angermann, BIT 45, 2005): stage k_i solves
@@ -267,6 +284,116 @@ def test_diffuse_matches_a_dense_ros34pw2_step(N, boundary):
     assert new == pytest.approx(ref_new, rel=1e-12, abs=0.0)
     assert err == pytest.approx(ref_err, rel=1e-12)
     assert err > 0.0 and not np.allclose(new, u)  # the step moves the state
+
+
+# The plain Strang step, one numpy call per formula term: the solver's step reuses buffers and takes fewer
+# calls, and must reproduce these bits exactly.
+def _plain_div(stepper: _Stepper, v: np.ndarray) -> np.ndarray:
+    g = np.empty(len(v))
+    g[:-1] = v[1:] - v[:-1]
+    g[-1] = stepper.ghost_v - v[-1]
+    out = stepper.coef_r * g
+    out[1:] -= stepper.coef_l[1:] * g[:-1]
+    return out
+
+
+def _plain_source_flow(stepper: _Stepper, u: np.ndarray, h: float) -> np.ndarray:
+    p = stepper.p
+    g = u ** (p - 1.0)
+    reach = g * stepper.flow_cap
+    s = np.maximum(1.0 - (p - 1.0) * h * g, reach)
+    return np.where(s > reach, u * s ** (1.0 / (1.0 - p)), stepper.cfg.u_blowup)
+
+
+def _plain_admissible(stepper: _Stepper, u: np.ndarray):
+    if stepper.floor is not None:
+        return np.maximum(u, stepper.floor, out=u)
+    return None if u.min() <= 0.0 else u
+
+
+def _plain_diffuse(stepper: _Stepper, u: np.ndarray, h: float):
+    if u.min() <= 0.0:
+        return None, np.inf
+    m, gh = stepper.m, _GAMMA * h
+    v = u**m
+    d = m * v / u
+    *lu, info = dgttrf(-gh * stepper.coef_l[1:] * d[:-1], 1.0 + gh * stepper.coef_c * d,
+                       -gh * stepper.coef_r[:-1] * d[1:], overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+    assert info == 0
+
+    def solve(b):
+        return dgttrs(*lu, b, overwrite_b=True)[0]
+
+    z = np.empty((4, len(u)))
+    z[0] = solve(_plain_div(stepper, v))
+    for i in range(1, 4):
+        stage = _plain_admissible(stepper, u + (h * _A[i, :i]) @ z[:i])
+        if stage is None:
+            return None, np.inf
+        z[i] = solve(_plain_div(stepper, stage**m) + _C[i, :i] @ z[:i])
+    new = _plain_admissible(stepper, u + (h * _M) @ z)
+    if new is None:
+        return None, np.inf
+    est = solve((h * _E) @ z)
+    return new, float(np.max(np.abs(est) / (new + 1e-8 * new.max())))
+
+
+def _plain_apply(stepper: _Stepper, u: np.ndarray, dt: float):
+    if not stepper.cfg.source_on:
+        return _plain_diffuse(stepper, u, dt)
+    new, err = _plain_diffuse(stepper, _plain_source_flow(stepper, u, 0.5 * dt), dt)
+    return (None if new is None else _plain_source_flow(stepper, new, 0.5 * dt)), err
+
+
+def _assert_same_step(stepper: _Stepper, u: np.ndarray, dt: float) -> None:
+    before = u.copy()
+    new, err = stepper.apply(u, dt)
+    ref_new, ref_err = _plain_apply(stepper, before.copy(), dt)
+    np.testing.assert_array_equal(u, before)  # apply leaves its input alone
+    assert err == ref_err or (np.isnan(err) and np.isnan(ref_err))
+    if ref_new is None:
+        assert new is None
+    else:
+        np.testing.assert_array_equal(new, ref_new)
+        assert not np.shares_memory(new, u)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("boundary", ["zeroflux", "fixedfloor"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_step_reproduces_the_plain_step_bit_for_bit(N, boundary, p):
+    cfg = _cfg(ProblemParams(N=N, m=0.5, p=p), n_cells=40, r_dom=2.0, boundary=boundary, u_floor=1e-3)
+    r = (np.arange(40) + 0.5) * 0.05
+    stepper = _Stepper(GridField(N, 0.05, np.ones(40), 2.0), cfg)
+    rng = np.random.default_rng(26 + N)
+    for _ in range(3):
+        u = 1e-3 + rng.uniform(0.0, 2.0) * np.exp(-rng.uniform(0.5, 4.0) * r**2) + 0.05 * rng.random(40)
+        dt = 0.9 * min(0.5, 1.0 / (p - 1.0)) / u.max() ** (p - 1.0)
+        for h in (dt, 1e-3 * dt, 10.0 * dt):  # a controller step, a tiny one, and one that may reject
+            _assert_same_step(stepper, u, h)
+    # the peak cell reaches u_blowup inside the half step: the source flow's slow path
+    u[0] = 2.0 * ((p - 1.0) * 0.25 * dt) ** (1.0 / (1.0 - p))
+    _assert_same_step(stepper, u, dt)
+    # a source-free stepper diffuses only
+    _assert_same_step(_Stepper(GridField(N, 0.05, u, 2.0), replace(cfg, source_on=False)), u, dt)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+def test_source_flow_fast_path_boundary_keeps_the_bits(p):
+    # the peak's g = u^{p-1} where 1 - (p-1) h g meets g u_blowup^{1-p}, and its neighbours by a few ulps
+    cfg = _cfg(ProblemParams(N=1, m=0.5, p=p))
+    stepper = _Stepper(project_initial(constant(1.0, 1), cfg), cfg)
+    h = 0.01
+    g_edge = 1.0 / ((p - 1.0) * h + stepper.flow_cap)
+    peak = g_edge ** (1.0 / (p - 1.0))
+    for k in range(-4, 5):
+        top = peak
+        for _ in range(abs(k)):
+            top = np.nextafter(top, np.inf if k > 0 else 0.0)
+        u = np.array([0.5, top, 0.9 * top, top])
+        np.testing.assert_array_equal(stepper.source_flow(u, h), _plain_source_flow(stepper, u, h))
+    slow = np.array([0.5, peak * (1.0 + 1e-6)])
+    assert stepper.source_flow(slow, h)[1] == cfg.u_blowup
 
 
 def test_ros34pw2_tableau():

@@ -130,6 +130,23 @@ def test_a_grid_orlicz_gauge_past_the_largest_float_is_an_error_naming_alpha():
             norm(field, spec, ScanGrid.for_field(field, spec), scale=1e10)
 
 
+@pytest.mark.parametrize(
+    "data", [constant(1e300, 1, cutoff=0.6), power_law(1e300, 0.5, 2), barenblatt(1e-150, 1.0, 1, 0.5)],
+    ids=["constant-cut", "power-N2", "barenblatt"],
+)
+def test_a_profile_orlicz_gauge_past_the_largest_float_is_an_error_naming_alpha(data):
+    # scale f = 1e310 at the peak (the amplitude for power data): the column stops before the G7/K15
+    # quadrature, which would miss its tolerance on the overflowing integrand
+    spec = orlicz_eta(5.0, 1.0)
+    scan = ScanGrid.build(spec, r_min=1e-3, centers=(0.5,), radii_per_decade=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^alpha = 5\.0 takes the Orlicz gauge psi_alpha\(scale f\) of the data"):
+            norm(data, spec, scan, scale=1e10)
+        # closed entries need no average: uncut constant data keep their finite norm
+        assert math.isfinite(norm(constant(1e300, 1), spec, scan).value)
+
+
 @pytest.mark.parametrize("R, cutoff", [(1.0, None), (math.inf, 0.5), (1.0, 0.5)])
 def test_norm_diverging_at_the_origin_is_inf_under_every_cap_and_cutoff(R, cutoff):
     prof = power_law(0.001, 0.85, 1, cutoff)  # N/q - a = 0.8 - 0.85 < 0: grows as sigma -> 0
