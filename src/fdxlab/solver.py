@@ -461,7 +461,8 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
                 status, t_event = STATUS_STIFF_UNDERFLOW, t
                 break
             continue
-        new_max = float(new.max())  # NaN if any cell is; states are never below the floor or zero
+        # NaN if a cell is NaN, inf if one is inf; no cell is -inf, since stages are clamped or rejected at zero
+        new_max = float(new.max())
         if math.isnan(err) or not new_max < math.inf:
             raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
         t_new = t_end if t + dt >= t_end - end_tol else t + dt
