@@ -433,8 +433,8 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
 
     expo >= 1 in norm usage, but any expo > 0 with an integrable power works.
     Closed forms: constant data on balls inside the cutoff, power data on
-    centered balls inside it, and every N = 1 ball of power or constant data
-    off the origin (an interval, see _line_power_integral); the other radii
+    centered balls inside it, and every other N = 1 ball of power or
+    constant data (an interval, see _line_power_integral); the other radii
     go through ball_average_tail.  c^expo, or a Barenblatt snapshot's peak
     f(0)^expo, is taken first in Python floats, so data whose f^expo leaves
     the floats raise OverflowError before any quadrature.
@@ -455,7 +455,7 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
     else:
         # in Python floats (libm pow), so a flat column keeps the bits, and the first-max radius, of a scalar scan
         out[closed] = [c_expo * N / (N - ae) * x ** (-ae) for x in s[closed].tolist()]
-    if N == 1 and d > 0.0 and profile.kind in ("constant", "power"):
+    if N == 1 and profile.kind in ("constant", "power") and not closed.all():
         line = ~closed
         out[line] = c_expo * _line_power_integral(d, s[line], ae, profile.cutoff) / (2.0 * s[line])
         closed[:] = True
@@ -465,7 +465,7 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
 
 
 def _line_power_integral(d: float, s: np.ndarray, ae: float, cutoff: Optional[float]) -> np.ndarray:
-    """integral of |x|^-ae over [d - s, d + s] clipped to [-cutoff, cutoff], for d > 0 and 0 <= ae < 1.
+    """integral of |x|^-ae over [d - s, d + s] clipped to [-cutoff, cutoff], for d >= 0 and 0 <= ae < 1.
 
     With F(x) = x^k / k, k = 1 - ae, and each end clipped to the cutoff, it is
     F(d + s) + F(s - d) for s >= d, where the interval holds the origin, and

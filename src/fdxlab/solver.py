@@ -28,9 +28,10 @@ time u^{1-p}/(p-1), and the controller keeps the filtered embedded error
 of D, max |est| / (w + 1e-8 max w), below ERR_TOL_CELLS2 / n_cells^2,
 small enough that the time error stays below the space error.  Under
 "fixedfloor" the stages are clamped at u_floor; under "zeroflux" a stage
-that leaves positivity rejects the step.  Output times only say where
-samples are taken: a sample inside a step is its cubic Hermite dense
-output (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+that leaves positivity rejects the step.  The generator _steps alone
+decides the steps; simulate samples them, and output times only place the
+samples: a sample inside a step is its cubic Hermite dense output (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6).
 
 Initial data are projected by exact cell averages of the profile, then
 regularized as min(., n) + 1/n with n = 1/u_floor.
@@ -38,9 +39,10 @@ regularized as min(., n) + 1/n with n = 1/u_floor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -254,8 +256,8 @@ def project_initial(profile: RadialProfile, cfg: SolverConfig) -> GridField:
     return GridField(N, dr, u, R_dom)
 
 
-def stable_dt(field: GridField, cfg: SolverConfig) -> float:
-    """The source bound dt_safety min(1/2, 1/(p-1)) / max u^{p-1}.
+def stable_dt(u_max: float, cfg: SolverConfig) -> float:
+    """The source bound dt_safety min(1/2, 1/(p-1)) / u_max^{p-1}, with u_max the field's max.
 
     For p > 3 this is dt_safety times the peak cell's blow-up time
     u^{1-p}/(p-1), so no step runs past it.  Diffusion is linearly implicit
@@ -263,7 +265,7 @@ def stable_dt(field: GridField, cfg: SolverConfig) -> float:
     """
     if not cfg.source_on:
         return cfg.t_end
-    u_max, p = float(field.u.max()), cfg.params.p
+    p = cfg.params.p
     return cfg.dt_safety * min(0.5, 1.0 / (p - 1.0)) * u_max ** (1.0 - p) if u_max > 0.0 else math.inf
 
 
@@ -398,24 +400,54 @@ def check_probes(probes, R_dom: float) -> tuple:
     return probes
 
 
-def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:
-    """Integrate from the regularized projection of the profile.
+def _steps(stepper: _Stepper, u: np.ndarray, cfg: SolverConfig) -> Generator[tuple, None, tuple]:
+    """Advance u in place by accepted steps from t = 0, yielding (t, t_new, dt, new, blew) before u takes new.
 
-    Each step is min(source bound, controller step, t_end - t).  The
-    controller keeps the error norm of the third-order step D below
-    ERR_TOL_CELLS2 / n_cells^2: it starts from t_end and scales the step by
-    0.9 (tol / err)^{1/3}, within [0.2, 5], after every attempt; a rejected
-    step is retried with the smaller dt.
-    Terminates at t_end (completed), at sup >= u_blowup (blew_up), when the
-    source bound underflows below 1e-14 * t_end (dt_underflow), or when the
-    controller step does (stiff_underflow).  Samples are recorded at t = 0,
-    at min(k * output interval, t_end) and at the end state; a time within
-    1e-12 * t_end of t_end counts as t_end.  Output times never steer the
-    steps: a sample inside a step is the cubic Hermite interpolant of the
-    step's end states u0, u1 with slopes dt f(u0), dt f(u1) (_Stepper.rhs).
-    A step that reaches u_blowup is accepted but never interpolated across;
-    the end of the run records its end state at t_event.  A probe radius
-    beyond R_dom raises ValueError; a non-finite state raises RuntimeError.
+    dt is the step of the module docstring, and the controller's first guess
+    is t_end; a rejected attempt is retried with the controller's smaller dt.
+    t_new is t + dt, or t_end within 1e-12 t_end of it, and blew says that
+    new reached u_blowup.  Returns (status, t_event): (completed, None) at
+    t_end, or the time at which the sup reached u_blowup (blew_up), the source
+    bound fell below 1e-14 t_end (dt_underflow) or the controller step did
+    (stiff_underflow).  A non-finite state raises RuntimeError.
+    """
+    t_end, tol = cfg.t_end, ERR_TOL_CELLS2 / len(u) ** 2
+    end_tol, dt_min = 1e-12 * t_end, _DT_UNDERFLOW_FRACTION * t_end
+    t, dt_ctrl, u_max = 0.0, t_end, float(u.max())
+    while t < t_end and u_max < cfg.u_blowup:
+        dt = stable_dt(u_max, cfg)
+        if dt < dt_min:
+            return STATUS_DT_UNDERFLOW, t
+        dt = min(dt, dt_ctrl, t_end - t)
+        new, err = stepper.apply(u, dt)
+        fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * (tol / err) ** (1.0 / 3.0))) if err > 0.0 else _FAC_MAX
+        if err > tol:
+            dt_ctrl = dt * fac
+            if dt_ctrl < dt_min:
+                return STATUS_STIFF_UNDERFLOW, t
+            continue
+        # NaN if a cell is NaN, inf if one is inf; no cell is -inf, since stages are clamped or rejected at zero
+        u_max = float(new.max())
+        if math.isnan(err) or not u_max < math.inf:
+            raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
+        t_new = t_end if t + dt >= t_end - end_tol else t + dt
+        # a step clipped by the source bound or t_end does not shrink the controller
+        dt_ctrl = dt * fac if dt >= dt_ctrl else max(dt_ctrl, dt * fac)
+        yield t, t_new, dt, new, u_max >= cfg.u_blowup
+        u[:] = new
+        t = t_new
+    return (STATUS_BLEW_UP, t) if u_max >= cfg.u_blowup else (STATUS_COMPLETED, None)
+
+
+def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:
+    """Sample the steps that _steps takes from the regularized projection of the profile.
+
+    Samples are recorded at t = 0, at min(k * output interval, t_end), where
+    a time within 1e-12 t_end of t_end counts as t_end, and at the end state.
+    A sample inside a step is the cubic Hermite interpolant of the step's end
+    states u0, u1 with slopes dt f(u0), dt f(u1) (_Stepper.rhs), but never
+    in a step that reaches u_blowup; a run that ends early records its end
+    state at t_event.  A probe radius beyond R_dom raises ValueError.
     """
     probes = check_probes(probes, cfg.domain_radius())
     field = project_initial(profile, cfg)
@@ -433,42 +465,17 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
 
     t_end, out_dt = cfg.t_end, cfg.output_interval()
     end_tol = 1e-12 * t_end
-
-    def out_time(k: int) -> float:
-        return t_end if k * out_dt >= t_end - end_tol else k * out_dt
-
-    t, k = 0.0, 1
-    next_out = out_time(k)
+    out_times = (t_end if k * out_dt >= t_end - end_tol else k * out_dt for k in itertools.count(1))
+    next_out = next(out_times)
     record(0.0, u)
-    status, t_event = STATUS_COMPLETED, None
-    dt_min = _DT_UNDERFLOW_FRACTION * t_end
-    tol = ERR_TOL_CELLS2 / len(u) ** 2
-    dt_ctrl = t_end
     f_u = None  # f(u), kept from the last step that interpolated a sample
-    u_max = float(u.max())
-
-    while t < t_end and u_max < cfg.u_blowup:
-        dt = stable_dt(field, cfg)
-        if dt < dt_min:
-            status, t_event = STATUS_DT_UNDERFLOW, t
+    steps = _steps(stepper, u, cfg)
+    while True:
+        try:
+            t, t_new, dt, new, blew = next(steps)
+        except StopIteration as end:
+            status, t_event = end.value
             break
-        dt = min(dt, dt_ctrl, t_end - t)
-        new, err = stepper.apply(u, dt)
-        fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * (tol / err) ** (1.0 / 3.0))) if err > 0.0 else _FAC_MAX
-        if err > tol:
-            dt_ctrl = dt * fac
-            if dt_ctrl < dt_min:
-                status, t_event = STATUS_STIFF_UNDERFLOW, t
-                break
-            continue
-        # NaN if a cell is NaN, inf if one is inf; no cell is -inf, since stages are clamped or rejected at zero
-        new_max = float(new.max())
-        if math.isnan(err) or not new_max < math.inf:
-            raise RuntimeError(f"non-finite state after the step from t={t!r} (dt={dt!r})")
-        t_new = t_end if t + dt >= t_end - end_tol else t + dt
-        # a step clipped by the source bound or t_end does not shrink the controller
-        dt_ctrl = dt * fac if dt >= dt_ctrl else max(dt_ctrl, dt * fac)
-        blew = new_max >= cfg.u_blowup
         f_new = None
         while next_out < t_new - end_tol and not blew:
             if f_new is None:
@@ -478,21 +485,14 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
             h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
             h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
             record(next_out, h00 * u + h01 * new + h10 * f_u + h11 * f_new)
-            k += 1
-            next_out = out_time(k)
+            next_out = next(out_times)
         f_u = f_new
-        u[:] = new
-        u_max = new_max
-        t = t_new
-        if abs(next_out - t) <= end_tol:
-            record(next_out, u)
-            k += 1
-            next_out = out_time(k)
+        if abs(next_out - t_new) <= end_tol:
+            record(next_out, new)
+            next_out = next(out_times)
 
-    if u_max >= cfg.u_blowup:
-        status, t_event = STATUS_BLEW_UP, t
-    if status != STATUS_COMPLETED and t > times[-1] + end_tol:
-        record(t, u)
+    if t_event is not None and t_event > times[-1] + end_tol:
+        record(t_event, u)
 
     return SolverTrace(
         times=np.asarray(times),

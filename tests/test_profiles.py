@@ -174,8 +174,16 @@ def test_balls_grazing_the_singular_origin_match_the_n1_closed_form():
     assert ball_average(power_law(0.1, 0.8, 1), 1.0, 0.9999999) == pytest.approx(want[-2], rel=1e-9)
 
 
-def test_n1_interval_averages_match_the_ball_quadrature():
-    # the cap-slice quadrature called directly stays the oracle of the N = 1 closed form
+def test_n1_interval_averages_match_the_ball_quadrature(monkeypatch):
+    # the cap-slice quadrature called directly stays the oracle of the N = 1 closed form, which takes every
+    # N = 1 ball of power or constant data: off-center ones, and centered ones past the cutoff
+    quad_centers = []
+
+    def counted_quad(g, N, d, *args, **kw):
+        quad_centers.append(d)
+        return radial_ball_integral(g, N, d, *args, **kw)
+
+    monkeypatch.setattr("fdxlab.profiles.radial_ball_integral", counted_quad)
     rng = np.random.default_rng(25)
     for _ in range(60):
         a = float(rng.choice([0.0, rng.uniform(0.0, 0.95)]))
@@ -183,11 +191,13 @@ def test_n1_interval_averages_match_the_ball_quadrature():
         c, d = float(rng.uniform(0.1, 5.0)), float(10.0 ** rng.uniform(-2.0, 1.0))
         cutoff = None if rng.random() < 0.5 else float(10.0 ** rng.uniform(-1.0, 1.0))
         sigma = 10.0 ** rng.uniform(-3.0, 2.0, 6)
-        prof = power_law(c, a, 1, cutoff)
-        got = ball_average_power(prof, expo, d, sigma)
-        total = radial_ball_integral(lambda rho: prof.value(rho) ** expo, 1, d, sigma, 1e-12,
-                                     gw=prof.power_times_vol_w(expo), cutoff=cutoff)
-        np.testing.assert_allclose(got, total / (2.0 * sigma), rtol=1e-9, atol=0.0)
+        prof = constant(c, 1, cutoff) if a == 0.0 and rng.random() < 0.5 else power_law(c, a, 1, cutoff)
+        for center in (d, 0.0) if cutoff is not None else (d,):
+            got = ball_average_power(prof, expo, center, sigma)
+            total = radial_ball_integral(lambda rho: prof.value(rho) ** expo, 1, center, sigma, 1e-12,
+                                         gw=prof.power_times_vol_w(expo), cutoff=cutoff)
+            np.testing.assert_allclose(got, total / (2.0 * sigma), rtol=1e-9, atol=0.0)
+    assert quad_centers == []
 
 
 @pytest.mark.parametrize("a, expo", [(0.8, 1.0), (0.5, 1.7), (0.1, 1.1)])

@@ -23,6 +23,7 @@ from fdxlab.solver import (
     _GAMMA,
     _M,
     _Stepper,
+    _steps,
     project_initial,
     scaling_transform,
     simulate,
@@ -139,7 +140,7 @@ def _step(field: GridField, cfg: SolverConfig, dt: float) -> np.ndarray:
 def test_step_constant_field_source_off_unchanged():
     cfg = _cfg(source_on=False)
     field = project_initial(constant(1.0, 1), cfg)
-    dt = stable_dt(field, cfg)
+    dt = stable_dt(float(field.u.max()), cfg)
     assert np.allclose(_step(field, cfg, dt), field.u, rtol=0.0, atol=0.0)
 
 
@@ -147,7 +148,7 @@ def test_step_constant_field_source_exact():
     cfg = _cfg(source_on=True)
     field = project_initial(constant(1.0, 1), cfg)
     c = field.u[0]
-    dt = stable_dt(field, cfg)
+    dt = stable_dt(float(field.u.max()), cfg)
     p = cfg.params.p
     exact = (c ** (1.0 - p) - (p - 1.0) * dt) ** (1.0 / (1.0 - p))
     assert np.allclose(_step(field, cfg, dt), exact, rtol=1e-14, atol=0.0)
@@ -545,11 +546,61 @@ def test_step_sequence_does_not_depend_on_output_times(prof, cfg, blows):
     for trace in traces[1:]:
         np.testing.assert_array_equal(trace.final_field.u, traces[0].final_field.u)
         assert (trace.status, trace.t_event) == (traces[0].status, traces[0].t_event)
+    # and _steps alone, drained with no sampler, takes the same steps to the same end
+    field = project_initial(prof, cfg())
+    steps = _steps(_Stepper(field, cfg()), field.u, cfg())
+    with pytest.raises(StopIteration) as end:
+        while True:
+            next(steps)
+    assert end.value.value == (traces[0].status, traces[0].t_event)
+    np.testing.assert_array_equal(field.u, traces[0].final_field.u)
     if blows:
         assert traces[0].status in (STATUS_BLEW_UP, STATUS_DT_UNDERFLOW)
         assert 0.25 * (1.0 - 1e-3) <= traces[0].t_event <= 0.25
     else:
         assert traces[0].status == STATUS_COMPLETED
+
+
+@pytest.mark.parametrize(
+    "prof, cfg, status",
+    [
+        (constant(0.5, 1, cutoff=1.0), _cfg(P3), STATUS_COMPLETED),
+        (constant(0.5, 1, cutoff=1.0), _cfg(P3, t_end=0.5, u_floor=0.0), STATUS_STIFF_UNDERFLOW),
+        (constant(1.0, 1), _cfg(P3, u_blowup=2.0), STATUS_BLEW_UP),
+        (constant(1.0, 1), _blowup_cfg(), STATUS_DT_UNDERFLOW),
+    ],
+    ids=["completed", "stiff_underflow", "blew_up", "dt_underflow"],
+)
+def test_call_counts_that_the_benchmark_tracer_reads(monkeypatch, prof, cfg, status):
+    # perfbench's tracer counts step attempts as the module-level stable_dt calls, less the bound that ends a
+    # dt_underflow run, and records as GridField.ball_mass calls
+    calls = {"stable_dt": 0, "ball_mass": 0}
+    errs = []
+    bound, apply, ball_mass = stable_dt, _Stepper.apply, GridField.ball_mass
+
+    def counted_bound(u_max, cfg):
+        calls["stable_dt"] += 1
+        return bound(u_max, cfg)
+
+    def counted_apply(self, u, dt):
+        new, err = apply(self, u, dt)
+        errs.append(err)
+        return new, err
+
+    def counted_ball_mass(self, sigma):
+        calls["ball_mass"] += 1
+        return ball_mass(self, sigma)
+
+    monkeypatch.setattr("fdxlab.solver.stable_dt", counted_bound)
+    monkeypatch.setattr(_Stepper, "apply", counted_apply)
+    monkeypatch.setattr(GridField, "ball_mass", counted_ball_mass)
+    probes = [0.05, 0.5, 1.0]
+    trace = simulate(prof, cfg, probes)
+    assert trace.status == status
+    assert calls["stable_dt"] == len(errs) + (status == STATUS_DT_UNDERFLOW)
+    assert calls["ball_mass"] == len(probes) * len(trace.times)
+    if status == STATUS_COMPLETED:  # a rejected attempt calls stable_dt too
+        assert max(errs) > ERR_TOL_CELLS2 / cfg.n_cells**2
 
 
 @pytest.mark.parametrize("c", [0.03, 0.0625])
