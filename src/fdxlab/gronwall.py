@@ -8,6 +8,9 @@ f(t) <= A1 + A2 int f^m + A3 int f is dominated by
 The comparison ODE g' = A2 g^m + A3 g, g(0) = A1 saturates the inequality up
 to the e^{A3 t} relaxation, so an accurate integration of g must stay at or
 below the bound; verify_against_ode checks exactly that with classic RK4.
+integrate_comparison_ode rejects coefficients outside those ranges (and a T
+that is not finite and > 0) with a ValueError naming the argument, so its
+RK4 stages need no clamp at zero.
 """
 
 from __future__ import annotations
@@ -54,33 +57,70 @@ def _bound_values(A1, A2, A3, m, t):
 def integrate_comparison_ode(A1, A2, A3, m, T: float, n_steps: int):
     """Vectorized RK4 for g' = A2 g^m + A3 g, g(0) = A1 on [0, T].
 
-    Coefficients may be scalars or equal-length arrays (a batch of ODEs
-    advanced in lockstep).  Returns (times, g) with g of shape
-    (n_steps + 1, batch).
+    Coefficients may be scalars or 1-D arrays; they broadcast to one batch of
+    ODEs advanced in lockstep.  Returns (times, g) with g of shape
+    (n_steps + 1, batch).  Raises a ValueError naming the argument unless
+    A1, A2, A3 are finite and >= 0, m lies in (0, 1), T is finite and > 0
+    and n_steps >= 1.
+
+    Valid input keeps every stage argument >= 0 and pow(+0, m) = 0, so g^m
+    needs no clamp.  A step writes its stages, stage arguments g + (h/2) k
+    and weighted sum ((k1 + 2 k2) + 2 k3) + k4 into six preallocated rows
+    and g + (h/6) sum into its own row of g: it allocates nothing.  With
+    coefficient arrays, each draw's trajectory has the bits of its solo run.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    A1 = np.atleast_1d(np.asarray(A1, dtype=float))
-    A2 = np.atleast_1d(np.asarray(A2, dtype=float))
-    A3 = np.atleast_1d(np.asarray(A3, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
+    # views, not copies: numpy takes a sqrt fast path for a stride-0 exponent of 0.5,
+    # so a broadcast scalar m keeps the bits it had when the ufunc broadcast it
+    A1, A2, A3, m = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in (A1, A2, A3, m)))
+    if A1.ndim != 1:
+        raise ValueError("A1, A2, A3, m must be scalars or 1-D arrays")
+    # min and max (NaN propagates), not elementwise comparisons: their boolean ufunc
+    # loops are code the run touches nowhere else, about 0.2 MB of resident pages
+    for name, a in (("A1", A1), ("A2", A2), ("A3", A3)):
+        lo, hi = a.min(initial=0.0), a.max(initial=0.0)  # an empty batch passes
+        if not (lo == 0.0 and hi < math.inf):
+            raise ValueError(f"{name} must be finite and >= 0, got {float(hi if lo == 0.0 else lo)!r}")
+    lo, hi = m.min(initial=0.5), m.max(initial=0.5)
+    if not (0.0 < lo and hi < 1.0):
+        raise ValueError(f"m must lie in (0, 1), got {float(hi if 0.0 < lo else lo)!r}")
+    check_finite_positive("T", T)
     h = T / n_steps
-    if h <= 0.0 or not math.isfinite(h):
+    if h == 0.0:
         raise ValueError("step size underflow")
+    # 0-d arrays: a ufunc takes them faster than Python floats, with the same bits
+    half, whole, sixth, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
 
-    def rhs(g):
-        return A2 * np.power(np.maximum(g, 0.0), m) + A3 * g
+    out = np.empty((n_steps + 1, len(A1)))
+    out[0] = A1
+    k1, k2, k3, k4, arg, tmp = np.empty((6, len(A1)))
 
-    g = A1.copy()
-    out = np.empty((n_steps + 1, len(g)))
-    out[0] = g
-    for k in range(n_steps):
-        k1 = rhs(g)
-        k2 = rhs(g + 0.5 * h * k1)
-        k3 = rhs(g + 0.5 * h * k2)
-        k4 = rhs(g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = g
+    def rhs(x, k):  # k = A2 x^m + A3 x
+        np.power(x, m, out=k)
+        k *= A2
+        np.multiply(A3, x, out=tmp)
+        k += tmp
+
+    for j in range(n_steps):
+        g = out[j]
+        rhs(g, k1)
+        np.multiply(half, k1, out=arg)
+        arg += g
+        rhs(arg, k2)
+        np.multiply(half, k2, out=arg)
+        arg += g
+        rhs(arg, k3)
+        np.multiply(whole, k3, out=arg)
+        arg += g
+        rhs(arg, k4)
+        k2 *= two
+        k1 += k2
+        k3 *= two
+        k1 += k3
+        k1 += k4
+        k1 *= sixth
+        np.add(g, k1, out=out[j + 1])
     times = np.linspace(0.0, T, n_steps + 1)
     return times, out
 
