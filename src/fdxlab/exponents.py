@@ -95,8 +95,8 @@ def classify_regime(params: ProblemParams) -> Regime:
 
 def kappa_r(params: ProblemParams, r: float) -> float:
     """kappa_r = N(m-1) + 2r, for r >= 1."""
-    if r < 1.0:
-        raise ValueError("r must be >= 1")
+    if not r >= 1.0:
+        raise ValueError(f"r must be >= 1, got {r!r}")
     return params.N * (params.m - 1.0) + 2.0 * r
 
 

@@ -34,8 +34,10 @@ class GronwallCoeffs:
     T: float
 
     def __post_init__(self):
-        if min(self.A1, self.A2, self.A3) < 0.0:
-            raise ValueError("A1, A2, A3 must be >= 0")
+        # plain float comparisons, which NaN fails: gronwall-check builds 200 of these per pass
+        for name, value in (("A1", self.A1), ("A2", self.A2), ("A3", self.A3)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not (0.0 < self.m < 1.0):
             raise ValueError("m must lie in (0, 1)")
         check_finite_positive("T", self.T)

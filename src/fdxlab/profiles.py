@@ -7,7 +7,11 @@ Profiles are radial functions on R^N (N in {1, 2, 3}):
     critical_log   c * r^{-N} * [log(e + 1/r)]^{-N/2 - 1}
     barenblatt     source-free fast diffusion self-similar snapshot at t = t0
 
-An optional cutoff radius truncates any profile to zero outside.
+An optional cutoff radius truncates any profile to zero outside.  The first
+three are one family, c r^{-b} [log(e + 1/r)]^{-q} with (b, q) = (0, 0),
+(a, 0) and (N, N/2 + 1), and every formula at the origin (the value, log f
+and the origin slice of f^expo r^N with its one integrability rule) is
+derived from (b, q).
 
 Ball averages over B(z, sigma) reduce, for radial integrands, to a single
 radial integral against the sphere-cap measure
@@ -63,10 +67,10 @@ def barenblatt_value(r, t: float, N: int, m: float, cb: float):
         U(x, t) = t^{-N/kappa} (cb + (1-m)/(2 m kappa) |x|^2 t^{-2/kappa})^{-1/(1-m)}
     """
     kappa = N * (m - 1.0) + 2.0
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError(f"m must be > 1 - 2/N for the Barenblatt profile (kappa = N(m-1) + 2 > 0), got {m!r}")
-    if t <= 0.0:
-        raise ValueError("Barenblatt profile requires t > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0 for the Barenblatt profile, got {t!r}")
     k1 = (1.0 - m) / (2.0 * m * kappa)
     r_arr = np.asarray(r, dtype=float)
     out = t ** (-N / kappa) * (cb + k1 * r_arr * r_arr * t ** (-2.0 / kappa)) ** (-1.0 / (1.0 - m))
@@ -78,7 +82,7 @@ class WSlice(NamedTuple):
 
     log_gw(w) is log(g(rho) rho^N) at rho(w), written in closed form so that
     neither the huge g nor the tiny rho^N is formed (array in, array out);
-    tail is the q of gw ~ w^{-q} as w -> inf, or inf for exponential decay.
+    tail is the q of gw = C w^{-q} past w = e^690 (to rounding), or inf for exponential decay.
     """
 
     log_gw: Callable
@@ -126,61 +130,47 @@ class RadialProfile:
             out = np.where(r_arr > self.cutoff, 0.0, out)
         return float(out[0]) if scalar else out
 
+    def _origin_powers(self) -> tuple[float, float]:
+        """(b, q) with f = c rho^-b [log(e + 1/rho)]^-q inside the cutoff; Barenblatt data have none."""
+        if self.kind == "barenblatt":
+            raise ValueError("barenblatt data are not of the form c rho^-b [log(e + 1/rho)]^-q")
+        return {"constant": (0.0, 0.0), "power": (self.a, 0.0), "critical_log": (self.N, self.N / 2.0 + 1.0)}[self.kind]
+
     def _value_raw(self, r: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full_like(r, self.c)
-        if self.kind == "power":
-            if self.a == 0.0:
-                return np.full_like(r, self.c)
-            with np.errstate(divide="ignore", over="ignore"):  # +inf at and next to r = 0
-                return np.where(r > 0.0, self.c * r ** (-self.a), np.inf if self.c > 0 else 0.0)
-        if self.kind == "critical_log":
-            out = np.full_like(r, np.inf if self.c > 0 else 0.0)
-            pos = r > 0.0
-            rp = r[pos]
-            with np.errstate(over="ignore"):
-                out[pos] = self.c * rp ** (-self.N) * np.log(_E + 1.0 / rp) ** (-self.N / 2.0 - 1.0)
-            return out
-        return np.asarray(barenblatt_value(r, self.t0, self.N, self.m, self.cb))
+        if self.kind == "barenblatt":
+            return np.asarray(barenblatt_value(r, self.t0, self.N, self.m, self.cb))
+        b, q = self._origin_powers()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # r = 0 is set below
+            out = self.c * r ** (-b) * (np.log(_E + 1.0 / r) ** (-q) if q else 1.0)  # q = 0 takes no log
+        return np.where(r > 0.0, out, np.inf if self.is_singular_at_origin() else self.c)
 
     def is_singular_at_origin(self) -> bool:
-        return (self.kind == "power" and self.a > 0.0 and self.c > 0.0) or (
-            self.kind == "critical_log" and self.c > 0.0
-        )
+        return self.kind != "barenblatt" and self._origin_powers()[0] > 0.0 and self.c > 0.0
 
     def log_value_w(self, w):
-        """log f at rho(w), w = log(e + 1/rho); singular kinds only, stable for huge w."""
-        lr = log_rho_of_w(w)
-        if self.kind == "power":
-            return math.log(self.c) - self.a * lr
-        if self.kind == "critical_log":
-            return math.log(self.c) - self.N * lr - (self.N / 2.0 + 1.0) * np.log(w)
-        raise ValueError(f"log_value_w is defined for singular kinds, not {self.kind!r}")
+        """log f at rho(w), w = log(e + 1/rho), stable for huge w; raises ValueError for Barenblatt data."""
+        b, q = self._origin_powers()
+        return math.log(self.c) - b * log_rho_of_w(w) - (q * np.log(w) if q else 0.0)
 
     def power_times_vol_w(self, expo: float) -> Optional[WSlice]:
         """f(rho(w))^expo rho(w)^N for the origin slice, as a WSlice.
 
-        The log is taken per kind in closed form, so the rho^N that cancels the
-        singularity never meets the singularity in floating point:
-        power gives expo log c + (N - a expo) log rho (an exponential tail in w),
-        critical_log gives expo log c + N (1 - expo) log rho - expo (N/2 + 1) log w
-        (an algebraic tail w^{-(N/2 + 1)} at expo = 1).  Returns None for kinds
-        that are regular at the origin; raises when f^expo is not locally
+        Its log is expo log c + (N - b expo) log rho - q expo log w, in closed
+        form, so the rho^N that cancels the singularity never meets the
+        singularity in floating point.  N - b expo > 0 gives an exponential
+        tail in w; N - b expo = 0 with q expo > 1 the algebraic tail
+        w^{-q expo} (critical_log at expo = 1).  Returns None for data that
+        are regular at the origin; raises when f^expo is not locally
         integrable there.
         """
         if not self.is_singular_at_origin():
             return None
-        N, log_c = self.N, math.log(self.c)
-        if self.kind == "power":
-            if self.a * expo >= N:
-                raise ValueError("power profile with a*expo >= N is not locally integrable")
-            return WSlice(lambda w: expo * log_c + (N - self.a * expo) * log_rho_of_w(w), math.inf)
-        if expo > 1.0:
-            raise ValueError("critical-log profile to a power > 1 is not locally integrable")
-        q = expo * (N / 2.0 + 1.0)
-        if expo == 1.0:
-            return WSlice(lambda w: log_c - q * np.log(w), q)
-        return WSlice(lambda w: expo * log_c + N * (1.0 - expo) * log_rho_of_w(w) - q * np.log(w), math.inf)
+        b, q = self._origin_powers()
+        k, tail = self.N - b * expo, q * expo
+        if not (k > 0.0 or (k == 0.0 and tail > 1.0)):
+            raise ValueError(f"{self.kind} profile to the power {expo!r} is not locally integrable at the origin")
+        log_c = expo * math.log(self.c)
+        return WSlice(lambda w: log_c + (k * log_rho_of_w(w) if k else 0.0) - tail * np.log(w), math.inf if k else tail)
 
 
 def constant(c: float, N: int, cutoff: float | None = None) -> RadialProfile:
@@ -303,23 +293,25 @@ _G7[1::2] = _GK_WG + _GK_WG[-2::-1]
 _GK_W = np.column_stack([_K15, _K15 - _G7])
 QUAD_TOL = 1e-8  # relative tolerance of every analytic ball average
 PANEL_BUDGET = 400  # panels per radius before the integral raises
-_LOG_W_MAX = 690.0  # the origin slice is taken as 0 beyond w = e^690, i.e. rho < exp(-1e299)
+_LOG_W_MAX = 690.0  # the origin slice's quadrature stops at w = e^690, i.e. rho = exp(-1e299)
 
 
-def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str) -> np.ndarray:
+def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known: tuple = (0.0, 0.0)) -> np.ndarray:
     """Adaptive G7/K15 integrals over the panels [a, b], summed per radius owner (radii[owner]).
 
     Each round calls f(x, k) once, with the (P, 15) nodes x of all P active
     panels and their owners k, and accepts a panel when
     |K15 - G7| <= 0.1 tol |running total of its radius|; the others are
     bisected.  A radius whose partition grows past PANEL_BUDGET panels stops.
+    known is a part of every radius's integral taken in closed form, and a
+    bound on its error: both start the running total and the error sum.
     This is the one tolerance check of every integral: RuntimeError, naming
     where and the radii, for a radius that stopped, whose value is not finite
     or whose summed |K15 - G7| exceeds tol |value| (a NaN integrand never
     passes a panel, so it ends at the budget).  Returns the value per radius.
     """
     n = len(radii)
-    val, err = np.zeros(n), np.zeros(n)
+    val, err = np.full(n, known[0]), np.full(n, known[1])
     count = np.bincount(owner, minlength=n)
     while len(a):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -351,27 +343,35 @@ def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float
     log-power singularity as an algebraic tail w^{-q}.  The map w = w_lo t^{-k}
     takes [w_lo, inf) onto t in (0, 1], with k = 1 for an exponential tail and
     k = ceil(2 / (q - 1)) for an algebraic one, so the t-integrand vanishes at
-    t = 0 like t^{k (q - 1) - 1}.
+    t = 0 like t^{k (q - 1) - 1}.  The quadrature stops at w = e^690, where w
+    is still a float.  Past it an exponential tail is 0 and an algebraic one
+    is C w^{-q} to rounding, so its part gw(e^690) e^690 / (q - 1) is taken in
+    closed form, and the bound on that form's rounding counts in the
+    tolerance: as q nears 1 the slice raises RuntimeError instead.
     """
     e = np.asarray(eps, dtype=float)
     if not np.all((0.0 < e) & (e <= 1.0)):
         raise ValueError("singular slice requires 0 < eps <= 1")
-    if not gw.tail > 1.0:
-        raise ValueError(f"origin slice with tail w^-{gw.tail} is not integrable")
-    k = 1 if math.isinf(gw.tail) else math.ceil(2.0 / (gw.tail - 1.0))
+    q = gw.tail
+    if not q > 1.0:
+        raise ValueError(f"origin slice with tail w^-{q} is not integrable")
+    k = 1 if math.isinf(q) else math.ceil(2.0 / (q - 1.0))
     log_w_lo, log_k = np.log(np.log(_E + 1.0 / e)), math.log(k)
 
     def integrand(t, j):
-        log_t_far = (log_w_lo[j, None] - _LOG_W_MAX) / k  # log t at w = e^690
-        log_t = np.maximum(np.log(t), log_t_far)
+        log_t = np.log(t)
         log_w = log_w_lo[j, None] - k * log_t
         w = np.exp(log_w)
-        f = np.exp(gw.log_gw(w) - np.log1p(-np.exp(1.0 - w)) + log_k + log_w - log_t)
-        return np.where(log_t > log_t_far, f, 0.0)
+        return np.exp(gw.log_gw(w) - np.log1p(-np.exp(1.0 - w)) + log_k + log_w - log_t)
 
+    far = far_err = 0.0
+    if math.isfinite(q):  # rounding q costs eps q / (2 (q - 1)) relative, and the exponent about 690 q eps
+        far = math.exp(float(gw.log_gw(math.exp(_LOG_W_MAX))) + _LOG_W_MAX) / (q - 1.0)
+        far_err = 2.0 * np.finfo(float).eps * (q / (q - 1.0) + _LOG_W_MAX * q) * far
     n = len(e)
-    return SPHERE_AREA[N] * _gk_panels(integrand, np.zeros(n), np.ones(n), np.arange(n), e, quad_tol,
-                                       "singular_slice_integral")
+    t_cut = np.exp((log_w_lo - _LOG_W_MAX) / k)
+    return SPHERE_AREA[N] * _gk_panels(integrand, t_cut, np.ones(n), np.arange(n), e, quad_tol,
+                                       "singular_slice_integral", (far, far_err))
 
 
 def radial_ball_integral(

@@ -105,8 +105,8 @@ class GridField:
     def __post_init__(self):
         if self.N not in (1, 2, 3):
             raise ValueError("solver supports radial N in {1, 2, 3}")
-        if self.dr <= 0.0:
-            raise ValueError("dr must be > 0")
+        check_finite_positive("dr", self.dr)
+        check_finite_positive("R_dom", self.R_dom)
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim != 1 or len(self.u) == 0:
             raise ValueError("u must be a nonempty 1-D array")
@@ -452,16 +452,14 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     probes = check_probes(probes, cfg.domain_radius())
     field = project_initial(profile, cfg)
     stepper = _Stepper(field, cfg)
-    u = field.u
-    # every sample is recorded from this snapshot, which keeps the ball-mass weight rows
-    snap = GridField(field.N, field.dr, u.copy(), field.R_dom)
+    u = field.u.copy()  # the steps advance this copy; every sample is written into field, the last being the end state
     times, sups, masses = [], [], []
 
     def record(t: float, state: np.ndarray) -> None:
-        snap.u[:] = state
+        field.u[:] = state
         times.append(t)
-        sups.append(float(snap.u.max()))
-        masses.append([snap.ball_mass(s) for s in probes])
+        sups.append(float(field.u.max()))
+        masses.append([field.ball_mass(s) for s in probes])
 
     t_end, out_dt = cfg.t_end, cfg.output_interval()
     end_tol = 1e-12 * t_end

@@ -36,9 +36,9 @@ _E = math.e
 
 
 def psi(alpha: float, xi):
-    """psi_alpha(xi) = xi * log(e + xi)^alpha for xi >= 0 (scalar or array)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    """psi_alpha(xi) = xi * log(e + xi)^alpha for xi >= 0 (scalar or array); a NaN xi gives NaN."""
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     xi_arr = np.asarray(xi, dtype=float)
     if np.any(xi_arr < 0.0):
         raise ValueError("psi requires xi >= 0")
@@ -60,10 +60,10 @@ def psi_inv(alpha: float, y: float) -> float:
     and every later step decreases x monotonically onto it.  The iteration
     stops when a step no longer lowers x.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if y < 0.0:
-        raise ValueError("psi_inv requires y >= 0")
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    if not y >= 0.0:
+        raise ValueError(f"y must be >= 0, got {y!r}")
     if y == 0.0 or math.isinf(y):
         return y
     x = _psi_newton(alpha, y / math.log(_E + y) ** alpha, y, math.log)
@@ -84,11 +84,11 @@ def psi_inv_array(alpha: float, y) -> np.ndarray:
     psi_inv by a few ulps (about 4e-16 relative); ulmorrey rechecks the
     entries near a scan's maximum with psi_inv.
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     y = np.array(y, dtype=float)
-    if np.any(y < 0.0):
-        raise ValueError("psi_inv requires y >= 0")
+    if not np.all(y >= 0.0):
+        raise ValueError("y must be >= 0 in every element")
     live = (y > 0.0) & (y < math.inf)
     yl = y[live]
     x = _psi_newton(alpha, yl / np.log(_E + yl) ** alpha, yl, np.log)
@@ -107,8 +107,8 @@ def eta(N: int, xi):
     if N < 1:
         raise ValueError("N must be >= 1")
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr < 0.0):
-        raise ValueError("eta requires xi >= 0")
+    if not np.all(xi_arr >= 0.0):
+        raise ValueError("xi must be >= 0 in every element")
     out = np.zeros_like(xi_arr)
     pos = xi_arr > 0.0
     xp = xi_arr[pos]

@@ -30,8 +30,8 @@ differ from libm in the last ulp, so every entry within RECHECK_MARGIN = 1e-9
 scalar Phi^{-1} (libm pow, or psi_inv: the same Newton step, with math.log).
 The two agree to about 4e-16 relative, far inside the margin, so the value
 and place of the maximum, ties included, are the scalar scan's bit for bit.
-Closed-form Orlicz-eta entries (constant data, infinite critical_log
-columns) are final and skip Phi^{-1}.
+Closed-form Orlicz-eta entries (constant data, and inf where the origin
+slice diverges) are final and skip Phi^{-1}.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
     Phi is xi^alpha (morrey: the average of f^alpha times scale^alpha) or
     psi_alpha (orlicz_eta).  A closed entry holds Phi^{-1} of its average,
     which needs no inversion: orlicz_eta profiles only, scale c for constant
-    data on balls inside the cutoff, inf for critical_log data with
-    alpha >= N/2 on balls that reach the origin.  A Morrey average of data
-    whose f^alpha leaves the floats, or an Orlicz-eta average whose
+    data on balls inside the cutoff, inf on balls that reach the origin where
+    the origin slice's tail w^-q has q <= 1.  A Morrey average of data whose
+    f^alpha leaves the floats, or an Orlicz-eta average whose
     psi_alpha(scale f) does, is a ValueError naming alpha.
     """
     closed = np.full((len(centers), len(sigma)), False)
@@ -214,11 +214,11 @@ def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, s
     runs no quadrature.
     """
     avg = np.empty(len(s))
+    g = _orlicz_gw(profile, alpha, scale)
     if profile.kind == "constant":
         closed[:] = True if profile.cutoff is None else d + s <= profile.cutoff
         avg[closed] = scale * profile.c
-    elif profile.kind == "critical_log" and min(profile.c, scale) > 0.0 and alpha >= profile.N / 2.0:
-        # psi_alpha(scale f) rho^{N-1} d rho ~ L^{alpha-N/2-1} dL, L = log(1/rho): diverges at the origin
+    elif g is not None and g.tail <= 1.0:  # the rule singular_slice_integral enforces: w^-q, q <= 1 diverges
         closed[:] = d <= s
         avg[closed] = math.inf
     with np.errstate(over="ignore"):
@@ -226,7 +226,6 @@ def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, s
     if not math.isfinite(peak):
         avg[~closed] = math.inf
         return avg
-    g = _orlicz_gw(profile, alpha, scale)
     return ball_average_tail(profile, lambda rho: psi(alpha, scale * profile.value(rho)), g, d, s, avg, closed)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from fdxlab.exponents import (
     kappa_r,
     validate_beta,
 )
+from fdxlab.profiles import barenblatt_value
+from fdxlab.solver import GridField
+from fdxlab.special_functions import eta, psi, psi_inv, psi_inv_array
 
 
 def test_derive_exponents_direct_substitution():
@@ -112,3 +117,20 @@ def test_classify_regime_monotone_in_p():
 
 def test_regime_order():
     assert Regime.SUBCRITICAL < Regime.CRITICAL < Regime.SUPERCRITICAL
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: eta(1, math.nan), "xi"),
+    (lambda: psi(math.nan, 1.0), "alpha"),
+    (lambda: psi_inv(math.nan, 1.0), "alpha"),
+    (lambda: psi_inv(1.0, math.nan), "y"),
+    (lambda: psi_inv_array(1.0, [1.0, math.nan]), "y"),
+    (lambda: kappa_r(ProblemParams(N=1, m=0.5, p=3.0), math.nan), "r"),
+    (lambda: barenblatt_value(0.5, math.nan, 1, 0.5, 1.0), "t"),
+    (lambda: GridField(N=1, dr=math.inf, u=np.ones(10), R_dom=math.inf), "dr"),
+    (lambda: GridField(N=1, dr=math.nan, u=np.ones(10), R_dom=1.0), "dr"),
+    (lambda: GridField(N=1, dr=1e308, u=np.ones(10), R_dom=math.inf), "R_dom"),
+])
+def test_public_range_checks_reject_nan_naming_the_argument(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()

@@ -71,6 +71,14 @@ def test_coeff_validation():
             GronwallCoeffs(1.0, 0.0, 0.0, 0.5, T)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_coeffs_reject_nan_infinite_and_negative_amplitudes(name, bad):
+    coeffs = {"A1": 1.0, "A2": 0.5, "A3": 0.3, "m": 0.5, "T": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {bad!r}$"):
+        GronwallCoeffs(**coeffs)
+
+
 def test_linear_case_matches_exponential():
     # A2 = 0: ODE solution A1 e^{A3 t} equals the bound; gap ~ integrator accuracy
     c = GronwallCoeffs(2.0, 0.0, 0.7, 0.5, 1.0)

@@ -286,6 +286,22 @@ def test_check_condition_critical_log_alpha_above_half_n_is_infinite(N):
     assert 0.0 < orlicz_ball_average(prof, 1.0, 0.5, 0.1) < math.inf
 
 
+# avg over B(0, 0.01) of psi_alpha(f), f = critical_log(0.02, 1), alpha = 1/2 - d: an mpmath integral in
+# s = log(1/rho) at 40 digits, with the tail past s = e^60 in closed form (moving the cut to e^80 changes 4e-25)
+@pytest.mark.parametrize("d, oracle", [
+    (1e-2, 195.21192236262075911), (1e-3, 1995.121977051508928), (1e-7, 19999995.111251400048), (1e-10, None),
+])
+def test_orlicz_average_near_the_divergence_boundary_keeps_its_tolerance(d, oracle):
+    # the slice tail w^-(1 + d) reaches far past w = e^690, where the quadrature stops: that part is a closed
+    # form, and once rounding q - 1 = d costs more than the tolerance the slice raises instead
+    prof, alpha = critical_log(0.02, 1), 0.5 - d
+    if oracle is None:
+        with pytest.raises(RuntimeError, match="^singular_slice_integral: 1 radii missed"):
+            orlicz_ball_average(prof, alpha, 0.0, 0.01)
+    else:
+        assert psi(alpha, orlicz_ball_average(prof, alpha, 0.0, 0.01)) == pytest.approx(oracle, rel=1e-8)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_critical_verdicts_meet_their_tolerance_without_warning_or_fallback(N):
     # the benchmark's critical_N jobs; for N = 1 quad warned (IntegrationWarning) on the heavy w^-1.25 tail
