@@ -246,8 +246,8 @@ def _build_solver(cfg: RunConfig, violations: list) -> None:
         return
     probes = cfg.get("probes", (1.0,))
     _checked(violations, "probes", check_probes, probes, cfg.solver.domain_radius())
-    # threshold reads only the sup norms of its runs: it checks probes but records no masses
-    args = cfg.args = {} if sub == "threshold" else dict(probes=probes)
+    # threshold and decay read only the sup norms of their runs: they check probes but record no masses
+    args = cfg.args = {} if sub in ("threshold", "decay") else dict(probes=probes)
     if sub == "threshold":
         args.update(bisect_steps=cfg.get("threshold.bisect_steps", 8), c_start=cfg.get("threshold.c_start", 1.0))
         violations += _at_least("threshold.bisect_steps", args["bisect_steps"], experiments.MIN_BISECT_STEPS)
@@ -358,7 +358,7 @@ def run_threshold(cfg: RunConfig) -> int:
 
 
 def run_decay(cfg: RunConfig) -> int:
-    trace = simulate(cfg.profile, cfg.solver, cfg.args["probes"])
+    trace = simulate(cfg.profile, cfg.solver, ())
     fit = experiments.decay_fit(trace, cfg.params, cfg.args["window"], cfg.args["t_offset"], cfg.args["T"])
     write_csv(
         _out_path(cfg),

@@ -26,8 +26,8 @@ of them in one array call to the integrand.  The initial panels break at the
 cap kink |sigma - d| and at the profile cutoff.  A ball that contains a
 singular origin has its slice [0, eps] integrated in w = log(e + 1/rho),
 where the singularity becomes an exponential or algebraic tail, mapped onto
-t in (0, 1].  A radius that misses its tolerance within the panel budget
-raises RuntimeError naming its radii; no other quadrature path exists.
+t in (0, 1].  Cell averages take one pass of the same engine; a miss raises
+RuntimeError naming the limit and the radii.  No other quadrature path exists.
 
 The same cap measure gives the exact lens volume |B(0, r) intersected with
 B(z, sigma)| (lens_volume), from which GridField weights its cells.
@@ -296,19 +296,27 @@ PANEL_BUDGET = 400  # panels per radius before the integral raises
 _LOG_W_MAX = 690.0  # the origin slice's quadrature stops at w = e^690, i.e. rho = exp(-1e299)
 
 
+class QuadratureMiss(RuntimeError):
+    """Owners of a G7/K15 pass that missed its tolerance; head and missed let a caller rename them."""
+
+    def __init__(self, head: str, missed: np.ndarray, names: np.ndarray):
+        super().__init__(f"{head}: {names[missed].tolist()}")
+        self.head, self.missed = head, missed
+
+
 def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known: tuple = (0.0, 0.0)) -> np.ndarray:
-    """Adaptive G7/K15 integrals over the panels [a, b], summed per radius owner (radii[owner]).
+    """Adaptive G7/K15 integrals over the panels [a, b], summed per owner (radii or cells), named radii[owner].
 
     Each round calls f(x, k) once, with the (P, 15) nodes x of all P active
-    panels and their owners k, and accepts a panel when
-    |K15 - G7| <= 0.1 tol |running total of its radius|; the others are
-    bisected.  A radius whose partition grows past PANEL_BUDGET panels stops.
-    known is a part of every radius's integral taken in closed form, and a
-    bound on its error: both start the running total and the error sum.
-    This is the one tolerance check of every integral: RuntimeError, naming
-    where and the radii, for a radius that stopped, whose value is not finite
-    or whose summed |K15 - G7| exceeds tol |value| (a NaN integrand never
-    passes a panel, so it ends at the budget).  Returns the value per radius.
+    panels and their owners k, and accepts a panel when |K15 - G7| <= 0.1 tol
+    |running total of its owner|; the others are bisected.  An owner whose
+    partition grows past PANEL_BUDGET panels stops.  known is a part of every
+    owner's integral taken in closed form, and a bound on its error: both
+    start the running total and the error sum.  This is the one tolerance
+    check of every integral: QuadratureMiss, naming where, the limit missed
+    and the owners, for an owner past the budget, whose value is not finite
+    or whose summed |K15 - G7| exceeds the error bound tol |value| (a NaN
+    integrand never passes a panel, so it ends at the budget).
     """
     n = len(radii)
     val, err = np.full(n, known[0]), np.full(n, known[1])
@@ -328,8 +336,11 @@ def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known:
 
     missed = np.flatnonzero((count > PANEL_BUDGET) | ~np.isfinite(val) | ~(err <= tol * np.abs(val)))
     if missed.size:
-        raise RuntimeError(f"{where}: {missed.size} radii missed the G7/K15 tolerance {tol} within "
-                           f"{PANEL_BUDGET} panels: {radii[missed].tolist()}")
+        why = np.select([count[missed] > PANEL_BUDGET, ~np.isfinite(val[missed])],
+                        [f"past the {PANEL_BUDGET}-panel budget", "with a non-finite value"], "over the error bound")
+        limits = ", ".join(f"{k} {w}" for w, k in zip(*np.unique(why, return_counts=True)))
+        head = f"{where}: {missed.size} radii missed the G7/K15 tolerance {tol} ({limits})"
+        raise QuadratureMiss(head, missed, radii)
     return val
 
 
@@ -374,15 +385,8 @@ def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float
                                        "singular_slice_integral", (far, far_err))
 
 
-def radial_ball_integral(
-    g,
-    N: int,
-    d: float,
-    sigma,
-    quad_tol: float = QUAD_TOL,
-    gw: Optional[WSlice] = None,
-    cutoff: Optional[float] = None,
-):
+def radial_ball_integral(g, N: int, d: float, sigma, quad_tol: float = QUAD_TOL, gw: Optional[WSlice] = None,
+                         cutoff: Optional[float] = None):
     """integral over B(z, sigma) of g(|x|) dx via the cap-slice reduction, |z| = d.
 
     sigma is one radius or a 1-D array of them (a scan column); the result has
@@ -394,8 +398,8 @@ def radial_ball_integral(
     singular_slice_integral.  cutoff is a radius beyond which g vanishes: it
     bounds the slice, where gw ignores it.  The initial panels break at
     |sigma - d| and at the cutoff.  A radius that misses
-    the tolerance within PANEL_BUDGET panels, or whose value is not finite,
-    raises RuntimeError (see _gk_panels).
+    the tolerance, in the slice or outside it, raises QuadratureMiss naming
+    its ball radius sigma (see _gk_panels).
     """
     s, scalar = as_radii(sigma)
     n = len(s)
@@ -405,7 +409,10 @@ def radial_ball_integral(
         inner = np.flatnonzero(d < s)  # balls holding a neighborhood of the origin, where the cap is the full sphere
         if inner.size:
             eps = np.minimum(np.minimum(0.5, 0.5 * (s[inner] - d)), math.inf if cutoff is None else 0.5 * cutoff)
-            val[inner] = singular_slice_integral(gw, N, eps, quad_tol)
+            try:
+                val[inner] = singular_slice_integral(gw, N, eps, quad_tol)
+            except QuadratureMiss as miss:  # it names the slice radii eps: name the balls instead
+                raise QuadratureMiss(miss.head, miss.missed, s[inner]) from None
             lo[inner] = eps
 
     cuts = np.column_stack([lo, hi, np.abs(s - d), hi if cutoff is None else np.full(n, cutoff)])
@@ -515,10 +522,10 @@ def ball_mass(profile: RadialProfile, z, sigma):
 def cell_averages(profile: RadialProfile, edges: np.ndarray) -> np.ndarray:
     """Exact-volume cell averages of the profile on radial cells in dimension profile.N.
 
-    edges is the increasing array of cell faces starting at 0.  Averages use
-    the r^{N-1} metric weight; a singular first cell goes through
-    radial_ball_integral, every other cell through 12-point Gauss-Legendre up
-    to the cutoff, beyond which the profile vanishes.
+    edges is the increasing array of cell faces starting at 0; averages use
+    the r^{N-1} metric weight.  Uncut power and constant data are closed forms.
+    A singular first cell goes through radial_ball_integral and the rest, cut
+    at the cutoff, through one _gk_panels pass named by outer edges, at 1e-10.
     """
     N = profile.N
     vols = (edges[1:] ** N - edges[:-1] ** N) / N
@@ -529,23 +536,15 @@ def cell_averages(profile: RadialProfile, edges: np.ndarray) -> np.ndarray:
         ints = profile.c * (edges[1:] ** e - edges[:-1] ** e) / e
         return ints / vols
 
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    cut = profile.cutoff
+    cut, tol = profile.cutoff, 1e-10
     lo, hi = edges[:-1], edges[1:]
-    top = hi if cut is None else np.where(cut >= hi, hi, np.maximum(lo, cut))
-    mid, half = 0.5 * (lo + top), 0.5 * (top - lo)
-    rs = mid[:, None] + half[:, None] * nodes  # the 12 nodes of every cell, in one profile.value call
-    g = profile.value(rs) * rs ** (N - 1)
-    # one dot per cell: a (n, 12) @ (12,) product may sum in another order
-    out = np.array([h * float(np.dot(weights, row)) for h, row in zip(half, g)])
-    if edges[0] == 0.0 and profile.is_singular_at_origin():
+    top = hi if cut is None else np.clip(cut, lo, hi)
+    first = int(edges[0] == 0.0 and profile.is_singular_at_origin())
+    out = np.empty(len(vols))
+    out[first:] = _gk_panels(lambda r, k: profile.value(r) * r ** (N - 1), lo[first:], top[first:],
+                             np.arange(len(vols) - first), hi[first:], tol, "cell_averages")
+    if first:
         out[0] = radial_ball_integral(
-            profile.value,
-            N,
-            0.0,
-            edges[1],
-            quad_tol=1e-10,
-            gw=profile.power_times_vol_w(1.0),
-            cutoff=cut,
+            profile.value, N, 0.0, edges[1], quad_tol=tol, gw=profile.power_times_vol_w(1.0), cutoff=cut
         ) / SPHERE_AREA[N]
     return np.maximum(out / vols, 0.0)

@@ -14,7 +14,7 @@ from fdxlab.cli import (
     validate_config,
     write_csv,
 )
-from fdxlab.solver import SolverConfig
+from fdxlab.solver import GridField, SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -284,6 +284,18 @@ def test_a_profile_orlicz_column_past_the_largest_float_exits_1_with_one_error_l
     assert "Traceback" not in err
 
 
+def test_an_unresolvable_origin_slice_exits_1_naming_the_ball_radii_and_the_limit(tmp_path, capsys):
+    # alpha within 4e-8 of N/2: the rounding bound of the slice tail past w = e^690 exceeds the tolerance on
+    # every ball of the scan; the error names the ball radii 1e-3 to 1, not their slices' radii from 5e-4
+    config = "N = 1\nm = 0.5\np = 2.5\nprofile.kind = critical_log\nprofile.c = 0.02\nnorm.kind = orlicz_eta\n"
+    code, out = _run(tmp_path, "norms", config + "norm.alpha = 0.49999997\nnorm.r_cap = 1\nnorm.delta = 1\n")
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: singular_slice_integral: 193 radii missed the G7/K15 tolerance 1e-08 "
+                          "(193 over the error bound): [0.001, 0.0010366329284322994, ")
+    assert err.endswith(", 0.999999999]\n") and err.count("\n") == 1
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
     assert main(["not-a-subcommand"]) == 2
@@ -466,6 +478,26 @@ def test_a_runner_takes_every_input_from_the_build(tmp_path, monkeypatch, subcom
     code, out = _run(tmp_path, subcommand, TINY_RUNS[subcommand])
     assert code == 0
     assert any(out.iterdir())
+
+
+def test_decay_checks_probes_but_records_no_masses(tmp_path, monkeypatch):
+    # the fit reads the sample times and sup norms only, so two probe sets give the same CSV
+    calls = []
+    ball_mass = GridField.ball_mass
+
+    def counted(self, sigma):
+        calls.append(sigma)
+        return ball_mass(self, sigma)
+
+    monkeypatch.setattr(GridField, "ball_mass", counted)
+    csvs = []
+    for k, probes in enumerate(("0.05", "0.5, 1.0")):
+        code, out = _run(tmp_path / str(k), "decay", TINY_RUNS["decay"] + f"probes = {probes}\n")
+        assert code == 0
+        csvs.append((out / "decay.csv").read_bytes())
+    assert csvs[0] == csvs[1] and calls == []
+    code, _ = _run(tmp_path / "simulate", "simulate", TINY_RUNS["simulate"])  # the counter sees a run that records
+    assert code == 0 and calls
 
 
 def test_set_overrides_config(tmp_path):

@@ -296,7 +296,9 @@ def test_orlicz_average_near_the_divergence_boundary_keeps_its_tolerance(d, orac
     # form, and once rounding q - 1 = d costs more than the tolerance the slice raises instead
     prof, alpha = critical_log(0.02, 1), 0.5 - d
     if oracle is None:
-        with pytest.raises(RuntimeError, match="^singular_slice_integral: 1 radii missed"):
+        # the ball radius 0.01 is named, not its slice radius 0.005
+        miss = r"^singular_slice_integral: 1 radii missed .* \(1 over the error bound\): \[0\.01\]$"
+        with pytest.raises(RuntimeError, match=miss):
             orlicz_ball_average(prof, alpha, 0.0, 0.01)
     else:
         assert psi(alpha, orlicz_ball_average(prof, alpha, 0.0, 0.01)) == pytest.approx(oracle, rel=1e-8)
