@@ -69,7 +69,11 @@ def integrate_comparison_ode(A1, A2, A3, m, T: float, n_steps: int):
     needs no clamp.  A step writes its stages, stage arguments g + (h/2) k
     and weighted sum ((k1 + 2 k2) + 2 k3) + k4 into six preallocated rows
     and g + (h/6) sum into its own row of g: it allocates nothing.  With
-    coefficient arrays, each draw's trajectory has the bits of its solo run.
+    coefficient arrays and m an array too, each draw's trajectory has the
+    bits of its solo run.  A scalar m = 0.5 broadcast against arrays takes
+    numpy's stride-0 sqrt path instead of pow, so a draw may differ from its
+    solo run in the last bits (7.8e-16 relative on 10 of 200 edge-case draws
+    over 100 steps).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -460,7 +460,8 @@ def ball_average_power(profile: RadialProfile, expo: float, z, sigma):
     if profile.kind == "constant":
         out[closed] = c_expo
     else:
-        # in Python floats (libm pow), so a flat column keeps the bits, and the first-max radius, of a scalar scan
+        # in Python floats (libm pow), like the Morrey weights: on a flat column (a = N/q) these bits decide the
+        # near-ties, and so the first-max radius that the norms CSV records; numpy's pow would move it
         out[closed] = [c_expo * N / (N - ae) * x ** (-ae) for x in s[closed].tolist()]
     if N == 1 and profile.kind in ("constant", "power") and not closed.all():
         line = ~closed

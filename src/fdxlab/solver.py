@@ -30,8 +30,10 @@ small enough that the time error stays below the space error.  Under
 "fixedfloor" the stages are clamped at u_floor; under "zeroflux" a stage
 that leaves positivity rejects the step.  The generator _steps alone
 decides the steps; simulate samples them, and output times only place the
-samples: a sample inside a step is its cubic Hermite dense output (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6).
+samples: a sample inside a step is the cubic Hermite dense output (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6) of w = u^q, mapped back by w^{1/q},
+with q = 1 - p (source on) or 1 (off).  The pure reaction makes w linear in
+t, so flat-data samples are exact but for rounding, about eps/|q| relative.
 
 Initial data are projected by exact cell averages of the profile, then
 regularized as min(., n) + 1/n with n = 1/u_floor.
@@ -280,6 +282,7 @@ class _Stepper:
         self.coef_l = areas[:-1] * scale
         self.cfg = cfg
         self.m, self.p = cfg.params.m, cfg.params.p
+        self.q = 1.0 - self.p if cfg.source_on else 1.0  # samples interpolate w = u^q
         self.floor = cfg.u_floor if cfg.boundary == "fixedfloor" else None
         if self.floor is None:
             self.coef_r[-1] = 0.0  # zero flux through the domain boundary
@@ -304,12 +307,18 @@ class _Stepper:
         out[1:] -= self.coef_l[1:] * g[:-1]
         return out
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        """f(u) = A(u^m) + u^p (no u^p with the source off), the slope of the samples' Hermite interpolant."""
+    def dense(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w = u^q and its slope q w f(u) / u, f(u) = A(u^m) + u^p: the Hermite data of the samples.
+
+        With the source on, w = u / u^p and the slope q f(u) / u^p reuse the
+        source term; with it off, f has no u^p, and w = u and the slope f(u).
+        """
         f = self.div(u**self.m)
-        if self.cfg.source_on:
-            f += u**self.p
-        return f
+        if not self.cfg.source_on:
+            return u, f
+        up = u**self.p
+        f += up
+        return u / up, (self.q / up) * f
 
     def source_flow(self, u: np.ndarray, h: float) -> np.ndarray:
         """Exact flow of u' = u^p over time h per cell, stopped at u_blowup.
@@ -444,9 +453,9 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
 
     Samples are recorded at t = 0, at min(k * output interval, t_end), where
     a time within 1e-12 t_end of t_end counts as t_end, and at the end state.
-    A sample inside a step is the cubic Hermite interpolant of the step's end
-    states u0, u1 with slopes dt f(u0), dt f(u1) (_Stepper.rhs), but never
-    in a step that reaches u_blowup; a run that ends early records its end
+    A sample inside a step is the dense output of the module docstring, from
+    the Hermite data of the step's end states (_Stepper.dense), but never in
+    a step that reaches u_blowup; a run that ends early records its end
     state at t_event.  A probe radius beyond R_dom raises ValueError.
     """
     probes = check_probes(probes, cfg.domain_radius())
@@ -466,7 +475,7 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     out_times = (t_end if k * out_dt >= t_end - end_tol else k * out_dt for k in itertools.count(1))
     next_out = next(out_times)
     record(0.0, u)
-    f_u = None  # f(u), kept from the last step that interpolated a sample
+    dense_u = None  # the Hermite data of u, kept from the last step that interpolated a sample
     steps = _steps(stepper, u, cfg)
     while True:
         try:
@@ -474,17 +483,18 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         except StopIteration as end:
             status, t_event = end.value
             break
-        f_new = None
+        dense_new = None
         while next_out < t_new - end_tol and not blew:
-            if f_new is None:
-                f_u = stepper.rhs(u) if f_u is None else f_u
-                f_new = stepper.rhs(new)
+            if dense_new is None:
+                dense_u = stepper.dense(u) if dense_u is None else dense_u
+                dense_new = stepper.dense(new)
+            (w0, dw0), (w1, dw1) = dense_u, dense_new
             th = (next_out - t) / dt
             h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
             h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
-            record(next_out, h00 * u + h01 * new + h10 * f_u + h11 * f_new)
+            record(next_out, (h00 * w0 + h01 * w1 + h10 * dw0 + h11 * dw1) ** (1.0 / stepper.q))
             next_out = next(out_times)
-        f_u = f_new
+        dense_u = dense_new
         if abs(next_out - t_new) <= end_tol:
             record(next_out, new)
             next_out = next(out_times)

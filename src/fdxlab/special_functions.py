@@ -81,8 +81,8 @@ def psi_inv_array(alpha: float, y) -> np.ndarray:
     stopped element recomputes the same step and stays put, so the whole
     array steps until none moves.  0 and inf map to themselves.  np.log may
     differ from libm log in the last ulp, so an element may differ from
-    psi_inv by a few ulps (about 4e-16 relative); ulmorrey rechecks the
-    entries near a scan's maximum with psi_inv.
+    psi_inv by a few ulps (about 4e-16 relative).  ulmorrey's norm scans
+    take this path for every entry.
     """
     if not alpha >= 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")

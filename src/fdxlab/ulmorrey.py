@@ -24,14 +24,9 @@ then all other radii of the center in one batched quadrature pass.  A grid
 field fills it with one GridField.ball_weights call and one matmul per block
 of centers (at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.
 The weight rho(sigma) and Phi^{-1} then act on the whole matrix in numpy
-(np.power, or special_functions.psi_inv_array).  np.power and np.log may
-differ from libm in the last ulp, so every entry within RECHECK_MARGIN = 1e-9
-(relative) of the matrix maximum is recomputed with the same weight and the
-scalar Phi^{-1} (libm pow, or psi_inv: the same Newton step, with math.log).
-The two agree to about 4e-16 relative, far inside the margin, so the value
-and place of the maximum, ties included, are the scalar scan's bit for bit.
-Closed-form Orlicz-eta entries (constant data, and inf where the origin
-slice diverges) are final and skip Phi^{-1}.
+(np.power, or special_functions.psi_inv_array), as the averages that feed
+them already do.  Closed-form Orlicz-eta entries (constant data, and inf
+where the origin slice diverges) are final and skip Phi^{-1}.
 """
 
 from __future__ import annotations
@@ -62,7 +57,6 @@ ORLICZ_ETA = "orlicz_eta"
 DEFAULT_RADIUS_CAP = 1e6  # stands in for R = infinity
 DEFAULT_RADII_PER_DECADE = 64
 CENTER_BLOCK_ENTRIES = 2**18  # at most this many cell weights per ball_weights call of a grid scan
-RECHECK_MARGIN = 1e-9  # relative: scan entries this close to the maximum get the scalar Phi^{-1}
 
 
 @dataclass(frozen=True)
@@ -273,38 +267,18 @@ def _ball_quantities(f, spec: NormSpec, centers: np.ndarray, sigma: np.ndarray, 
 
     The weight, one array for both paths (libm pow sigma^{N/q}, or eta(sigma/R)
     with R = T^theta as reference scale), times the numpy Phi^{-1} of the
-    averages fills the matrix; _rechecked then puts the scalar Phi^{-1} in
-    every entry near the maximum, so its first maximum is the scalar scan's.
+    averages fills the matrix.
     """
     avg, closed = _averages(f, spec.kind, spec.alpha, centers, sigma, scale)
+    open_avg = np.where(closed, 0.0, avg)  # a closed entry already holds Phi^{-1} of its average
     if spec.kind == MORREY:
-        k, a = f.N / spec.q, 1.0 / spec.alpha
+        k = f.N / spec.q
         w = np.array([s**k for s in sigma.tolist()])
-        inv_array, inv = (lambda x: np.power(x, a)), (lambda x: x**a)
+        inv = np.power(open_avg, 1.0 / spec.alpha)
     else:
         w = eta(f.N, sigma / spec.R)
-        inv_array, inv = (lambda x: psi_inv_array(spec.alpha, x)), (lambda x: psi_inv(spec.alpha, x))
-
-    def exact(near: tuple) -> list:
-        rows = zip(w[near[1]].tolist(), avg[near].tolist(), closed[near].tolist())
-        return [wj * (x if c else inv(x)) for wj, x, c in rows]
-
-    return _rechecked(w * np.where(closed, avg, inv_array(np.where(closed, 0.0, avg))), exact)
-
-
-def _rechecked(values: np.ndarray, exact) -> np.ndarray:
-    """values with the entries within RECHECK_MARGIN of their maximum replaced by exact(their indices), in place.
-
-    values comes from the numpy Phi^{-1} and exact from the scalar one (libm
-    pow, psi_inv); the two agree to a few ulps, far inside the margin.  So
-    every entry that is maximal under the scalar path, ties included, is
-    replaced, every entry left is below that maximum, and the first maximum
-    of the result in row-major order is the scalar scan's, value and place.
-    An all-zero or all-tied matrix has every entry replaced.
-    """
-    near = np.nonzero(values >= values.max() * (1.0 - RECHECK_MARGIN))
-    values[near] = exact(near)
-    return values
+        inv = psi_inv_array(spec.alpha, open_avg)
+    return w * np.where(closed, avg, inv)
 
 
 def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:

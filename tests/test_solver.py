@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse import diags
 
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import SPHERE_AREA, ball_volume, barenblatt, barenblatt_value, constant, power_law
@@ -614,6 +616,73 @@ def test_interpolated_samples_match_a_tight_tolerance_run(monkeypatch, c):
     np.testing.assert_array_equal(trace.times, ref.times)
     np.testing.assert_allclose(trace.sup_norm, ref.sup_norm, rtol=1e-4, atol=0.0)
     np.testing.assert_allclose(trace.ball_mass, ref.ball_mass, rtol=1e-4, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.001, 2.0, 3.0, 5.0])
+def test_flat_data_samples_follow_the_reaction_closed_form(p):
+    # flat data feel no diffusion, and w = u^{1-p} is linear in t under the reaction, so every sample before the
+    # end is u0 (1 - (p-1) t u0^{p-1})^{-1/(p-1)} to rounding; mapping w back costs about eps/(p-1): 3e-13 at p = 1.001
+    trace = simulate(constant(1.0, 1), _cfg(ProblemParams(N=1, m=0.5, p=p), out_interval=0.01), probes=[])
+    before = trace.times < (math.inf if trace.t_event is None else trace.t_event)
+    t, sup = trace.times[before], trace.sup_norm[before]
+    assert len(t) >= 25
+    exact = sup[0] * np.exp(-np.log1p(-(p - 1.0) * t * sup[0] ** (p - 1.0)) / (p - 1.0))
+    np.testing.assert_allclose(sup, exact, rtol=1e-12, atol=0.0)
+    assert np.all(np.diff(trace.sup_norm) > 0.0)
+
+
+def _radau_reference(prof, cfg: SolverConfig):
+    """scipy's Radau on simulate's semi-discrete system u' = A(u^m) + u^p, from the same projection.
+
+    The Jacobian -bands diag(m u^{m-1}) + diag(p u^{p-1}) is tridiagonal and
+    sparse; the run stops when the sup reaches u_blowup.  Returns solve_ivp's
+    solution.
+    """
+    field = project_initial(prof, cfg)
+    stepper = _Stepper(field, cfg)
+    m, p, bands = stepper.m, stepper.p, stepper.bands
+    source = 1.0 if cfg.source_on else 0.0
+
+    def rhs(t, u):
+        return stepper.div(u**m) + source * u**p
+
+    def jac(t, u):
+        d = m * u ** (m - 1.0)
+        diagonal = source * p * u ** (p - 1.0) - bands[1] * d
+        return diags([-bands[0, :-1] * d[:-1], diagonal, -bands[2, 1:] * d[1:]], [-1, 0, 1], format="csc")
+
+    def blowup(t, u):
+        return u.max() - cfg.u_blowup
+
+    blowup.terminal = True
+    return solve_ivp(rhs, (0.0, cfg.t_end), field.u, method="Radau", jac=jac, rtol=1e-10, atol=1e-12, events=blowup)
+
+
+def _sup_error_against_radau(prof, cfg: SolverConfig) -> float:
+    """Relative error of simulate's sup at t_end against the Radau reference; both runs must complete."""
+    trace, ref = simulate(prof, cfg, probes=[]), _radau_reference(prof, cfg)
+    assert trace.status == STATUS_COMPLETED and ref.status == 0
+    return float(trace.sup_norm[-1] / ref.y[:, -1].max() - 1.0)
+
+
+@pytest.mark.parametrize(
+    "prof, cfg, bound",
+    [
+        (power_law(0.0625, 0.8, 1), _sweep_cfg(), 1e-4),
+        (barenblatt(1.0, 1.0, 1, 0.5), _cfg(P3, source_on=False, n_cells=400, r_dom=16.0, u_floor=1e-8), 2e-5),
+    ],
+    ids=["sweep_c0.0625", "barenblatt"],
+)
+def test_sup_matches_a_radau_reference(prof, cfg, bound):
+    # the time error of the whole step, source included: measured 6.8e-5 (sweep family) and 4.6e-6 (source off)
+    assert abs(_sup_error_against_radau(prof, cfg)) <= bound
+
+
+@pytest.mark.parametrize("c", [0.1003, 0.100341796875])
+@pytest.mark.xfail(strict=True, reason="the step's error estimate omits the Strang splitting error: +10% and +27%")
+def test_near_threshold_sup_matches_a_radau_reference(c):
+    # the sweep family near its bracket, where reaction and diffusion balance; 0.100341796875 is criterion 8's survivor
+    assert abs(_sup_error_against_radau(power_law(c, 0.8, 1), _sweep_cfg())) <= 1e-3
 
 
 def test_trace_csv_rows_shape():
