@@ -140,11 +140,12 @@ class GridField:
         The overlap |B(0, e) intersected with B(z, sigma)| at the cell edges e is
         BALL_VOLUME[N] min(e, sigma)^N where one ball holds the other, 0 where
         they are apart, and profiles.lens_volume in between, in one array call
-        over the lens edges of every ball (none when d = 0); the weights are
-        its differences, so nothing beyond the last edge is counted.  d is one
-        offset or a 1-D array of them and sigma one radius or a 1-D array of
-        them; the weights have shape d.shape + sigma.shape + (cells,), so a
-        grid norm scan gets a block of centers x radii x cells in one call.
+        over the lens edges of every ball (d = 0 has none, so one path serves
+        every offset); the weights are its differences, so nothing beyond the
+        last edge is counted.  d is one offset or a 1-D array of them and sigma
+        one radius or a 1-D array of them; the weights have shape d.shape +
+        sigma.shape + (cells,), so a grid norm scan gets a block of centers x
+        radii x cells in one call.
         """
         d = np.asarray(d, dtype=float)
         s = np.asarray(sigma, dtype=float)
@@ -153,15 +154,12 @@ class GridField:
         e = self.edges
         s = s[..., None]
         vol = BALL_VOLUME[self.N] * np.minimum(e, s) ** self.N
-        if d.any():
-            d = d.reshape(d.shape + (1,) * s.ndim)  # centers on the leading axis
-            vol = np.where(e <= d - s, 0.0, vol)
-            lens = (e > np.abs(s - d)) & (e < s + d)
-            if lens.any():
-                r, rs, ds = np.broadcast_arrays(e, s, d)
-                vol[lens] = lens_volume(self.N, r[lens], ds[lens], rs[lens])
-        elif d.ndim:  # centered rows skip the lens path, which is empty for them
-            vol = np.broadcast_to(vol, d.shape + vol.shape)
+        d = d.reshape(d.shape + (1,) * s.ndim)  # centers on the leading axis
+        vol = np.where(e <= d - s, 0.0, vol)
+        lens = (e > np.abs(s - d)) & (e < s + d)
+        if lens.any():
+            r, rs, ds = np.broadcast_arrays(e, s, d)
+            vol[lens] = lens_volume(self.N, r[lens], ds[lens], rs[lens])
         return np.diff(vol, axis=-1)
 
     def ball_mass(self, sigma: float) -> float:

@@ -23,10 +23,10 @@ balls, and every N = 1 Morrey ball of power or constant data, an interval),
 then all other radii of the center in one batched quadrature pass.  A grid
 field fills it with one GridField.ball_weights call and one matmul per block
 of centers (at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.
-The weight rho(sigma) and Phi^{-1} then act on the whole matrix in numpy
-(np.power, or special_functions.psi_inv_array), as the averages that feed
-them already do.  Closed-form Orlicz-eta entries (constant data, and inf
-where the origin slice diverges) are final and skip Phi^{-1}.
+The weight rho(sigma) and Phi^{-1} then act on the whole matrix in numpy.
+Phi^{-1} has one site, _phi_inv (np.power, or psi_inv_array), which
+orlicz_ball_average shares; closed-form Orlicz-eta entries (constant data,
+and inf where the origin slice diverges) are final and skip it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from .profiles import (
     ball_volume,
     radial_offset,
 )
-from .special_functions import eta, psi, psi_inv, psi_inv_array
+from .special_functions import eta, psi, psi_inv_array
+from .special_functions import psi_inv  # noqa: F401  not called here; perfbench/tests reads ulmorrey.psi_inv
 from .solver import GridField
 
 MORREY = "morrey"
@@ -159,13 +160,13 @@ def orlicz_ball_average(f, alpha: float, z, sigma, scale: float = 1.0):
     """psi_alpha^{-1} of the ball average of psi_alpha(scale * f) over B(z, sigma).
 
     sigma is one radius or a 1-D array of them (a scan column, integrated in
-    one batched pass); the result has its shape.  psi_alpha^{-1} is the
-    scalar psi_inv of each element.
+    one batched pass); the result has its shape.  psi_alpha^{-1} is the norm
+    scan's: _phi_inv, so a column here equals the scan's row of this center.
     """
     s, scalar = as_radii(sigma)
     avg, closed = _averages(f, ORLICZ_ETA, alpha, np.array([radial_offset(z)]), s, scale)
-    out = [a if c else psi_inv(alpha, a) for a, c in zip(avg[0].tolist(), closed[0].tolist())]
-    return out[0] if scalar else np.array(out)
+    out = _phi_inv(ORLICZ_ETA, alpha, avg, closed)[0]
+    return float(out[0]) if scalar else out
 
 
 def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray, scale: float) -> tuple:
@@ -243,42 +244,42 @@ def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float) -> Optional[W
     return WSlice(log_gw, tail - alpha)
 
 
-def _weight_blocks(field: GridField, centers: np.ndarray, sigma):
-    """ball_weights over blocks of the centers, each of at most CENTER_BLOCK_ENTRIES weights."""
-    per_block = max(1, CENTER_BLOCK_ENTRIES // (np.size(sigma) * len(field.u)))
-    for i in range(0, len(centers), per_block):
-        yield field.ball_weights(centers[i : i + per_block], sigma)
-
-
 def _grid_averages(field: GridField, values: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Averages of per-cell values >= 0 over B(z, sigma), |z| = d, one row per center offset d and one column per radius.
 
-    w @ values multiplies each center's (radius x cell) weights by values, so
-    every row is bit for bit the single-center ball_weights(d, sigma) @ values.
-    A negative average can only be rounding of the lens weights and is taken
-    as 0, the average's lower bound.
+    Blocks of centers (at most CENTER_BLOCK_ENTRIES weights) go through
+    ball_weights, and w @ values multiplies each center's (radius x cell)
+    weights by values, so every row is bit for bit the single-center
+    ball_weights(d, sigma) @ values.  A negative average can only be rounding
+    of the lens weights and is taken as 0, the average's lower bound.
     """
     vol = ball_volume(field.N, sigma)
-    return np.maximum(np.concatenate([w @ values / vol for w in _weight_blocks(field, centers, sigma)]), 0.0)
+    n = max(1, CENTER_BLOCK_ENTRIES // (len(sigma) * len(field.u)))  # centers per block
+    rows = [field.ball_weights(centers[i : i + n], sigma) @ values / vol for i in range(0, len(centers), n)]
+    return np.maximum(np.concatenate(rows), 0.0)
+
+
+def _phi_inv(kind: str, alpha: float, avg: np.ndarray, closed: np.ndarray) -> np.ndarray:
+    """Phi^{-1} of the averages, np.power(avg, 1/alpha) or psi_inv_array; closed entries already hold it."""
+    open_avg = np.where(closed, 0.0, avg)
+    inv = np.power(open_avg, 1.0 / alpha) if kind == MORREY else psi_inv_array(alpha, open_avg)
+    return np.where(closed, avg, inv)
 
 
 def _ball_quantities(f, spec: NormSpec, centers: np.ndarray, sigma: np.ndarray, scale: float) -> np.ndarray:
     """The weighted quantity whose (z, sigma)-sup defines the norm, one row per center and one column per radius.
 
     The weight, one array for both paths (libm pow sigma^{N/q}, or eta(sigma/R)
-    with R = T^theta as reference scale), times the numpy Phi^{-1} of the
-    averages fills the matrix.
+    with R = T^theta as reference scale), times _phi_inv of the averages
+    fills the matrix.
     """
     avg, closed = _averages(f, spec.kind, spec.alpha, centers, sigma, scale)
-    open_avg = np.where(closed, 0.0, avg)  # a closed entry already holds Phi^{-1} of its average
     if spec.kind == MORREY:
         k = f.N / spec.q
         w = np.array([s**k for s in sigma.tolist()])
-        inv = np.power(open_avg, 1.0 / spec.alpha)
     else:
         w = eta(f.N, sigma / spec.R)
-        inv = psi_inv_array(spec.alpha, open_avg)
-    return w * np.where(closed, avg, inv)
+    return w * _phi_inv(spec.kind, spec.alpha, avg, closed)
 
 
 def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
@@ -380,9 +381,7 @@ def check_condition(
         sigma = T**ex.theta
         centers = scan.centers if scan is not None else (0.0,)
         if isinstance(f, GridField):
-            offsets = np.array([radial_offset(d) for d in centers])
-            # one np.dot per row, as ball_mass_at takes it
-            mass = max(float(np.dot(f.u, w)) for block in _weight_blocks(f, offsets, sigma) for w in block)
+            mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
         else:
             mass = max(ball_mass(f, d, sigma) for d in centers)
         value = mass / T ** (ex.theta * (params.N - ex.a_ss))  # normalized by the threshold scale

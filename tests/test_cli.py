@@ -523,3 +523,22 @@ def test_write_csv_trailing_status(tmp_path):
     path = tmp_path / "x.csv"
     write_csv(path, ["a", "b"], [[1.5, 2]], "done")
     assert path.read_text() == "a,b\n1.5,2\n# status: done\n"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (MINIMAL + " = 1\n", "run.cfg:9: empty key"),
+        (MINIMAL.replace("N = 1\n", ""), "key 'N': required for subcommand 'norms'"),
+        (None, "cannot read config: "),  # --config names a file that does not exist
+    ],
+    ids=["empty-key", "missing-N", "missing-file"],
+)
+def test_config_errors_exit_2_with_their_message(tmp_path, capsys, config, message):
+    if config is None:
+        code = main(["norms", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")])
+    else:
+        code, _ = _run(tmp_path, "norms", config)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

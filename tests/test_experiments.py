@@ -193,3 +193,12 @@ def test_stiff_underflow_is_not_a_blowup_label():
 
     assert _blew(STATUS_STIFF_UNDERFLOW) is False
     assert _blew(STATUS_BLEW_UP) and _blew(STATUS_DT_UNDERFLOW)
+
+
+@pytest.mark.parametrize("n_inside", [0, 3])
+def test_decay_fit_needs_4_samples_in_its_window(n_inside):
+    ts = np.concatenate([np.linspace(0.1, 0.9, n_inside), [5.0, 6.0]]) if n_inside else np.array([5.0, 6.0])
+    trace = SolverTrace(times=ts, sup_norm=np.ones(len(ts)), probe_radii=(1.0,), ball_mass=np.ones((len(ts), 1)),
+                        status=STATUS_COMPLETED)
+    with pytest.raises(ValueError, match="window contains fewer than 4 usable samples"):
+        decay_fit(trace, P3, (0.05, 1.0))

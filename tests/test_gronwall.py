@@ -204,3 +204,13 @@ def test_integrate_rejects_bad_input_naming_it(key, value, match):
     args = dict(dict(A1=1.0, A2=0.5, A3=0.3, m=0.5, T=1.0, n_steps=10), **{key: value})
     with pytest.raises(ValueError, match=match):
         integrate_comparison_ode(**args)
+
+
+@pytest.mark.parametrize(
+    "T, n_steps, message",
+    [(1.0, 0, "n_steps must be >= 1"), (5e-324, 2, "step size underflow")],
+    ids=["no-steps", "step-underflow"],
+)
+def test_integrate_comparison_ode_input_checks_raise_with_their_message(T, n_steps, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_comparison_ode(0.1, 0.2, 0.3, 0.5, T, n_steps)

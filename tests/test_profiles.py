@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy.integrate import quad
 
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import (
+    RadialProfile,
+    WSlice,
     _gk_panels,
     ball_average,
     ball_average_power,
@@ -21,6 +24,7 @@ from fdxlab.profiles import (
     lens_volume,
     power_law,
     radial_ball_integral,
+    singular_slice_integral,
 )
 from fdxlab.solver import GridField
 from fdxlab.ulmorrey import ScanGrid, _orlicz_gw, morrey
@@ -455,3 +459,23 @@ def test_cell_averages_match_per_cell_oracles(profile, edges):
         want = np.append(profile.c * (rest[0] + s0 ** (1.0 - q) / (q - 1.0)), want)
     np.testing.assert_allclose(got[first:], want[first:], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[:first], want[:first], rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ball_average(constant(1.0, 1), 0.0, 0.0), "sigma must be > 0"),
+        (lambda: ball_average(constant(1.0, 1), 0.0, [1.0, -0.5]), "sigma must be > 0"),
+        (lambda: RadialProfile(kind="gaussian", N=1, c=1.0), "kind must be 'constant', 'power', 'critical_log' or 'barenblatt', got 'gaussian'"),
+        (lambda: power_law(1.0, 0.8, 1).value(-1.0), "radius must be >= 0"),
+        (lambda: barenblatt(1.0, 1.0, 1, 0.5).log_value_w(2.0), "barenblatt data are not of the form c rho^-b [log(e + 1/rho)]^-q"),
+        (lambda: power_law(1.0, 0.8, 1).power_times_vol_w(2.0), "power profile to the power 2.0 is not locally integrable at the origin"),
+        (lambda: singular_slice_integral(WSlice(np.log, math.inf), 1, np.array([0.0]), 1e-8), "singular slice requires 0 < eps <= 1"),
+        (lambda: singular_slice_integral(WSlice(np.log, math.inf), 1, np.array([0.5, 1.5]), 1e-8), "singular slice requires 0 < eps <= 1"),
+        (lambda: singular_slice_integral(WSlice(np.log, 1.0), 1, np.array([0.5]), 1e-8), "origin slice with tail w^-1.0 is not integrable"),
+    ],
+    ids=["sigma-0", "sigma-negative", "kind", "radius", "log-value-barenblatt", "not-integrable", "eps-0", "eps-above-1", "tail-1"],
+)
+def test_profile_input_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

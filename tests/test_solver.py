@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from fdxlab.solver import (
     ERR_TOL_CELLS2,
     GridField,
     SolverConfig,
+    SolverTrace,
     _A,
     _C,
     _E,
@@ -751,3 +753,27 @@ def test_scaling_rejects_bad_lambda():
     trace = simulate(constant(0.5, 1), cfg, probes=[1.0])
     with pytest.raises(ValueError):
         scaling_transform(trace, 0.0, P3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GridField(4, 0.1, np.ones(10), 1.0), ValueError, "solver supports radial N in {1, 2, 3}"),
+        (lambda: GridField(1, 0.1, np.array([]), 1.0), ValueError, "u must be a nonempty 1-D array"),
+        (lambda: GridField(1, 0.1, np.ones((2, 5)), 0.5), ValueError, "u must be a nonempty 1-D array"),
+        (lambda: GridField(1, 0.5, np.array([1.0, -1.0]), 1.0), ValueError, "field values must be finite and >= 0"),
+        (lambda: GridField(1, 0.5, np.array([1.0, math.nan]), 1.0), ValueError, "field values must be finite and >= 0"),
+        (lambda: GridField(1, 0.5, np.ones(2), 1.0).ball_weights(0.5, 0.0), ValueError, "sigma must be > 0"),
+        (lambda: GridField(1, 0.5, np.ones(2), 1.0).ball_weights(0.0, [1.0, -1.0]), ValueError, "sigma must be > 0"),
+        (lambda: SolverTrace(times=np.array([0.0, 0.0]), sup_norm=np.ones(2), probe_radii=(),
+                             ball_mass=np.zeros((2, 0)), status=STATUS_COMPLETED),
+         ValueError, "trace times must be strictly increasing"),
+        (lambda: project_initial(constant(1.0, 2), SolverConfig(params=P3, t_end=1.0)),
+         ValueError, "profile dimension does not match the grid"),
+        (lambda: scaling_transform(np.ones(3), 2.0, P3), TypeError, "scaling_transform accepts a GridField or a SolverTrace"),
+    ],
+    ids=["N-4", "u-empty", "u-2d", "u-negative", "u-nan", "sigma-0", "sigma-negative", "times", "profile-N", "type"],
+)
+def test_solver_input_checks_raise_with_their_message(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

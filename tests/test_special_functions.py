@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,3 +253,23 @@ def test_gamma_squared_eta_ratio_bounded(gamma_n2_m05):
     ratio = g**2 * eta(2, g) ** (m - 1.0) / xs
     assert ratio.min() > 0.0
     assert ratio.max() / ratio.min() < 50.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda gamma: eta(0, 0.5), "N must be >= 1"),
+        (lambda gamma: gamma.value_exact(-0.1), "gamma is defined on [0, 1]"),
+        (lambda gamma: gamma.value_exact(1.5), "gamma is defined on [0, 1]"),
+        (lambda gamma: gamma.value_exact(math.nan), "gamma is defined on [0, 1]"),
+    ],
+    ids=["eta-N-0", "gamma-below-0", "gamma-above-1", "gamma-nan"],
+)
+def test_special_function_input_checks_raise_with_their_message(gamma_n2_m05, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(gamma_n2_m05)
+
+
+def test_gamma_value_exact_is_exact_at_both_endpoints(gamma_n2_m05):
+    assert gamma_n2_m05.value_exact(0.0) == 0.0
+    assert gamma_n2_m05.value_exact(1.0) == 1.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from fdxlab.exponents import ProblemParams
 from fdxlab.profiles import barenblatt, constant, power_law
 from fdxlab.solver import SolverConfig, SolverTrace, simulate
-from fdxlab.trace_estimator import estimate_trace, fit_trace_bounds
+from fdxlab.trace_estimator import TraceEstimate, estimate_trace, fit_trace_bounds
 
 P3 = ProblemParams(N=1, m=0.5, p=3.0)
 
@@ -172,3 +173,28 @@ def test_fit_rejects_subcritical():
     )
     with pytest.raises(ValueError):
         fit_trace_bounds(est, ProblemParams(N=2, m=0.5, p=1.2), T=1.0)
+
+
+def _trace(times):
+    n = len(times)
+    return SolverTrace(times=np.array(times), sup_norm=np.ones(n), probe_radii=(1.0,), ball_mass=np.ones((n, 1)),
+                       status="completed")
+
+
+_ESTIMATE = dict(converged=(True, True, True), sample_times=(8.0, 4.0, 2.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the subsample t, t/2, t/4, t/8 of these times is 2, 1, 0.5, 0.4: a ratio of 5
+        (lambda: estimate_trace(_trace([0.4, 0.45, 0.5, 1.0, 2.0])), "sample times must span a ratio of at least 8"),
+        (lambda: fit_trace_bounds(TraceEstimate(radii=(0.01, 0.1, 1.0), masses=(0.0, 1.0, 2.0), **_ESTIMATE), P3, 1.0),
+         "need at least 3 positive extrapolated masses"),
+        (lambda: TraceEstimate(radii=(0.01, 0.1, 1.0), masses=(1.0, -1e-3, 2.0), **_ESTIMATE), "extrapolated masses must be >= 0"),
+    ],
+    ids=["span-below-8", "two-positive-masses", "negative-mass"],
+)
+def test_trace_input_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -10,7 +10,7 @@ from fdxlab import ulmorrey
 from fdxlab.exponents import ProblemParams, Regime, classify_regime
 from fdxlab.profiles import ball_average_power, ball_volume, barenblatt, constant, critical_log, power_law
 from fdxlab.solver import GridField
-from fdxlab.special_functions import eta, psi, psi_inv
+from fdxlab.special_functions import eta, psi, psi_inv_array
 from fdxlab.ulmorrey import (
     CENTER_BLOCK_ENTRIES,
     ScanGrid,
@@ -472,12 +472,15 @@ def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
 
 
 def _per_center_norm(f, spec, scan: ScanGrid, scale: float) -> tuple:
-    """(value, arg_center, arg_radius) of a norm scan, one center at a time, with scalar Phi^{-1} throughout.
+    """(value, arg_center, arg_radius) of a norm scan, one center at a time.
 
     A grid field takes one ball_weights call per center, a profile its
-    ball_average_power or orlicz_ball_average column; Phi^{-1} is libm pow
-    or psi_inv per element.  A later center wins only when strictly larger,
-    and np.argmax takes the first of equal radii.
+    ball_average_power or orlicz_ball_average column.  The weights and
+    Phi^{-1} are the scan's operations on one row: libm pow sigma^{N/q} times
+    np.power(avg, 1/alpha), or eta times psi_inv_array, so an exact match
+    checks the batching on any CPU, whatever its numpy rounds.  A later
+    center wins only when strictly larger, and np.argmax takes the first of
+    equal radii.
     """
     radii = np.array([s for s in scan.radii if s < spec.R])
     vol = ball_volume(f.N, radii)
@@ -489,10 +492,10 @@ def _per_center_norm(f, spec, scan: ScanGrid, scale: float) -> tuple:
                 avg = f.ball_weights(abs(d), radii) @ f.u**spec.alpha / vol * scale**spec.alpha
             else:
                 avg = ball_average_power(f, spec.alpha, d, radii) * scale**spec.alpha
-            q = np.array([x ** (f.N / spec.q) * a ** (1.0 / spec.alpha) for x, a in zip(radii.tolist(), avg.tolist())])
+            q = np.array([x ** (f.N / spec.q) for x in radii.tolist()]) * np.power(avg, 1.0 / spec.alpha)
         elif grid:
             avg = f.ball_weights(abs(d), radii) @ psi(spec.alpha, scale * f.u) / vol
-            q = eta(f.N, radii / spec.R) * np.array([psi_inv(spec.alpha, y) for y in avg.tolist()])
+            q = eta(f.N, radii / spec.R) * psi_inv_array(spec.alpha, avg)
         else:
             q = eta(f.N, radii / spec.R) * orlicz_ball_average(f, spec.alpha, d, radii, scale=scale)
         j = int(np.argmax(q))
@@ -579,3 +582,21 @@ def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
         v = check_condition(params, big, T, 1.0, 1.0, scan=ScanGrid(centers=centers, radii=(1.0,)))
         mass = max(big.ball_mass_at(abs(d), sigma) for d in centers)
         assert v.condition_value == mass / T ** (theta * (params.N - 2.0 / (params.p - params.m)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ulmorrey.NormSpec(kind="lorentz", R=1.0), "kind must be 'morrey' or 'orlicz_eta', got 'lorentz'"),
+        (lambda: morrey(2.0, R=0.0), "R must be > 0 (use math.inf for an uncapped norm)"),
+        (lambda: morrey(2.0, R=-1.0), "R must be > 0 (use math.inf for an uncapped norm)"),
+        (lambda: ScanGrid.for_field(GridField(N=1, dr=0.5, u=np.ones(4), R_dom=2.0), morrey(2.0, R=0.25)),
+         "radius cap below the grid spacing"),
+        (lambda: norm(constant(1.0, 1), morrey(2.0, R=1.0), ScanGrid(centers=(0.0,), radii=(1.0, 2.0))),
+         "scan grid has no radii below the cap R"),
+    ],
+    ids=["kind", "R-0", "R-negative", "cap-below-dr", "no-radius-below-R"],
+)
+def test_norm_input_checks_raise_with_their_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
