@@ -26,8 +26,10 @@ of them in one array call to the integrand.  The initial panels break at the
 cap kink |sigma - d| and at the profile cutoff.  A ball that contains a
 singular origin has its slice [0, eps] integrated in w = log(e + 1/rho),
 where the singularity becomes an exponential or algebraic tail, mapped onto
-t in (0, 1].  Cell averages take one pass of the same engine; a miss raises
-RuntimeError naming the limit and the radii.  No other quadrature path exists.
+t in (0, 1]; the nested slices of a column share that map and one pass,
+which integrates the pieces between consecutive slice edges and sums them.
+Cell averages take one pass of the same engine; a miss raises RuntimeError
+naming the limit and the radii.  No other quadrature path exists.
 
 The same cap measure gives the exact lens volume |B(0, r) intersected with
 B(z, sigma)| (lens_volume), from which GridField weights its cells.
@@ -304,21 +306,26 @@ class QuadratureMiss(RuntimeError):
         self.head, self.missed = head, missed
 
 
-def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known: tuple = (0.0, 0.0)) -> np.ndarray:
+def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known: tuple = (0.0, 0.0),
+               nested: Optional[np.ndarray] = None) -> np.ndarray:
     """Adaptive G7/K15 integrals over the panels [a, b], summed per owner (radii or cells), named radii[owner].
 
     Each round calls f(x, k) once, with the (P, 15) nodes x of all P active
     panels and their owners k, and accepts a panel when |K15 - G7| <= 0.1 tol
     |running total of its owner|; the others are bisected.  An owner whose
-    partition grows past PANEL_BUDGET panels stops.  known is a part of every
-    owner's integral taken in closed form, and a bound on its error: both
-    start the running total and the error sum.  This is the one tolerance
-    check of every integral: QuadratureMiss, naming where, the limit missed
-    and the owners, for an owner past the budget, whose value is not finite
-    or whose summed |K15 - G7| exceeds the error bound tol |value| (a NaN
-    integrand never passes a panel, so it ends at the budget).
+    partition grows past PANEL_BUDGET panels stops.  known is a part of each
+    owner's integral taken in closed form, and a bound on its error (numbers,
+    or arrays over the owners): both start the running total and the error
+    sum.  With nested, owner i is the piece of slice i outside slice i - 1,
+    and radius j sums the value and error of pieces 0..nested[j]; the budget
+    holds per piece, so radius j is past it when one of those pieces is.
+    This is the one tolerance check of every integral: QuadratureMiss, naming
+    where, the limit missed and the radii, for a radius past the budget,
+    whose value is not finite or whose summed |K15 - G7| exceeds the error
+    bound tol |value| (a NaN integrand never passes a panel, so it ends at
+    the budget).
     """
-    n = len(radii)
+    n = len(radii) if nested is None else int(nested.max()) + 1
     val, err = np.full(n, known[0]), np.full(n, known[1])
     count = np.bincount(owner, minlength=n)
     while len(a):
@@ -334,6 +341,8 @@ def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known:
         a, mid, b, owner = a[split], mid[split], b[split], owner[split]
         a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
 
+    if nested is not None:
+        val, err, count = np.cumsum(val)[nested], np.cumsum(err)[nested], np.maximum.accumulate(count)[nested]
     missed = np.flatnonzero((count > PANEL_BUDGET) | ~np.isfinite(val) | ~(err <= tol * np.abs(val)))
     if missed.size:
         why = np.select([count[missed] > PANEL_BUDGET, ~np.isfinite(val[missed])],
@@ -351,14 +360,19 @@ def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float
     int_{w_lo}^inf gw(w) / (1 - e^{1-w}) dw with gw = g rho^N and
     w_lo = log(e + 1/eps); gw is given by its closed-form log (see WSlice), so
     a power singularity of g appears as an exponential tail and the critical
-    log-power singularity as an algebraic tail w^{-q}.  The map w = w_lo t^{-k}
-    takes [w_lo, inf) onto t in (0, 1], with k = 1 for an exponential tail and
-    k = ceil(2 / (q - 1)) for an algebraic one, so the t-integrand vanishes at
-    t = 0 like t^{k (q - 1) - 1}.  The quadrature stops at w = e^690, where w
-    is still a float.  Past it an exponential tail is 0 and an algebraic one
-    is C w^{-q} to rounding, so its part gw(e^690) e^690 / (q - 1) is taken in
-    closed form, and the bound on that form's rounding counts in the
-    tolerance: as q nears 1 the slice raises RuntimeError instead.
+    log-power singularity as an algebraic tail w^{-q}.  The map w = w0 t^{-k}
+    takes [w0, inf) onto t in (0, 1], with w0 the w_lo of the widest slice,
+    k = 1 for an exponential tail and k = ceil(2 / (q - 1)) for an algebraic
+    one, so the t-integrand vanishes at t = 0 like t^{k (q - 1) - 1}.  The
+    slices are nested: slice i is (0, t_i] with t_i = (w0 / w_lo_i)^{1/k}, so
+    one pass integrates the pieces between consecutive distinct edges t_i and
+    adds them up inward-out (_gk_panels' nested owners), and equal eps share
+    a slice.  The quadrature stops at w = e^690, where w is still a float.
+    Past it an exponential tail is 0 and an algebraic one is C w^{-q} to
+    rounding, so its part gw(e^690) e^690 / (q - 1) is taken in closed form
+    in the innermost piece, and the bound on that form's rounding counts in
+    the tolerance of every slice: as q nears 1 the slices raise RuntimeError
+    instead.
     """
     e = np.asarray(eps, dtype=float)
     if not np.all((0.0 < e) & (e <= 1.0)):
@@ -367,22 +381,24 @@ def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float
     if not q > 1.0:
         raise ValueError(f"origin slice with tail w^-{q} is not integrable")
     k = 1 if math.isinf(q) else math.ceil(2.0 / (q - 1.0))
-    log_w_lo, log_k = np.log(np.log(_E + 1.0 / e)), math.log(k)
+    edges, slot = np.unique(e, return_inverse=True)  # ascending: slice i holds slices 0..i - 1
+    log_w_lo, log_k = np.log(np.log(_E + 1.0 / edges)), math.log(k)
+    log_w0 = log_w_lo[-1]
 
     def integrand(t, j):
         log_t = np.log(t)
-        log_w = log_w_lo[j, None] - k * log_t
+        log_w = log_w0 - k * log_t
         w = np.exp(log_w)
         return np.exp(gw.log_gw(w) - np.log1p(-np.exp(1.0 - w)) + log_k + log_w - log_t)
 
-    far = far_err = 0.0
+    known = np.zeros((2, len(edges)))
     if math.isfinite(q):  # rounding q costs eps q / (2 (q - 1)) relative, and the exponent about 690 q eps
         far = math.exp(float(gw.log_gw(math.exp(_LOG_W_MAX))) + _LOG_W_MAX) / (q - 1.0)
-        far_err = 2.0 * np.finfo(float).eps * (q / (q - 1.0) + _LOG_W_MAX * q) * far
-    n = len(e)
-    t_cut = np.exp((log_w_lo - _LOG_W_MAX) / k)
-    return SPHERE_AREA[N] * _gk_panels(integrand, t_cut, np.ones(n), np.arange(n), e, quad_tol,
-                                       "singular_slice_integral", (far, far_err))
+        known[:, 0] = far, 2.0 * np.finfo(float).eps * (q / (q - 1.0) + _LOG_W_MAX * q) * far
+    t = np.exp((log_w0 - log_w_lo) / k)
+    t_cut = math.exp((log_w0 - _LOG_W_MAX) / k)
+    return SPHERE_AREA[N] * _gk_panels(integrand, np.concatenate([[t_cut], t[:-1]]), t, np.arange(len(edges)),
+                                       e, quad_tol, "singular_slice_integral", known, slot)
 
 
 def radial_ball_integral(g, N: int, d: float, sigma, quad_tol: float = QUAD_TOL, gw: Optional[WSlice] = None,

@@ -283,6 +283,32 @@ def test_summed_error_above_tolerance_raises():
         integral(1e-6)
 
 
+@pytest.mark.parametrize("gw, N", [
+    (power_law(0.1, 0.8, 2).power_times_vol_w(1.0), 2),  # exponential tail
+    (critical_log(0.02, 3).power_times_vol_w(1.0), 3),  # algebraic tail w^-2.5
+    (_orlicz_gw(critical_log(0.02, 1), 0.25, 1.0), 1),  # algebraic tail w^-1.25 with its part past e^690
+], ids=["power-N2", "critical-N3", "orlicz-N1"])
+def test_nested_slices_equal_solo_slices(gw, N):
+    # one pass over unsorted radii with repeats (pieces between distinct edges, summed inward-out)
+    # against one pass per radius
+    eps = np.array([0.3, 1e-3, 0.5, 0.02, 1e-3, 1.0, 1e-9, 0.3, 0.5, 0.0300001, 0.03])
+    solo = [singular_slice_integral(gw, N, np.array([e]), 1e-8)[0] for e in eps]
+    np.testing.assert_allclose(singular_slice_integral(gw, N, eps, 1e-8), solo, rtol=1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [0.6, 3.0])
+def test_off_center_column_with_cut_data_equals_its_solo_balls(cutoff):
+    # d > 0: the slice radius min(0.5, (sigma - d) / 2, cutoff / 2) clamps at cutoff / 2 = 0.3 for cutoff
+    # 0.6 and at 0.5 for cutoff 3, so several balls of the column share a slice; 0.03 < d holds no slice
+    prof, d = power_law(0.1, 0.8, 3, cutoff=cutoff), 0.05
+    s = np.array([2.0, 0.1, 1.2, 0.0501, 2.0, 0.03, 0.7, 1.5, 0.65])
+    eps = np.minimum(np.minimum(0.5, 0.5 * (s - d)), 0.5 * cutoff)
+    assert np.sum(eps == min(0.5, 0.5 * cutoff)) >= 3
+    gw = prof.power_times_vol_w(1.0)
+    solo = [radial_ball_integral(prof.value, 3, d, x, gw=gw, cutoff=cutoff) for x in s]
+    np.testing.assert_allclose(radial_ball_integral(prof.value, 3, d, s, gw=gw, cutoff=cutoff), solo, rtol=1e-9)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_cutoff_critical_log_is_the_uncut_profile_inside_the_cutoff(N):
     cut, uncut = critical_log(0.02, N, cutoff=0.5), critical_log(0.02, N)

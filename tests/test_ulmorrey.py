@@ -8,7 +8,7 @@ import pytest
 
 from fdxlab import ulmorrey
 from fdxlab.exponents import ProblemParams, Regime, classify_regime
-from fdxlab.profiles import ball_average_power, ball_volume, barenblatt, constant, critical_log, power_law
+from fdxlab.profiles import WSlice, ball_average_power, ball_volume, barenblatt, constant, critical_log, power_law
 from fdxlab.solver import GridField
 from fdxlab.special_functions import eta, psi, psi_inv_array
 from fdxlab.ulmorrey import (
@@ -286,22 +286,27 @@ def test_check_condition_critical_log_alpha_above_half_n_is_infinite(N):
     assert 0.0 < orlicz_ball_average(prof, 1.0, 0.5, 0.1) < math.inf
 
 
-# avg over B(0, 0.01) of psi_alpha(f), f = critical_log(0.02, 1), alpha = 1/2 - d: an mpmath integral in
-# s = log(1/rho) at 40 digits, with the tail past s = e^60 in closed form (moving the cut to e^80 changes 4e-25)
+# avg over B(0, sigma) of psi_alpha(f) at sigma = 0.001, 0.01, 0.1, f = critical_log(0.02, 1), alpha = 1/2 - d
+# (the floats c, alpha and sigma): an mpmath integral in s = log(1/rho) at 40 digits, with the tail past
+# s = e^60 in closed form (moving the cut to e^80 changes 4e-25)
 @pytest.mark.parametrize("d, oracle", [
-    (1e-2, 195.21192236262075911), (1e-3, 1995.121977051508928), (1e-7, 19999995.111251400048), (1e-10, None),
+    (1e-2, (1948.4559887605318871, 195.21192236262075911, 19.595136593453030997)),
+    (1e-3, (19947.551659363949472, 1995.121977051508928, 199.58616433685492405)),
+    (1e-7, (199999947.4438606208, 19999995.111251400048, 1999999.5850942468204)),
+    (1e-10, None),
 ])
 def test_orlicz_average_near_the_divergence_boundary_keeps_its_tolerance(d, oracle):
     # the slice tail w^-(1 + d) reaches far past w = e^690, where the quadrature stops: that part is a closed
-    # form, and once rounding q - 1 = d costs more than the tolerance the slice raises instead
-    prof, alpha = critical_log(0.02, 1), 0.5 - d
+    # form in the innermost of the column's nested slice pieces, and once rounding q - 1 = d costs more than
+    # the tolerance every slice raises instead
+    prof, alpha, sigma = critical_log(0.02, 1), 0.5 - d, np.array([0.001, 0.01, 0.1])
     if oracle is None:
-        # the ball radius 0.01 is named, not its slice radius 0.005
-        miss = r"^singular_slice_integral: 1 radii missed .* \(1 over the error bound\): \[0\.01\]$"
+        # the ball radii are named, not their slice radii
+        miss = r"^singular_slice_integral: 3 radii missed .* \(3 over the error bound\): \[0\.001, 0\.01, 0\.1\]$"
         with pytest.raises(RuntimeError, match=miss):
-            orlicz_ball_average(prof, alpha, 0.0, 0.01)
+            orlicz_ball_average(prof, alpha, 0.0, sigma)
     else:
-        assert psi(alpha, orlicz_ball_average(prof, alpha, 0.0, 0.01)) == pytest.approx(oracle, rel=1e-8)
+        np.testing.assert_allclose(psi(alpha, orlicz_ball_average(prof, alpha, 0.0, sigma)), oracle, rtol=1e-8)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -311,6 +316,34 @@ def test_critical_verdicts_meet_their_tolerance_without_warning_or_fallback(N):
         warnings.simplefilter("error")
         v = check_condition(ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N), critical_log(0.02, N), 1.0, 1.0, N / 4.0)
     assert 0.0 < v.condition_value < math.inf
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_a_dense_critical_scan_holds_the_panel_budget_per_slice_piece(N):
+    # 1024 radii per decade: 3,073 nested slices, each within the budget piece by piece (their panel
+    # counts summed would pass it), and the verdict within 1e-5 of the default 64 per decade
+    params, data = ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N), critical_log(0.02, N)
+    spec = ulmorrey.condition_spec(params, 1.0, 1.0, N / 4.0)
+    dense = check_condition(params, data, 1.0, 1.0, N / 4.0, ScanGrid.build(spec, 1e-3, radii_per_decade=1024))
+    assert 0.0 < dense.condition_value < math.inf
+    assert dense.condition_value == pytest.approx(check_condition(params, data, 1.0, 1.0, N / 4.0).condition_value,
+                                                  abs=1e-5)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_a_critical_column_integrates_its_origin_slices_once(monkeypatch, N):
+    # the default verdict scans 193 radii; nested in one pass their slices take 2,955-3,135 integrand
+    # nodes, where one adaptive pass per slice took 18,315-50,685
+    nodes = []
+    orlicz_gw = ulmorrey._orlicz_gw
+
+    def counted(*args):
+        gw = orlicz_gw(*args)
+        return WSlice(lambda w: nodes.append(np.size(w)) or gw.log_gw(w), gw.tail)
+
+    monkeypatch.setattr(ulmorrey, "_orlicz_gw", counted)
+    check_condition(ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N), critical_log(0.02, N), 1.0, 1.0, N / 4.0)
+    assert 0 < sum(nodes) <= 4000
 
 
 _GRID = GridField(N=1, dr=0.125, u=np.random.default_rng(9).uniform(0.0, 1.0, 32) ** 2, R_dom=4.0)
@@ -466,6 +499,22 @@ def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
         v = check_condition(params, f, T, 1.0, 1.0, scan=scan)
         assert v.regime is Regime.SUBCRITICAL
         assert v.condition_value == pytest.approx(exact / T ** (theta * (1 - 2.0 / (params.p - params.m))), rel=1e-12)
+
+
+@pytest.mark.parametrize("N, p", [(1, 2.0), (2, 1.2), (3, 1.1)])
+def test_subcritical_grid_verdict_takes_ball_mass_at_bits_in_blocks_of_centers(monkeypatch, N, p):
+    # 64 centers, 7 per ball_weights call over 61 (odd) cells: 10 blocks, the last one short, and every
+    # row's np.dot keeps the single-center ball_mass_at bits
+    monkeypatch.setattr(ulmorrey, "CENTER_BLOCK_ENTRIES", 7 * 61 + 3)
+    params = ProblemParams(N=N, m=0.5, p=p)
+    theta = (params.p - params.m) / (2.0 * (params.p - 1.0))
+    f = _random_field(np.random.default_rng(N), N=N, cells=61, R=4.0)
+    centers = (0.0, -0.7, 1.3, *f.r)
+    for T in (0.05, 0.5, 3.0):
+        sigma = T**theta
+        v = check_condition(params, f, T, 1.0, 1.0, scan=ScanGrid(centers=centers, radii=(1.0,)))
+        mass = max(f.ball_mass_at(abs(d), sigma) for d in centers)
+        assert v.condition_value == mass / T ** (theta * (params.N - 2.0 / (params.p - params.m)))
 
 
 # -- grid scans against a per-center reference --------------------------------------
