@@ -381,11 +381,7 @@ def check_condition(
         sigma = T**ex.theta
         centers = scan.centers if scan is not None else (0.0,)
         if isinstance(f, GridField):
-            d = np.array([radial_offset(z) for z in centers])
-            n = max(1, CENTER_BLOCK_ENTRIES // len(f.u))  # centers per ball_weights call
-            # one np.dot per row, as in ball_mass_at, so every mass keeps ball_mass_at's bits
-            blocks = (f.ball_weights(d[i : i + n], sigma) for i in range(0, len(d), n))
-            mass = max(float(np.dot(f.u, row)) for w in blocks for row in w)
+            mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
         else:
             mass = max(ball_mass(f, d, sigma) for d in centers)
         value = mass / T ** (ex.theta * (params.N - ex.a_ss))  # normalized by the threshold scale

@@ -321,13 +321,14 @@ def test_critical_verdicts_meet_their_tolerance_without_warning_or_fallback(N):
 @pytest.mark.parametrize("N", [1, 3])
 def test_a_dense_critical_scan_holds_the_panel_budget_per_slice_piece(N):
     # 1024 radii per decade: 3,073 nested slices, each within the budget piece by piece (their panel
-    # counts summed would pass it), and the verdict within 1e-5 of the default 64 per decade
+    # counts summed would pass it), and the verdict within 1e-5 of the default 64 per decade, with its met
     params, data = ProblemParams(N=N, m=0.5, p=0.5 + 2.0 / N), critical_log(0.02, N)
     spec = ulmorrey.condition_spec(params, 1.0, 1.0, N / 4.0)
     dense = check_condition(params, data, 1.0, 1.0, N / 4.0, ScanGrid.build(spec, 1e-3, radii_per_decade=1024))
+    default = check_condition(params, data, 1.0, 1.0, N / 4.0)
     assert 0.0 < dense.condition_value < math.inf
-    assert dense.condition_value == pytest.approx(check_condition(params, data, 1.0, 1.0, N / 4.0).condition_value,
-                                                  abs=1e-5)
+    assert dense.condition_value == pytest.approx(default.condition_value, abs=1e-5)
+    assert dense.met == default.met
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -499,22 +500,6 @@ def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
         v = check_condition(params, f, T, 1.0, 1.0, scan=scan)
         assert v.regime is Regime.SUBCRITICAL
         assert v.condition_value == pytest.approx(exact / T ** (theta * (1 - 2.0 / (params.p - params.m))), rel=1e-12)
-
-
-@pytest.mark.parametrize("N, p", [(1, 2.0), (2, 1.2), (3, 1.1)])
-def test_subcritical_grid_verdict_takes_ball_mass_at_bits_in_blocks_of_centers(monkeypatch, N, p):
-    # 64 centers, 7 per ball_weights call over 61 (odd) cells: 10 blocks, the last one short, and every
-    # row's np.dot keeps the single-center ball_mass_at bits
-    monkeypatch.setattr(ulmorrey, "CENTER_BLOCK_ENTRIES", 7 * 61 + 3)
-    params = ProblemParams(N=N, m=0.5, p=p)
-    theta = (params.p - params.m) / (2.0 * (params.p - 1.0))
-    f = _random_field(np.random.default_rng(N), N=N, cells=61, R=4.0)
-    centers = (0.0, -0.7, 1.3, *f.r)
-    for T in (0.05, 0.5, 3.0):
-        sigma = T**theta
-        v = check_condition(params, f, T, 1.0, 1.0, scan=ScanGrid(centers=centers, radii=(1.0,)))
-        mass = max(f.ball_mass_at(abs(d), sigma) for d in centers)
-        assert v.condition_value == mass / T ** (theta * (params.N - 2.0 / (params.p - params.m)))
 
 
 # -- grid scans against a per-center reference --------------------------------------
