@@ -298,14 +298,6 @@ PANEL_BUDGET = 400  # panels per radius before the integral raises
 _LOG_W_MAX = 690.0  # the origin slice's quadrature stops at w = e^690, i.e. rho = exp(-1e299)
 
 
-class QuadratureMiss(RuntimeError):
-    """Owners of a G7/K15 pass that missed its tolerance; head and missed let a caller rename them."""
-
-    def __init__(self, head: str, missed: np.ndarray, names: np.ndarray):
-        super().__init__(f"{head}: {names[missed].tolist()}")
-        self.head, self.missed = head, missed
-
-
 def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known: tuple = (0.0, 0.0),
                nested: Optional[np.ndarray] = None) -> np.ndarray:
     """Adaptive G7/K15 integrals over the panels [a, b], summed per owner (radii or cells), named radii[owner].
@@ -319,7 +311,7 @@ def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known:
     sum.  With nested, owner i is the piece of slice i outside slice i - 1,
     and radius j sums the value and error of pieces 0..nested[j]; the budget
     holds per piece, so radius j is past it when one of those pieces is.
-    This is the one tolerance check of every integral: QuadratureMiss, naming
+    This is the one tolerance check of every integral: RuntimeError, naming
     where, the limit missed and the radii, for a radius past the budget,
     whose value is not finite or whose summed |K15 - G7| exceeds the error
     bound tol |value| (a NaN integrand never passes a panel, so it ends at
@@ -348,12 +340,12 @@ def _gk_panels(f, a, b, owner, radii: np.ndarray, tol: float, where: str, known:
         why = np.select([count[missed] > PANEL_BUDGET, ~np.isfinite(val[missed])],
                         [f"past the {PANEL_BUDGET}-panel budget", "with a non-finite value"], "over the error bound")
         limits = ", ".join(f"{k} {w}" for w, k in zip(*np.unique(why, return_counts=True)))
-        head = f"{where}: {missed.size} radii missed the G7/K15 tolerance {tol} ({limits})"
-        raise QuadratureMiss(head, missed, radii)
+        raise RuntimeError(f"{where}: {missed.size} radii missed the G7/K15 tolerance {tol} ({limits}): "
+                           f"{radii[missed].tolist()}")
     return val
 
 
-def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float) -> np.ndarray:
+def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float, names: np.ndarray) -> np.ndarray:
     """S_{N-1} int_0^eps g(rho) rho^{N-1} drho for each of the slice radii eps, in w = log(e + 1/rho).
 
     Since drho/rho = -dw / (1 - e^{1-w}), the slice is
@@ -372,7 +364,7 @@ def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float
     rounding, so its part gw(e^690) e^690 / (q - 1) is taken in closed form
     in the innermost piece, and the bound on that form's rounding counts in
     the tolerance of every slice: as q nears 1 the slices raise RuntimeError
-    instead.
+    instead.  A miss names each slice by its entry of names (its ball's radius).
     """
     e = np.asarray(eps, dtype=float)
     if not np.all((0.0 < e) & (e <= 1.0)):
@@ -398,7 +390,7 @@ def singular_slice_integral(gw: WSlice, N: int, eps: np.ndarray, quad_tol: float
     t = np.exp((log_w0 - log_w_lo) / k)
     t_cut = math.exp((log_w0 - _LOG_W_MAX) / k)
     return SPHERE_AREA[N] * _gk_panels(integrand, np.concatenate([[t_cut], t[:-1]]), t, np.arange(len(edges)),
-                                       e, quad_tol, "singular_slice_integral", known, slot)
+                                       names, quad_tol, "singular_slice_integral", known, slot)
 
 
 def radial_ball_integral(g, N: int, d: float, sigma, quad_tol: float = QUAD_TOL, gw: Optional[WSlice] = None,
@@ -414,9 +406,11 @@ def radial_ball_integral(g, N: int, d: float, sigma, quad_tol: float = QUAD_TOL,
     singular_slice_integral.  cutoff is a radius beyond which g vanishes: it
     bounds the slice, where gw ignores it.  The initial panels break at
     |sigma - d| and at the cutoff.  A radius that misses
-    the tolerance, in the slice or outside it, raises QuadratureMiss naming
-    its ball radius sigma (see _gk_panels).
+    the tolerance, in the slice or outside it, raises RuntimeError naming
+    its ball radius sigma (see _gk_panels).  d must be finite and >= 0.
     """
+    if not 0.0 <= d < math.inf:
+        raise ValueError(f"d must be finite and >= 0, got {d!r}")
     s, scalar = as_radii(sigma)
     n = len(s)
     lo, hi = np.maximum(0.0, d - s), d + s
@@ -425,10 +419,7 @@ def radial_ball_integral(g, N: int, d: float, sigma, quad_tol: float = QUAD_TOL,
         inner = np.flatnonzero(d < s)  # balls holding a neighborhood of the origin, where the cap is the full sphere
         if inner.size:
             eps = np.minimum(np.minimum(0.5, 0.5 * (s[inner] - d)), math.inf if cutoff is None else 0.5 * cutoff)
-            try:
-                val[inner] = singular_slice_integral(gw, N, eps, quad_tol)
-            except QuadratureMiss as miss:  # it names the slice radii eps: name the balls instead
-                raise QuadratureMiss(miss.head, miss.missed, s[inner]) from None
+            val[inner] = singular_slice_integral(gw, N, eps, quad_tol, s[inner])
             lo[inner] = eps
 
     cuts = np.column_stack([lo, hi, np.abs(s - d), hi if cutoff is None else np.full(n, cutoff)])
@@ -445,10 +436,11 @@ def radial_ball_integral(g, N: int, d: float, sigma, quad_tol: float = QUAD_TOL,
 
 
 def radial_offset(z) -> float:
-    """|z| for a scalar radial offset or a center vector."""
-    if np.isscalar(z):
-        return abs(float(z))
-    return float(np.linalg.norm(np.asarray(z, dtype=float)))
+    """|z| for a scalar radial offset or a center vector, which must be finite."""
+    d = abs(float(z)) if np.isscalar(z) else float(np.linalg.norm(np.asarray(z, dtype=float)))
+    if not d < math.inf:
+        raise ValueError(f"z must be finite, got {z!r}")
+    return d
 
 
 def ball_average_power(profile: RadialProfile, expo: float, z, sigma):

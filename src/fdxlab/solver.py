@@ -145,10 +145,12 @@ class GridField:
         last edge is counted.  d is one offset or a 1-D array of them and sigma
         one radius or a 1-D array of them; the weights have shape d.shape +
         sigma.shape + (cells,), so a grid norm scan gets a block of centers x
-        radii x cells in one call.
+        radii x cells in one call.  Every d must be finite and >= 0.
         """
         d = np.asarray(d, dtype=float)
         s = np.asarray(sigma, dtype=float)
+        if not ((0.0 <= d) & (d < np.inf)).all():
+            raise ValueError(f"d must be finite and >= 0, got {d.tolist()!r}")
         if not (s > 0.0).all():
             raise ValueError("sigma must be > 0")
         e = self.edges
@@ -515,8 +517,7 @@ def scaling_transform(obj, lam: float, params: ProblemParams):
     """Rescaling u_lam(x, t) = lam^{2/(p-m)} u(lam x, lam^{theta'} t) applied to a
     field snapshot or a full trace (grid, time axis, masses, and probe radii all
     transform accordingly)."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be > 0")
+    check_finite_positive("lambda", lam)
     ex = derive_exponents(params)
     s, tp = ex.a_ss, ex.theta_prime
     if isinstance(obj, GridField):

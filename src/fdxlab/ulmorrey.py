@@ -26,7 +26,9 @@ of centers (at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.
 The weight rho(sigma) and Phi^{-1} then act on the whole matrix in numpy.
 Phi^{-1} has one site, _phi_inv (np.power, or psi_inv_array), which
 orlicz_ball_average shares; closed-form Orlicz-eta entries (constant data,
-and inf where the origin slice diverges) are final and skip it.
+and inf where the origin slice diverges) are final and skip it.  The
+subcritical mass condition reads the same averages at its one radius, so
+_averages alone picks the grid or the profile kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .profiles import (
     as_radii,
     ball_average_power,
     ball_average_tail,
-    ball_mass,
     ball_volume,
     radial_offset,
 )
@@ -178,8 +179,11 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
     data on balls inside the cutoff, inf on balls that reach the origin where
     the origin slice's tail w^-q has q <= 1.  A Morrey average of data whose
     f^alpha leaves the floats, or an Orlicz-eta average whose
-    psi_alpha(scale f) does, is a ValueError naming alpha.
+    psi_alpha(scale f) does, is a ValueError naming alpha.  The centers must
+    be finite; a signed center stands for its absolute value.
     """
+    if not np.isfinite(centers).all():
+        raise ValueError(f"centers must be finite, got {centers.tolist()!r}")
     closed = np.full((len(centers), len(sigma)), False)
     grid = isinstance(f, GridField)
     if kind == ORLICZ_ETA and not grid:
@@ -370,20 +374,20 @@ def check_condition(
     critical:       sup_{z,sigma<T^theta} eta(sigma/T^theta) psi_alpha^{-1}(avg psi_alpha(T^{1/(p-1)} mu))
     supercritical:  |||mu|||_{N(p-m)/2, beta; T^theta}                   (T = inf allowed)
 
-    The subcritical condition is normalized by its threshold scale so that
-    met == (condition_value <= delta) uniformly across regimes.  condition_spec
-    checks the inputs.
+    The subcritical mass is the largest average of mu over B(z, T^theta), z
+    in the scan's centers (the origin by default), times the ball volume: one
+    Morrey column of _averages, normalized by its threshold scale so that
+    met == (condition_value <= delta) uniformly across regimes.
+    condition_spec checks the inputs.
     """
     spec = condition_spec(params, T, delta, beta_or_alpha)
     regime = classify_regime(params)
     ex = derive_exponents(params)
     if regime is Regime.SUBCRITICAL:
         sigma = T**ex.theta
-        centers = scan.centers if scan is not None else (0.0,)
-        if isinstance(f, GridField):
-            mass = max(f.ball_mass_at(radial_offset(d), sigma) for d in centers)
-        else:
-            mass = max(ball_mass(f, d, sigma) for d in centers)
+        centers = np.array(scan.centers if scan is not None else (0.0,))
+        avg, _ = _averages(f, MORREY, 1.0, centers, np.array([sigma]), 1.0)
+        mass = avg.max() * ball_volume(f.N, sigma)
         value = mass / T ** (ex.theta * (params.N - ex.a_ss))  # normalized by the threshold scale
     else:
         critical = regime is Regime.CRITICAL

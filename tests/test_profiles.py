@@ -292,8 +292,8 @@ def test_nested_slices_equal_solo_slices(gw, N):
     # one pass over unsorted radii with repeats (pieces between distinct edges, summed inward-out)
     # against one pass per radius
     eps = np.array([0.3, 1e-3, 0.5, 0.02, 1e-3, 1.0, 1e-9, 0.3, 0.5, 0.0300001, 0.03])
-    solo = [singular_slice_integral(gw, N, np.array([e]), 1e-8)[0] for e in eps]
-    np.testing.assert_allclose(singular_slice_integral(gw, N, eps, 1e-8), solo, rtol=1e-9)
+    solo = [singular_slice_integral(gw, N, np.array([e]), 1e-8, np.array([e]))[0] for e in eps]
+    np.testing.assert_allclose(singular_slice_integral(gw, N, eps, 1e-8, eps), solo, rtol=1e-9)
 
 
 @pytest.mark.parametrize("cutoff", [0.6, 3.0])
@@ -496,11 +496,22 @@ def test_cell_averages_match_per_cell_oracles(profile, edges):
         (lambda: power_law(1.0, 0.8, 1).value(-1.0), "radius must be >= 0"),
         (lambda: barenblatt(1.0, 1.0, 1, 0.5).log_value_w(2.0), "barenblatt data are not of the form c rho^-b [log(e + 1/rho)]^-q"),
         (lambda: power_law(1.0, 0.8, 1).power_times_vol_w(2.0), "power profile to the power 2.0 is not locally integrable at the origin"),
-        (lambda: singular_slice_integral(WSlice(np.log, math.inf), 1, np.array([0.0]), 1e-8), "singular slice requires 0 < eps <= 1"),
-        (lambda: singular_slice_integral(WSlice(np.log, math.inf), 1, np.array([0.5, 1.5]), 1e-8), "singular slice requires 0 < eps <= 1"),
-        (lambda: singular_slice_integral(WSlice(np.log, 1.0), 1, np.array([0.5]), 1e-8), "origin slice with tail w^-1.0 is not integrable"),
+        (lambda: singular_slice_integral(WSlice(np.log, math.inf), 1, np.array([0.0]), 1e-8, np.array([0.0])),
+         "singular slice requires 0 < eps <= 1"),
+        (lambda: singular_slice_integral(WSlice(np.log, math.inf), 1, np.array([0.5, 1.5]), 1e-8, np.array([0.5, 1.5])),
+         "singular slice requires 0 < eps <= 1"),
+        (lambda: singular_slice_integral(WSlice(np.log, 1.0), 1, np.array([0.5]), 1e-8, np.array([0.5])),
+         "origin slice with tail w^-1.0 is not integrable"),
+        # a NaN or infinite center, or a negative offset d, read the centered average or 0.0
+        (lambda: ball_average(power_law(1.0, 0.5, 2), math.nan, 0.5), "z must be finite, got nan"),
+        (lambda: ball_average(power_law(1.0, 0.5, 1), -math.inf, 0.5), "z must be finite, got -inf"),
+        (lambda: ball_mass(constant(1.0, 3), [0.3, math.nan, 0.0], 0.5), "z must be finite, got [0.3, nan, 0.0]"),
+        (lambda: radial_ball_integral(np.exp, 2, -0.3, 0.5), "d must be finite and >= 0, got -0.3"),
+        (lambda: radial_ball_integral(np.exp, 2, math.nan, 0.5), "d must be finite and >= 0, got nan"),
+        (lambda: radial_ball_integral(np.exp, 1, math.inf, 0.5), "d must be finite and >= 0, got inf"),
     ],
-    ids=["sigma-0", "sigma-negative", "kind", "radius", "log-value-barenblatt", "not-integrable", "eps-0", "eps-above-1", "tail-1"],
+    ids=["sigma-0", "sigma-negative", "kind", "radius", "log-value-barenblatt", "not-integrable", "eps-0", "eps-above-1",
+         "tail-1", "z-nan", "z-inf", "z-vector-nan", "d-negative", "d-nan", "d-inf"],
 )
 def test_profile_input_checks_raise_with_their_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

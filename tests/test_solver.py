@@ -771,8 +771,24 @@ def test_scaling_rejects_bad_lambda():
         (lambda: project_initial(constant(1.0, 2), SolverConfig(params=P3, t_end=1.0)),
          ValueError, "profile dimension does not match the grid"),
         (lambda: scaling_transform(np.ones(3), 2.0, P3), TypeError, "scaling_transform accepts a GridField or a SolverTrace"),
+        # a NaN or negative offset read the centered mass
+        (lambda: GridField(2, 0.25, np.ones(8), 2.0).ball_mass_at(math.nan, 0.5), ValueError,
+         "d must be finite and >= 0, got nan"),
+        (lambda: GridField(2, 0.25, np.ones(8), 2.0).ball_mass_at(-0.3, 0.5), ValueError,
+         "d must be finite and >= 0, got -0.3"),
+        (lambda: GridField(1, 0.5, np.ones(2), 1.0).ball_weights([0.5, math.inf], 0.5), ValueError,
+         "d must be finite and >= 0, got [0.5, inf]"),
+        # a NaN lambda returned NaN times and sups, and an infinite one raised naming dr
+        (lambda: scaling_transform(SolverTrace(times=np.array([0.0, 1.0]), sup_norm=np.ones(2), probe_radii=(),
+                                               ball_mass=np.zeros((2, 0)), status=STATUS_COMPLETED), math.nan, P3),
+         ValueError, "lambda must be finite and > 0, got nan"),
+        (lambda: scaling_transform(GridField(1, 0.5, np.ones(2), 1.0), math.inf, P3), ValueError,
+         "lambda must be finite and > 0, got inf"),
+        (lambda: scaling_transform(GridField(1, 0.5, np.ones(2), 1.0), -2.0, P3), ValueError,
+         "lambda must be finite and > 0, got -2.0"),
     ],
-    ids=["N-4", "u-empty", "u-2d", "u-negative", "u-nan", "sigma-0", "sigma-negative", "times", "profile-N", "type"],
+    ids=["N-4", "u-empty", "u-2d", "u-negative", "u-nan", "sigma-0", "sigma-negative", "times", "profile-N", "type",
+         "d-nan", "d-negative", "d-inf", "lambda-nan", "lambda-inf", "lambda-negative"],
 )
 def test_solver_input_checks_raise_with_their_message(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

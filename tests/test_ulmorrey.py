@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from fdxlab import ulmorrey
-from fdxlab.exponents import ProblemParams, Regime, classify_regime
-from fdxlab.profiles import WSlice, ball_average_power, ball_volume, barenblatt, constant, critical_log, power_law
+from fdxlab.exponents import ProblemParams, Regime, classify_regime, derive_exponents
+from fdxlab.profiles import (
+    WSlice,
+    ball_average_power,
+    ball_mass,
+    ball_volume,
+    barenblatt,
+    constant,
+    critical_log,
+    power_law,
+)
 from fdxlab.solver import GridField
 from fdxlab.special_functions import eta, psi, psi_inv_array
 from fdxlab.ulmorrey import (
@@ -502,6 +511,43 @@ def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
         assert v.condition_value == pytest.approx(exact / T ** (theta * (1 - 2.0 / (params.p - params.m))), rel=1e-12)
 
 
+@pytest.mark.parametrize("N, p", [(1, 1.2), (2, 1.2), (3, 1.1)])
+def test_subcritical_profile_verdict_is_the_largest_ball_mass_bit_for_bit(N, p):
+    # the verdict takes the scan's ball averages: the largest times the ball volume is the largest ball_mass,
+    # since rounding a product by a volume > 0 keeps the order
+    params = ProblemParams(N=N, m=0.5, p=p)
+    ex = derive_exponents(params)
+    centers = (0.3, -1.1, 0.0, 0.7)
+    data = (constant(0.4, N), power_law(0.3, 0.5, N, cutoff=0.7), critical_log(0.02, N), barenblatt(1.0, 1.0, N, 0.8))
+    for f in data:
+        for T in (0.05, 0.5, 2.0):
+            sigma = T**ex.theta
+            v = check_condition(params, f, T, 1.0, 1.0, scan=ScanGrid(centers=centers, radii=(1.0,)))
+            want = max(ball_mass(f, d, sigma) for d in centers) / T ** (ex.theta * (N - ex.a_ss))
+            assert v.regime is Regime.SUBCRITICAL
+            assert v.condition_value == want, (f, T)
+
+
+def test_subcritical_grid_verdict_takes_one_ball_weights_call_per_center_block(monkeypatch):
+    # every cell center of a 400-cell field: one ball_weights call per block of at most
+    # CENTER_BLOCK_ENTRIES weights, not one per center
+    f = _random_field(np.random.default_rng(8), N=2, cells=400, R=4.0)
+    calls = []
+    weights = GridField.ball_weights
+    monkeypatch.setattr(GridField, "ball_weights", lambda self, d, sigma: calls.append(d) or weights(self, d, sigma))
+    v = check_condition(ProblemParams(N=2, m=0.5, p=1.2), f, 0.5, 1.0, 1.0, scan=ScanGrid(tuple(f.r), (1.0,)))
+    assert 0.0 < v.condition_value < math.inf
+    assert 1 <= len(calls) <= math.ceil(len(f.r) * len(f.u) / CENTER_BLOCK_ENTRIES)
+
+
+def test_subcritical_verdict_of_data_past_the_largest_float_raises():
+    # the ball average of 1e308 |x|^-0.8 on B(0, T^theta) overflows: the verdict raises the scan's error
+    # (it read inf, not met), as the CLI's norm stage already does before any verdict
+    gauge = "alpha = 1.0 takes the Morrey gauge f^alpha of the data past the largest float"
+    with pytest.raises(ValueError, match=re.escape(gauge)):
+        check_condition(ProblemParams(N=1, m=0.5, p=1.2), power_law(1e308, 0.8, 1), 1e-3, 1.0, 1.0)
+
+
 # -- grid scans against a per-center reference --------------------------------------
 
 
@@ -607,14 +653,16 @@ def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
     cell = GridField(N=1, dr=0.25, u=np.eye(16)[4], R_dom=4.0)
     res = norm(cell, morrey(1.0, 1.0, R=4.0), ScanGrid(centers=(1.0, 1.125), radii=(0.125, 0.25, 0.5)))
     assert (res.value, res.arg_center, res.arg_radius) == (0.125, 1.0, 0.25)
-    # the subcritical grid verdict is the largest per-center ball_mass_at, bit for bit
+    # the subcritical grid verdict is the largest per-center scan average times the ball volume, bit for bit
     params = ProblemParams(N=2, m=0.5, p=1.2)
     theta = (params.p - params.m) / (2.0 * (params.p - 1.0))
     centers = (0.0, 0.7, -1.3, *big.r[::3])
     for T in (0.05, 0.5):
         sigma = T**theta
         v = check_condition(params, big, T, 1.0, 1.0, scan=ScanGrid(centers=centers, radii=(1.0,)))
-        mass = max(big.ball_mass_at(abs(d), sigma) for d in centers)
+        vol = ball_volume(params.N, np.array([sigma]))
+        avg = max(float((big.ball_weights(abs(d), [sigma]) @ big.u / vol)[0]) for d in centers)
+        mass = avg * ball_volume(params.N, sigma)
         assert v.condition_value == mass / T ** (theta * (params.N - 2.0 / (params.p - params.m)))
 
 
@@ -628,8 +676,17 @@ def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
          "radius cap below the grid spacing"),
         (lambda: norm(constant(1.0, 1), morrey(2.0, R=1.0), ScanGrid(centers=(0.0,), radii=(1.0, 2.0))),
          "scan grid has no radii below the cap R"),
+        # a NaN center read the centered value of a grid and 0.0 of a profile, with arg_center nan
+        *[(lambda f=f, spec=spec: norm(f, spec, ScanGrid(centers=(0.5, math.nan), radii=(0.5,))),
+           "centers must be finite, got [0.5, nan]")
+          for f in (_GRID, power_law(0.1, 0.4, 1)) for spec in (morrey(2.0, R=1.0), orlicz_eta(0.5, R=1.0))],
+        *[(lambda f=f: check_condition(ProblemParams(N=1, m=0.5, p=1.2), f, 0.5, 1.0, 1.0,
+                                       scan=ScanGrid(centers=(-math.inf,), radii=(1.0,))),
+           "centers must be finite, got [-inf]") for f in (_GRID, power_law(0.1, 0.4, 1))],
     ],
-    ids=["kind", "R-0", "R-negative", "cap-below-dr", "no-radius-below-R"],
+    ids=["kind", "R-0", "R-negative", "cap-below-dr", "no-radius-below-R", "nan-center-grid-morrey",
+         "nan-center-grid-orlicz", "nan-center-profile-morrey", "nan-center-profile-orlicz", "inf-center-grid-verdict",
+         "inf-center-profile-verdict"],
 )
 def test_norm_input_checks_raise_with_their_message(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
