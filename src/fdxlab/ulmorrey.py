@@ -20,9 +20,13 @@ ball averages of Phi(scale f) and takes the first maximum of the weighted
 matrix in row-major order: the first center, then the first radius.  A
 profile fills it one center at a time: closed forms first (centered power
 balls, and every N = 1 Morrey ball of power or constant data, an interval),
-then all other radii of the center in one batched quadrature pass.  A grid
-field fills it with one GridField.ball_weights call and one matmul per block
-of centers (at most CENTER_BLOCK_ENTRIES weights), so memory stays bounded.
+then all other radii of the center in one batched quadrature pass.  An N = 1
+grid field fills it from prefix sums of its cell masses (_interval_masses,
+O(cells + centers x radii log cells), exact to about one rounding).  The
+balls of an N = 2 or 3 grid field cut its cell shells in lenses, which no
+prefix sum holds: one GridField.ball_weights call and one matmul per block
+of centers (at most CENTER_BLOCK_ENTRIES weights, O(centers x radii x
+cells)) fill it, so memory stays bounded.
 The weight rho(sigma) and Phi^{-1} then act on the whole matrix in numpy.
 Phi^{-1} has one site, _phi_inv (np.power, or psi_inv_array), which
 orlicz_ball_average shares; closed-form Orlicz-eta entries (constant data,
@@ -179,11 +183,9 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
     data on balls inside the cutoff, inf on balls that reach the origin where
     the origin slice's tail w^-q has q <= 1.  A Morrey average of data whose
     f^alpha leaves the floats, or an Orlicz-eta average whose
-    psi_alpha(scale f) does, is a ValueError naming alpha.  The centers must
-    be finite; a signed center stands for its absolute value.
+    psi_alpha(scale f) does, is a ValueError naming alpha.  The centers are
+    finite (_scan_centers); a signed center stands for its absolute value.
     """
-    if not np.isfinite(centers).all():
-        raise ValueError(f"centers must be finite, got {centers.tolist()!r}")
     closed = np.full((len(centers), len(sigma)), False)
     grid = isinstance(f, GridField)
     if kind == ORLICZ_ETA and not grid:
@@ -203,6 +205,14 @@ def _averages(f, kind: str, alpha: float, centers: np.ndarray, sigma: np.ndarray
         gauge = "Morrey gauge f^alpha" if kind == MORREY else "Orlicz gauge psi_alpha(scale f)"
         raise ValueError(f"alpha = {alpha!r} takes the {gauge} of the data past the largest float")
     return avg, closed
+
+
+def _scan_centers(centers: tuple) -> np.ndarray:
+    """A scan's centers as an array, each finite (a signed center stands for its absolute value)."""
+    c = np.array(centers, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(f"centers must be finite, got {c.tolist()!r}")
+    return c
 
 
 def _orlicz_row(profile: RadialProfile, alpha: float, d: float, s: np.ndarray, scale: float, closed: np.ndarray):
@@ -251,16 +261,66 @@ def _orlicz_gw(profile: RadialProfile, alpha: float, scale: float) -> Optional[W
 def _grid_averages(field: GridField, values: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Averages of per-cell values >= 0 over B(z, sigma), |z| = d, one row per center offset d and one column per radius.
 
-    Blocks of centers (at most CENTER_BLOCK_ENTRIES weights) go through
-    ball_weights, and w @ values multiplies each center's (radius x cell)
-    weights by values, so every row is bit for bit the single-center
+    N = 1 balls are intervals: _interval_masses reads each mass off prefix
+    sums of the cell masses, O(cells + centers x radii log cells) and exact
+    to about one rounding.  For N = 2 and 3 the part of a ball inside a cell
+    shell is a lens, which no prefix sum holds: blocks of centers (at most
+    CENTER_BLOCK_ENTRIES weights) go through ball_weights, O(centers x radii x
+    cells), and w @ values multiplies each center's (radius x cell) weights
+    by values, so every row is bit for bit the single-center
     ball_weights(d, sigma) @ values.  A negative average can only be rounding
     of the lens weights and is taken as 0, the average's lower bound.
     """
     vol = ball_volume(field.N, sigma)
+    if field.N == 1:
+        return _interval_masses(field, values, centers, sigma) / vol
     n = max(1, CENTER_BLOCK_ENTRIES // (len(sigma) * len(field.u)))  # centers per block
     rows = [field.ball_weights(centers[i : i + n], sigma) @ values / vol for i in range(0, len(centers), n)]
     return np.maximum(np.concatenate(rows), 0.0)
+
+
+def _interval_masses(field: GridField, values: np.ndarray, centers: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Masses of an N = 1 step field with these cell values >= 0 over B(z, sigma), |z| = d, one row per d.
+
+    The field is even, so the ball [d - sigma, d + sigma] holds its integral
+    over [a, b] = [max(d - sigma, 0), d + sigma] plus that over the reflected
+    piece [0, c], c = max(sigma - d, 0), with nothing past the last edge.  The
+    cell masses are summed once into TwoSum prefix pairs (hi, lo) (Ogita, Rump
+    and Oishi, SIAM J. Sci. Comput. 26, 2005), the values first scaled by a
+    power of two so that no prefix overflows unless a ball mass does.  A ball
+    then takes three searchsorted lookups (the cells of a, b and c) and sums
+    the whole cells of [a, b] (a pair difference), the prefix to c's cell and
+    the partial end cells with their TwoSum errors: a mass is exact to about
+    one rounding at the float ends a, b and c, and balls over the same cells
+    tie.  A value past the largest float makes every mass NaN, as 0 * inf
+    does in a lens-weight row.
+    """
+    if not np.isfinite(values).all():
+        return np.full((len(centers), len(sigma)), math.nan)
+    e = field.edges
+    h = np.diff(e)
+    n = len(h)
+    k = max(0, math.frexp(values.max())[1] + math.frexp(h.max())[1] + n.bit_length() - 1023)  # sum < 2^1023
+    v = np.ldexp(values, -k)
+    m = v * h
+    hi = np.concatenate(([0.0], np.cumsum(m)))  # sequential: hi[i + 1] = hi[i] + m[i], rounded
+    lo = np.concatenate(([0.0], np.cumsum(_two_sum(hi[:-1], m)[1])))
+    d, s = centers[:, None], sigma[None, :]
+    a, b, c = (np.minimum(x, e[-1]) for x in (np.maximum(d - s, 0.0), d + s, np.maximum(s - d, 0.0)))
+    ka, kb, kc = (np.minimum(np.searchsorted(e, x, side="right") - 1, n - 1) for x in (a, b, c))
+    i, j = ka + 1, np.maximum(kb, ka + 1)  # the whole cells of [a, b] are i .. j - 1
+    ends = v[ka] * (np.minimum(b, e[i]) - a) + v[kb] * np.maximum(b - e[j], 0.0) + v[kc] * (c - e[kc])
+    s1, e1 = _two_sum(hi[j], -hi[i])
+    s2, e2 = _two_sum(s1, hi[kc])
+    s3, e3 = _two_sum(s2, ends)
+    return np.ldexp(s3 + ((e1 + e2 + e3) + (lo[j] - lo[i] + lo[kc])), k)
+
+
+def _two_sum(a, b) -> tuple:
+    """s = a + b rounded and its error a + b - s, exact (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
 
 
 def _phi_inv(kind: str, alpha: float, avg: np.ndarray, closed: np.ndarray) -> np.ndarray:
@@ -300,6 +360,7 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
     radii = [s for s in scan.radii if s < spec.R]
     if not radii:
         raise ValueError("scan grid has no radii below the cap R")
+    centers = _scan_centers(scan.centers)
 
     if spec.kind == MORREY and isinstance(f, RadialProfile) and f.kind in ("power", "constant") and f.c > 0.0:
         grow = f.N / spec.q - f.a
@@ -312,7 +373,7 @@ def norm(f, spec: NormSpec, scan: ScanGrid, scale: float = 1.0) -> NormResult:
                 grid_resolution=f"analytic tail: sigma^{grow:+.3g} unbounded on (0, {spec.R:.3g})",
             )
 
-    values = _ball_quantities(f, spec, np.array(scan.centers), np.array(radii), scale)
+    values = _ball_quantities(f, spec, centers, np.array(radii), scale)
     i, j = divmod(int(np.argmax(values)), len(radii))  # the first of equal maxima: first center, then first radius
     res = f"{len(scan.centers)} centers x {len(radii)} radii in [{radii[0]:.3g}, {radii[-1]:.3g}]"
     return NormResult(
@@ -385,7 +446,7 @@ def check_condition(
     ex = derive_exponents(params)
     if regime is Regime.SUBCRITICAL:
         sigma = T**ex.theta
-        centers = np.array(scan.centers if scan is not None else (0.0,))
+        centers = _scan_centers(scan.centers if scan is not None else (0.0,))
         avg, _ = _averages(f, MORREY, 1.0, centers, np.array([sigma]), 1.0)
         mass = avg.max() * ball_volume(f.N, sigma)
         value = mass / T ** (ex.theta * (params.N - ex.a_ss))  # normalized by the threshold scale

@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 import warnings
@@ -137,6 +138,10 @@ def test_a_grid_orlicz_gauge_past_the_largest_float_is_an_error_naming_alpha():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^alpha = 5\.0 takes the Orlicz gauge psi_alpha\(scale f\) of the data"):
             norm(field, spec, ScanGrid.for_field(field, spec), scale=1e10)
+    # so does one ball away from the only cell whose psi_alpha(scale u) leaves the floats, as in N = 2 and 3
+    field = GridField(N=1, dr=0.1, u=np.r_[np.ones(19), 1e300], R_dom=2.0)
+    with pytest.raises(ValueError, match=r"^alpha = 5\.0 takes the Orlicz gauge psi_alpha\(scale f\) of the data"):
+        orlicz_ball_average(field, 5.0, 0.5, 0.1, scale=1e10)
 
 
 @pytest.mark.parametrize(
@@ -443,17 +448,20 @@ def test_orlicz_eta_norm_weight_maximum_inside():
 def _interval_integral(values, dr: float):
     """(a, b) -> the exact integral over [a, b] of the even N = 1 step field with these cell values.
 
-    Cumulative cell sums in rational arithmetic, zero past the last cell; a
-    ball B(z, sigma) with |z| = d is the interval [d - sigma, d + sigma].
+    Cell k spans [k dr, (k + 1) dr] with its edges rounded to floats, as
+    GridField.edges holds them.  Cumulative cell sums in rational arithmetic,
+    zero past the last cell; a ball B(z, sigma) with |z| = d is the interval
+    [d - sigma, d + sigma].
     """
-    v, h = [Fraction(x) for x in values], Fraction(dr)
+    v = [Fraction(x) for x in values]
+    e = [Fraction(k * dr) for k in range(len(v) + 1)]
     cum = [Fraction(0)]
-    for x in v:
-        cum.append(cum[-1] + x * h)
+    for x, left, right in zip(v, e, e[1:]):
+        cum.append(cum[-1] + x * (right - left))
 
     def signed(x: Fraction) -> Fraction:  # integral from 0 to x
-        k = min(int(abs(x) / h), len(v))
-        inside = cum[k] + (v[k] * (abs(x) - k * h) if k < len(v) else 0)
+        k = bisect.bisect_right(e, abs(x)) - 1
+        inside = cum[k] + v[k] * (abs(x) - e[k]) if k < len(v) else cum[-1]
         return inside if x >= 0 else -inside
 
     return lambda a, b: signed(Fraction(b)) - signed(Fraction(a))
@@ -493,7 +501,40 @@ def test_grid_orlicz_eta_norm_matches_an_exact_interval_oracle():
         value = norm(f, spec, scan, scale=scale).value
         worst = max(worst, abs(value - best) / best)
     print(f"grid orlicz_eta N=1: worst relative error against the interval oracle {worst:.2e}")
-    assert worst <= 1e-12
+    assert worst <= 2e-14  # 1.7e-14 measured: the rounding of the ball ends d -/+ s, which the oracle takes exactly
+
+
+def test_n1_grid_ball_masses_match_an_exact_interval_oracle_to_rounding():
+    # N = 1 balls are intervals, so the prefix-sum kernel is exact to about one rounding at its float ends a, b
+    # and c, on values across 16 decades, signed centers, and centers and radii past the domain's edge
+    rng = np.random.default_rng(35)
+    worst = 0.0
+    for _ in range(12):
+        cells = int(rng.integers(5, 70))
+        f = GridField(N=1, dr=4.0 / cells, u=10 ** rng.uniform(-8.0, 8.0, cells), R_dom=4.0)
+        centers = np.r_[0.0, rng.uniform(-5.0, 5.0, 10)]
+        radii = np.r_[10 ** rng.uniform(-4.0, 0.9, 12), 9.0]
+        masses = ulmorrey._interval_masses(f, f.u, np.abs(centers), radii)
+        integral = _interval_integral(f.u.tolist(), f.dr)
+        for row, d in zip(masses.tolist(), np.abs(centers).tolist()):
+            for got, s in zip(row, radii.tolist()):
+                want = integral(Fraction(max(d - s, 0.0)), Fraction(d + s)) + integral(0, Fraction(max(s - d, 0.0)))
+                if want == 0:  # a ball past the last edge
+                    assert got == 0.0, (d, s)
+                else:
+                    worst = max(worst, float(abs(Fraction(got) - want) / want))
+        # the scan's averages over the signed centers are these masses over the ball volume, bit for bit
+        avg, _ = ulmorrey._averages(f, "morrey", 1.0, centers, radii, 1.0)
+        assert np.array_equal(avg, masses / ball_volume(1, radii))
+    print(f"grid N=1 interval kernel: worst relative mass error against the interval oracle {worst:.2e}")
+    assert worst <= 1e-15
+    # 40 cells of 1e307 hold more than the largest float, but a ball inside one cell does not: it takes
+    # the lens weights' finite value
+    big = GridField(N=1, dr=1.0, u=np.full(40, 1e307), R_dom=40.0)
+    for d in (0.5, 10.5, -39.5):
+        avg, _ = ulmorrey._averages(big, "morrey", 1.0, np.array([d]), np.array([0.25]), 1.0)
+        dense = big.ball_weights(abs(d), [0.25]) @ big.u / ball_volume(1, np.array([0.25]))
+        assert avg[0, 0] == dense[0] == 1e307
 
 
 def test_subcritical_grid_verdict_is_the_largest_exact_interval_mass():
@@ -554,8 +595,9 @@ def test_subcritical_verdict_of_data_past_the_largest_float_raises():
 def _per_center_norm(f, spec, scan: ScanGrid, scale: float) -> tuple:
     """(value, arg_center, arg_radius) of a norm scan, one center at a time.
 
-    A grid field takes one ball_weights call per center, a profile its
-    ball_average_power or orlicz_ball_average column.  The weights and
+    A grid field takes one call per center, of the interval kernel
+    (_interval_masses) for N = 1 and of ball_weights for N = 2 and 3, a
+    profile its ball_average_power or orlicz_ball_average column.  The weights and
     Phi^{-1} are the scan's operations on one row: libm pow sigma^{N/q} times
     np.power(avg, 1/alpha), or eta times psi_inv_array, so an exact match
     checks the batching on any CPU, whatever its numpy rounds.  A later
@@ -566,15 +608,21 @@ def _per_center_norm(f, spec, scan: ScanGrid, scale: float) -> tuple:
     vol = ball_volume(f.N, radii)
     best = None
     grid = isinstance(f, GridField)
+
+    def masses(values, d):
+        if f.N == 1:
+            return ulmorrey._interval_masses(f, values, np.array([abs(d)]), radii)[0]
+        return f.ball_weights(abs(d), radii) @ values
+
     for d in scan.centers:
         if spec.kind == "morrey":
             if grid:
-                avg = f.ball_weights(abs(d), radii) @ f.u**spec.alpha / vol * scale**spec.alpha
+                avg = masses(f.u**spec.alpha, d) / vol * scale**spec.alpha
             else:
                 avg = ball_average_power(f, spec.alpha, d, radii) * scale**spec.alpha
             q = np.array([x ** (f.N / spec.q) for x in radii.tolist()]) * np.power(avg, 1.0 / spec.alpha)
         elif grid:
-            avg = f.ball_weights(abs(d), radii) @ psi(spec.alpha, scale * f.u) / vol
+            avg = masses(psi(spec.alpha, scale * f.u), d) / vol
             q = eta(f.N, radii / spec.R) * psi_inv_array(spec.alpha, avg)
         else:
             q = eta(f.N, radii / spec.R) * orlicz_ball_average(f, spec.alpha, d, radii, scale=scale)
@@ -680,12 +728,16 @@ def test_grid_norm_equals_the_per_center_reference_bit_for_bit():
         *[(lambda f=f, spec=spec: norm(f, spec, ScanGrid(centers=(0.5, math.nan), radii=(0.5,))),
            "centers must be finite, got [0.5, nan]")
           for f in (_GRID, power_law(0.1, 0.4, 1)) for spec in (morrey(2.0, R=1.0), orlicz_eta(0.5, R=1.0))],
+        # the analytic shortcut for power data that diverge at the origin returned inf at center 0.0
+        (lambda: norm(power_law(0.1, 0.85, 1), morrey(1.25), ScanGrid(centers=(math.nan,), radii=(0.5,))),
+         "centers must be finite, got [nan]"),
         *[(lambda f=f: check_condition(ProblemParams(N=1, m=0.5, p=1.2), f, 0.5, 1.0, 1.0,
                                        scan=ScanGrid(centers=(-math.inf,), radii=(1.0,))),
            "centers must be finite, got [-inf]") for f in (_GRID, power_law(0.1, 0.4, 1))],
     ],
     ids=["kind", "R-0", "R-negative", "cap-below-dr", "no-radius-below-R", "nan-center-grid-morrey",
-         "nan-center-grid-orlicz", "nan-center-profile-morrey", "nan-center-profile-orlicz", "inf-center-grid-verdict",
+         "nan-center-grid-orlicz", "nan-center-profile-morrey", "nan-center-profile-orlicz",
+         "nan-center-analytic-divergence", "inf-center-grid-verdict",
          "inf-center-profile-verdict"],
 )
 def test_norm_input_checks_raise_with_their_message(call, message):
