@@ -347,13 +347,13 @@ def run_threshold(cfg: RunConfig) -> int:
         [s.c, s.status, "" if s.t_event is None else s.t_event, s.proxy_ratio, s.proxy_bounded, s.sup_final]
         for s in result.history
     ]
-    write_csv(
-        _out_path(cfg),
-        ["c", "status", "t_event", "proxy_ratio", "proxy_bounded", "sup_final"],
-        rows,
-        f"ok bracket=[{fmt(result.c_low)},{fmt(result.c_high)}]",
+    solver = cfg.solver
+    status = (
+        f"ok bracket=[{fmt(result.c_low)},{fmt(result.c_high)}] T={fmt(solver.t_end)} "
+        f"r_dom={fmt(solver.domain_radius())} n_cells={solver.n_cells} boundary={solver.boundary}"
     )
-    print(f"threshold bracket: [{fmt(result.c_low)}, {fmt(result.c_high)}] after {len(result.history)} runs")
+    write_csv(_out_path(cfg), ["c", "status", "t_event", "proxy_ratio", "proxy_bounded", "sup_final"], rows, status)
+    print(f"threshold: {status} after {len(result.history)} runs")
     return 0
 
 

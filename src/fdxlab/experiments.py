@@ -3,9 +3,9 @@ one SolverConfig, and decay-rate fits.
 
 Bisection labels follow the trace status: Completed counts as survival to the
 horizon; BlewUp, or a dt underflow (the source bound, at most dt_safety times
-the peak cell's blow-up time, shrinking below 1e-14 t_end as the sup runs
-away), counts as blow-up.  A stiff underflow (the diffusion step controller
-shrinking below that floor) is never a blow-up label: it says nothing about
+the peak cell's blow-up time, too small to move the clock as the sup runs
+away), counts as blow-up.  A stiff underflow (a rejected step's retry too
+small to move the clock) is never a blow-up label: it says nothing about
 the source.  Each sample also records the boundedness proxy
 sup_{last decade} t^{1/(p-1)} sup_norm against 10x its window median; the
 proxy flags slow blow-ups just past the horizon but does not flip the

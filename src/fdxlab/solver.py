@@ -58,7 +58,6 @@ STATUS_BLEW_UP = "blew_up"
 STATUS_DT_UNDERFLOW = "dt_underflow"
 STATUS_STIFF_UNDERFLOW = "stiff_underflow"
 
-_DT_UNDERFLOW_FRACTION = 1e-14
 # the step controller's tolerance is ERR_TOL_CELLS2 / n_cells^2; at 2.56 criterion 6's Barenblatt errors
 # stay within 25% of the space error alone (at 25.6 time and space errors cancel instead)
 ERR_TOL_CELLS2 = 2.56
@@ -417,22 +416,22 @@ def _steps(stepper: _Stepper, u: np.ndarray, cfg: SolverConfig) -> Generator[tup
     t_new is t + dt, or t_end within 1e-12 t_end of it, and blew says that
     new reached u_blowup.  Returns (status, t_event): (completed, None) at
     t_end, or the time at which the sup reached u_blowup (blew_up), the source
-    bound fell below 1e-14 t_end (dt_underflow) or the controller step did
-    (stiff_underflow).  A non-finite state raises RuntimeError.
+    bound could not move the clock t (dt_underflow) or a rejection's retry step
+    could not (stiff_underflow).  A non-finite state raises RuntimeError.
     """
     t_end, tol = cfg.t_end, ERR_TOL_CELLS2 / len(u) ** 2
-    end_tol, dt_min = 1e-12 * t_end, _DT_UNDERFLOW_FRACTION * t_end
+    end_tol = 1e-12 * t_end
     t, dt_ctrl, u_max = 0.0, t_end, float(u.max())
     while t < t_end and u_max < cfg.u_blowup:
         dt = stable_dt(u_max, cfg)
-        if dt < dt_min:
+        if t + dt == t:
             return STATUS_DT_UNDERFLOW, t
         dt = min(dt, dt_ctrl, t_end - t)
         new, err = stepper.apply(u, dt)
         fac = min(_FAC_MAX, max(_FAC_MIN, 0.9 * (tol / err) ** (1.0 / 3.0))) if err > 0.0 else _FAC_MAX
         if err > tol:
             dt_ctrl = dt * fac
-            if dt_ctrl < dt_min:
+            if t + dt_ctrl == t:
                 return STATUS_STIFF_UNDERFLOW, t
             continue
         # NaN if a cell is NaN, inf if one is inf; no cell is -inf, since stages are clamped or rejected at zero

@@ -534,6 +534,35 @@ def _blowup_cfg(**kw) -> SolverConfig:
 
 
 @pytest.mark.parametrize(
+    "prof, params, grid, horizons",
+    [
+        # a top-hat of mass 1 and half-width 0.01: the floor cells beside the spike hold the first steps near 5e-11,
+        # below 1e-14 t_end at t_end 1e4
+        (constant(50.0, 1, cutoff=0.01), ProblemParams(N=1, m=0.5, p=1.5),
+         dict(n_cells=1000, r_dom=10.0, u_floor=1e-8), (20.0, 1e4)),
+        # the sweep family at c = 1: the source bound passes 1e-14 t_end at t_end 1 before the sup reaches 1e8
+        (power_law(1.0, 0.8, 1), P3, dict(n_cells=400, r_dom=8.0), (1.0, 1e-4)),
+    ],
+    ids=["top-hat", "power"],
+)
+def test_label_and_blowup_time_do_not_depend_on_the_horizon(prof, params, grid, horizons):
+    # both runs take the source bound before either horizon binds, so they take the same steps to the same end
+    traces = [simulate(prof, SolverConfig(params=params, t_end=t_end, **grid), ()) for t_end in horizons]
+    assert [tr.status for tr in traces] == [STATUS_BLEW_UP] * 2
+    assert traces[0].t_event == traces[1].t_event < min(horizons)
+
+
+def test_flat_data_blow_up_at_the_closed_form_time():
+    # flat data feel no diffusion, so the floor-shifted datum 1 + u_floor blows up at (1 + u_floor)^{1-p} / (p - 1);
+    # the run reaches u_blowup within the last step's rounding of the clock
+    cfg = _cfg(P3, u_floor=1e-4)
+    trace = simulate(constant(1.0, 1), cfg, probes=[1.0])
+    assert trace.status == STATUS_BLEW_UP
+    assert trace.sup_norm[-1] >= cfg.u_blowup
+    assert trace.t_event == pytest.approx((1.0 + 1e-4) ** -2.0 / 2.0, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
     "prof, cfg, blows",
     [
         (power_law(0.0977, 0.8, 1), _sweep_cfg, False),
