@@ -16,7 +16,9 @@ One time step is the Strang split S(dt/2) D(dt) S(dt/2):
   Solving ODEs II, IV.7), which needs no J v products: one tridiagonal
   I - gamma dt J per step, factored once with LAPACK gttrf, serves the four
   stages and the error filter as five gttrs solves.  Every stage is in flux
-  form, so zero-flux runs conserve mass to rounding.
+  form, so zero-flux runs conserve mass to rounding.  The band copy, the
+  stages and the other work rows are one workspace per run, allocated when
+  the run starts and rewritten in place by every attempt.
 
 Diffusion is linearly implicit and L-stable, so the singular diffusivity
 m u^{m-1} sets no step bound.  The step is
@@ -26,14 +28,18 @@ m u^{m-1} sets no step bound.  The step is
 where the source bound is at most dt_safety times the peak cell's blow-up
 time u^{1-p}/(p-1), and the controller keeps the filtered embedded error
 of D, max |est| / (w + 1e-8 max w), below ERR_TOL_CELLS2 / n_cells^2,
-small enough that the time error stays below the space error.  Under
-"fixedfloor" the stages are clamped at u_floor; under "zeroflux" a stage
-that leaves positivity rejects the step.  The generator _steps alone
-decides the steps; simulate samples them, and output times only place the
-samples: a sample inside a step is the cubic Hermite dense output (Hairer,
-Norsett & Wanner, Solving ODEs I, II.6) of w = u^q, mapped back by w^{1/q},
-with q = 1 - p (source on) or 1 (off).  The pure reaction makes w linear in
-t, so flat-data samples are exact but for rounding, about eps/|q| relative.
+small enough that the time error stays below the space error.  D needs
+u > 0, since the diffusivity is unbounded at a zero cell: _steps checks the
+initial state once and ends a run with a zero cell stiff_underflow at t = 0.
+After that every state stays positive: under "fixedfloor" the stages are
+clamped at u_floor, under "zeroflux" a stage that leaves positivity rejects
+the step, and S only raises u.  The generator _steps alone decides the
+steps; simulate samples them, and output times only place the samples: a
+sample inside a step is the cubic Hermite dense output (Hairer, Norsett &
+Wanner, Solving ODEs I, II.6) of w = u^q, mapped back by w^{1/q}, with
+q = 1 - p (source on) or 1 (off), and the samples of one step are formed in
+one array pass.  The pure reaction makes w linear in t, so flat-data
+samples are exact but for rounding, about eps/|q| relative.
 
 Initial data are projected by exact cell averages of the profile, then
 regularized as min(., n) + 1/n with n = 1/u_floor.
@@ -294,16 +300,30 @@ class _Stepper:
         self.bands[1] = self.coef_c
         self.bands[2, 1:] = -self.coef_r[:-1]
         self.ghost_v = cfg.u_floor**self.m if self.floor is not None else 0.0
-        self.g = np.empty(n)  # face differences, rewritten by every div
         self.flow_cap = cfg.u_blowup ** (1.0 - self.p)
+        # the workspace, rewritten by every div and diffuse: face differences g with the view of its inner
+        # faces, the inner-face fluxes, the band copy that dgttrf factors in place with its three diagonals,
+        # the transformed stages z (one per row), the step scales h _COEFS, and the stage, u^m, d and
+        # estimate rows; only the new state of an attempt is allocated, since the caller keeps it
+        self.coef_l_in = self.coef_l[1:].copy()
+        self.g = np.empty(n)
+        self.g_in = self.g[:-1]
+        self.flux_in = np.empty(n - 1)
+        self.lu_bands = np.empty((3, n))
+        self.lu_diagonals = (self.lu_bands[0, :-1], self.lu_bands[1], self.lu_bands[2, 1:])
+        self.z = np.empty((4, n))
+        self.hc = np.empty(len(_COEFS))
+        self.stage, self.v, self.d, self.est = np.empty((4, n))
+        # per stage i = 1, 2, 3: its h A_ij, the z_j (j < i), its C_ij, and its z_i
+        self.stage_views = [(self.hc[a], self.z[:i], _C[i, :i], self.z[i]) for i, a in enumerate(_STAGE_ROWS, start=1)]
 
     def div(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """A v: the conservative flux divergence of v = u^m (fixed-floor ghost outside), into out if given."""
         g = self.g  # v_{i+1} - v_i at the outer face of cell i
-        np.subtract(v[1:], v[:-1], out=g[:-1])
+        np.subtract(v[1:], v[:-1], out=self.g_in)
         g[-1] = self.ghost_v - v[-1]
         out = np.multiply(self.coef_r, g, out=out)
-        out[1:] -= self.coef_l[1:] * g[:-1]
+        out[1:] -= np.multiply(self.coef_l_in, self.g_in, out=self.flux_in)
         return out
 
     def dense(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,52 +360,52 @@ class _Stepper:
         s = np.maximum(1.0 - ph * g, reach)
         return np.where(s > reach, u * s ** (1.0 / (1.0 - p)), self.cfg.u_blowup)
 
-    def _admissible(self, u: np.ndarray) -> Optional[np.ndarray]:
-        """Clamp a stage at the floor (fixedfloor); None if a cell is not positive (zeroflux)."""
-        if self.floor is not None:
-            return np.maximum(u, self.floor, out=u)
-        return None if u.min() <= 0.0 else u
-
     def diffuse(self, u: np.ndarray, h: float) -> tuple[Optional[np.ndarray], float]:
-        """One ROS34PW2 step for u' = A(u^m) with J = A diag(m u^{m-1}).
+        """One ROS34PW2 step for u' = A(u^m) with J = A diag(m u^{m-1}), from u > 0 (left unchanged).
 
         Returns the new state and the error norm max |est| / (w + 1e-8 max w)
         of the filtered embedded estimate est = (I - gamma h J)^{-1} h sum_i E_i z_i,
         the difference of the third- and second-order solutions; the state is
-        None and the norm inf when a stage leaves positivity.
+        None and the norm inf when a stage leaves positivity (zeroflux), while
+        fixedfloor clamps every stage at the floor.  u must be positive, since
+        the diffusivity m u^{m-1} is unbounded at a zero cell: _steps checks
+        the initial state, and the stages keep it.  The work arrays are the
+        stepper's workspace, so only the returned state is new.
         """
-        if u.min() <= 0.0:  # the diffusivity m u^{m-1} is unbounded
-            return None, math.inf
-        m = self.m
-        v = u**m
-        d = m * v / u
-        w = (_GAMMA * h) * self.bands  # I - gamma h J by diagonals
+        m, floor, z, stage, v = self.m, self.floor, self.z, self.stage, self.v
+        v[:] = u
+        v **= m  # in place, as u**m would be computed
+        d = np.multiply(m, v, out=self.d)
+        d /= u
+        w = np.multiply(self.bands, _GAMMA * h, out=self.lu_bands)  # I - gamma h J by diagonals
         w *= d
         w[1] += 1.0
-        *lu, info = dgttrf(w[0, :-1], w[1], w[2, 1:], overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        *lu, info = dgttrf(*self.lu_diagonals, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
         if info != 0:
             raise LinAlgError(f"I - gamma h J is singular (dgttrf info={info})")
-
-        def solve(b):  # in place: b is a contiguous row
-            dgttrs(*lu, b, overwrite_b=True)
-
-        hc = h * _COEFS
-        z = np.empty((4, len(u)))  # the transformed stages, one per row
-        solve(self.div(v, out=z[0]))
-        for i, a in enumerate(_STAGE_ROWS, start=1):
-            stage = self._admissible(u + hc[a] @ z[:i])
-            if stage is None:
+        hc = np.multiply(_COEFS, h, out=self.hc)
+        dgttrs(*lu, self.div(v, out=z[0]), overwrite_b=True)  # every solve is in place in a contiguous row
+        for ha, z_prev, c, zi in self.stage_views:
+            np.dot(ha, z_prev, out=stage)
+            stage += u
+            if floor is not None:
+                np.maximum(stage, floor, out=stage)
+            elif stage.min() <= 0.0:
                 return None, math.inf
-            zi = self.div(stage**m, out=z[i])
-            zi += _C[i, :i] @ z[:i]
-            solve(zi)
-        new = self._admissible(u + hc[_M_ROW] @ z)
-        if new is None:
+            stage **= m
+            self.div(stage, out=zi)
+            zi += np.dot(c, z_prev, out=stage)  # div has read the stage, so its row is free
+            dgttrs(*lu, zi, overwrite_b=True)
+        new = np.dot(hc[_M_ROW], z)
+        new += u
+        if floor is not None:
+            np.maximum(new, floor, out=new)
+        elif new.min() <= 0.0:
             return None, math.inf
-        est = hc[_E_ROW] @ z
-        solve(est)
+        est = np.dot(hc[_E_ROW], z, out=self.est)
+        dgttrs(*lu, est, overwrite_b=True)
         np.abs(est, out=est)
-        est /= new + 1e-8 * new.max()
+        est /= np.add(new, 1e-8 * new.max(), out=stage)
         return new, float(est.max())
 
     def apply(self, u: np.ndarray, dt: float) -> tuple[Optional[np.ndarray], float]:
@@ -418,10 +438,15 @@ def _steps(stepper: _Stepper, u: np.ndarray, cfg: SolverConfig) -> Generator[tup
     t_end, or the time at which the sup reached u_blowup (blew_up), the source
     bound could not move the clock t (dt_underflow) or a rejection's retry step
     could not (stiff_underflow).  A non-finite state raises RuntimeError.
+    The attempts need u > 0 (_Stepper.diffuse), and only the initial state
+    can break that, so it alone is checked: a zero cell ends the run
+    stiff_underflow at t = 0 with no attempt, since no step could be accepted.
     """
     t_end, tol = cfg.t_end, ERR_TOL_CELLS2 / len(u) ** 2
     end_tol = 1e-12 * t_end
     t, dt_ctrl, u_max = 0.0, t_end, float(u.max())
+    if u_max < cfg.u_blowup and u.min() <= 0.0:  # the diffusivity m u^{m-1} is unbounded at a zero cell
+        return STATUS_STIFF_UNDERFLOW, t
     while t < t_end and u_max < cfg.u_blowup:
         dt = stable_dt(u_max, cfg)
         if t + dt == t:
@@ -447,6 +472,19 @@ def _steps(stepper: _Stepper, u: np.ndarray, cfg: SolverConfig) -> Generator[tup
     return (STATUS_BLEW_UP, t) if u_max >= cfg.u_blowup else (STATUS_COMPLETED, None)
 
 
+# samples interpolated together hold at most this many values, so a tiny output interval never builds one
+# (samples x cells) array
+_SAMPLE_VALUES = 1 << 16
+
+
+def _hermite(s: float, t: float, dt: float) -> tuple:
+    """The cubic Hermite basis at time s of the step [t, t + dt], with dt on the two slope terms."""
+    th = (s - t) / dt
+    h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
+    h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
+    return h00, h01, h10, h11
+
+
 def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) -> SolverTrace:
     """Sample the steps that _steps takes from the regularized projection of the profile.
 
@@ -455,7 +493,10 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     A sample inside a step is the dense output of the module docstring, from
     the Hermite data of the step's end states (_Stepper.dense), but never in
     a step that reaches u_blowup; a run that ends early records its end
-    state at t_event.  A probe radius beyond R_dom raises ValueError.
+    state at t_event.  The samples inside one step are interpolated together,
+    one (samples x cells) array per at most _SAMPLE_VALUES values, with the
+    Hermite weights of each sample as floats, so each sample has the bits of
+    its own interpolant.  A probe radius beyond R_dom raises ValueError.
     """
     probes = check_probes(probes, cfg.domain_radius())
     field = project_initial(profile, cfg)
@@ -463,17 +504,24 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
     u = field.u.copy()  # the steps advance this copy; every sample is written into field, the last being the end state
     times, sups, masses = [], [], []
 
-    def record(t: float, state: np.ndarray) -> None:
-        field.u[:] = state
-        times.append(t)
-        sups.append(float(field.u.max()))
-        masses.append([field.ball_mass(s) for s in probes])
+    def record(ts: list, states: np.ndarray) -> None:
+        """Append the samples states[j] at the times ts[j]; field keeps the last."""
+        times.extend(ts)
+        sups.extend(states.max(axis=1).tolist())
+        if probes:
+            for state in states:
+                field.u[:] = state
+                masses.append([field.ball_mass(s) for s in probes])
+        else:
+            masses.extend([] for _ in ts)
+            field.u[:] = states[-1]
 
     t_end, out_dt = cfg.t_end, cfg.output_interval()
     end_tol = 1e-12 * t_end
     out_times = (t_end if k * out_dt >= t_end - end_tol else k * out_dt for k in itertools.count(1))
     next_out = next(out_times)
-    record(0.0, u)
+    chunk = max(1, _SAMPLE_VALUES // len(u))
+    record([0.0], u[None])
     dense_u = None  # the Hermite data of u, kept from the last step that interpolated a sample
     steps = _steps(stepper, u, cfg)
     while True:
@@ -482,24 +530,25 @@ def simulate(profile: RadialProfile, cfg: SolverConfig, probes: list | tuple) ->
         except StopIteration as end:
             status, t_event = end.value
             break
-        dense_new = None
+        inside = []
         while next_out < t_new - end_tol and not blew:
-            if dense_new is None:
-                dense_u = stepper.dense(u) if dense_u is None else dense_u
-                dense_new = stepper.dense(new)
-            (w0, dw0), (w1, dw1) = dense_u, dense_new
-            th = (next_out - t) / dt
-            h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
-            h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
-            record(next_out, (h00 * w0 + h01 * w1 + h10 * dw0 + h11 * dw1) ** (1.0 / stepper.q))
+            inside.append(next_out)
             next_out = next(out_times)
-        dense_u = dense_new
+        if inside:
+            (w0, dw0), (w1, dw1) = dense_u or stepper.dense(u), stepper.dense(new)
+            for k in range(0, len(inside), chunk):
+                ts = inside[k:k + chunk]
+                h = np.array([_hermite(s, t, dt) for s in ts]).T[..., None]  # (4, samples, 1)
+                record(ts, (h[0] * w0 + h[1] * w1 + h[2] * dw0 + h[3] * dw1) ** (1.0 / stepper.q))
+            dense_u = w1, dw1  # new is the next step's u
+        else:
+            dense_u = None
         if abs(next_out - t_new) <= end_tol:
-            record(next_out, new)
+            record([next_out], new[None])
             next_out = next(out_times)
 
     if t_event is not None and t_event > times[-1] + end_tol:
-        record(t_event, u)
+        record([t_event], u[None])
 
     return SolverTrace(
         times=np.asarray(times),

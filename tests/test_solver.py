@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -28,6 +29,7 @@ from fdxlab.solver import (
     _M,
     _Stepper,
     _steps,
+    check_probes,
     project_initial,
     scaling_transform,
     simulate,
@@ -350,6 +352,54 @@ def _plain_apply(stepper: _Stepper, u: np.ndarray, dt: float):
     return (None if new is None else _plain_source_flow(stepper, new, 0.5 * dt)), err
 
 
+def _plain_simulate(profile, cfg: SolverConfig, probes) -> SolverTrace:
+    """simulate with one interpolant, one sup and one record per sample: simulate interpolates the samples of a
+    step together and must reproduce these bits exactly."""
+    probes = check_probes(probes, cfg.domain_radius())
+    field = project_initial(profile, cfg)
+    stepper = _Stepper(field, cfg)
+    u = field.u.copy()
+    times, sups, masses = [], [], []
+
+    def record(t, state):
+        field.u[:] = state
+        times.append(t)
+        sups.append(float(field.u.max()))
+        masses.append([field.ball_mass(s) for s in probes])
+
+    t_end, out_dt = cfg.t_end, cfg.output_interval()
+    end_tol = 1e-12 * t_end
+    out_times = (t_end if k * out_dt >= t_end - end_tol else k * out_dt for k in itertools.count(1))
+    next_out = next(out_times)
+    record(0.0, u)
+    dense_u = None
+    steps = _steps(stepper, u, cfg)
+    while True:
+        try:
+            t, t_new, dt, new, blew = next(steps)
+        except StopIteration as end:
+            status, t_event = end.value
+            break
+        dense_new = None
+        while next_out < t_new - end_tol and not blew:
+            if dense_new is None:
+                dense_u = stepper.dense(u) if dense_u is None else dense_u
+                dense_new = stepper.dense(new)
+            (w0, dw0), (w1, dw1) = dense_u, dense_new
+            th = (next_out - t) / dt
+            h00, h01 = (1.0 + 2.0 * th) * (1.0 - th) ** 2, th * th * (3.0 - 2.0 * th)
+            h10, h11 = th * (1.0 - th) ** 2 * dt, th * th * (th - 1.0) * dt
+            record(next_out, (h00 * w0 + h01 * w1 + h10 * dw0 + h11 * dw1) ** (1.0 / stepper.q))
+            next_out = next(out_times)
+        dense_u = dense_new
+        if abs(next_out - t_new) <= end_tol:
+            record(next_out, new)
+            next_out = next(out_times)
+    if t_event is not None and t_event > times[-1] + end_tol:
+        record(t_event, u)
+    return SolverTrace(np.asarray(times), np.asarray(sups), probes, np.asarray(masses), status, t_event, field)
+
+
 def _assert_same_step(stepper: _Stepper, u: np.ndarray, dt: float) -> None:
     before = u.copy()
     new, err = stepper.apply(u, dt)
@@ -381,6 +431,72 @@ def test_step_reproduces_the_plain_step_bit_for_bit(N, boundary, p):
     _assert_same_step(stepper, u, dt)
     # a source-free stepper diffuses only
     _assert_same_step(_Stepper(GridField(N, 0.05, u, 2.0), replace(cfg, source_on=False)), u, dt)
+
+
+def test_workspace_reuse_keeps_the_bits(monkeypatch):
+    # one stepper's workspace serves every attempt: an attempt that returns early leaves it half written, and
+    # the next attempts must not read what it left; under zeroflux h = 1 leaves positivity at the first stage
+    solves = []
+    monkeypatch.setattr("fdxlab.solver.dgttrs", lambda *a, **kw: solves.append(1) or dgttrs(*a, **kw))
+    cfg = _cfg(P3, n_cells=40, r_dom=2.0, u_floor=1e-3)
+    grid = GridField(1, 0.05, np.ones(40), 2.0)
+    stepper = _Stepper(grid, cfg)
+    u = 1e-3 + np.exp(-20.0 * grid.r**2)
+    tol = ERR_TOL_CELLS2 / 40**2
+    for h, outcome in ((1.0, "early"), (1e-3, "rejected"), (1e-4, "accepted")):
+        del solves[:]
+        new, err = stepper.diffuse(u, h)
+        ref_new, ref_err = _Stepper(grid, cfg).diffuse(u, h)
+        assert err == ref_err
+        if outcome == "early":
+            assert new is ref_new is None and len(solves) == 2  # z_0 only, on each stepper
+        else:
+            np.testing.assert_array_equal(new, ref_new)
+            assert (err > tol) == (outcome == "rejected")
+    # each stepper has its own workspace, and the states it returns are its caller's
+    other = _Stepper(grid, cfg)
+    buffers = [[a for a in vars(s).values() if isinstance(a, np.ndarray)] for s in (stepper, other)]
+    assert len(buffers[0]) >= 8
+    assert not any(np.shares_memory(a, b) for a in buffers[0] for b in buffers[1])
+    assert not any(np.shares_memory(new, a) for a in buffers[0])
+
+
+_SAMPLED = [(power_law(0.1, 0.8, N, cutoff=2.0), N, boundary, source_on)
+            for N in (1, 2, 3) for boundary in ("zeroflux", "fixedfloor") for source_on in (True, False)]
+
+
+@pytest.mark.parametrize("probes", [(), (0.05, 0.5, 1.0)], ids=["no-probes", "probes"])
+@pytest.mark.parametrize("prof, N, boundary, source_on", _SAMPLED,
+                         ids=[f"N{N}-{b}-{'source' if s else 'nosource'}" for _, N, b, s in _SAMPLED])
+def test_simulate_samples_reproduce_the_plain_sampler_bit_for_bit(prof, N, boundary, source_on, probes):
+    # an output interval far below the step size: the longest step of each run holds 38 to 57 samples
+    cfg = _cfg(ProblemParams(N=N, m=0.5, p=3.0), t_end=0.2, boundary=boundary, u_floor=1e-4, source_on=source_on,
+               out_interval=7e-4)
+    _assert_same_trace(simulate(prof, cfg, probes), _plain_simulate(prof, cfg, probes))
+
+
+@pytest.mark.parametrize("values", [None, 3 * 64], ids=["default-chunk", "three-sample-chunks"])
+def test_blowup_and_chunked_samples_reproduce_the_plain_sampler(monkeypatch, values):
+    if values is not None:
+        monkeypatch.setattr("fdxlab.solver._SAMPLE_VALUES", values)
+    # flat data reach u_blowup in a step that takes no samples, after a first step that holds 2,249 samples,
+    # more than the 1,024 of a default chunk at 64 cells; N = 2 power data hold up to 341 samples per step
+    runs = [(constant(1.0, 1), _cfg(P3, u_floor=1e-4, out_interval=2e-4), STATUS_BLEW_UP),
+            (power_law(0.1, 0.8, 2), _cfg(ProblemParams(N=2, m=0.5, p=3.0), t_end=0.2, out_interval=1e-4),
+             STATUS_COMPLETED)]
+    for prof, cfg, status in runs:
+        trace = simulate(prof, cfg, probes=[0.5, 1.0])
+        _assert_same_trace(trace, _plain_simulate(prof, cfg, [0.5, 1.0]))
+        assert trace.status == status
+        assert len(trace.times) > 100
+
+
+def _assert_same_trace(trace: SolverTrace, ref: SolverTrace) -> None:
+    for name in ("times", "sup_norm", "ball_mass"):
+        a, b = getattr(trace, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert trace.final_field.u.tobytes() == ref.final_field.u.tobytes()
+    assert (trace.status, trace.t_event) == (ref.status, ref.t_event)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
@@ -634,6 +750,8 @@ def test_call_counts_that_the_benchmark_tracer_reads(monkeypatch, prof, cfg, sta
     assert calls["ball_mass"] == len(probes) * len(trace.times)
     if status == STATUS_COMPLETED:  # a rejected attempt calls stable_dt too
         assert max(errs) > ERR_TOL_CELLS2 / cfg.n_cells**2
+    if status == STATUS_STIFF_UNDERFLOW:  # the zero cells end the run before any attempt
+        assert errs == [] and calls["stable_dt"] == 0
 
 
 @pytest.mark.parametrize("c", [0.03, 0.0625])
