@@ -86,7 +86,8 @@ def threshold_sweep(
     Each run is simulate(replace(profile, c=c), cfg, ()) to the horizon cfg.t_end, so the
     profile's own c is never run and, as a sample reads only the status, t_event and sup norms,
     no ball mass is recorded.  A geometric scan from c_start, halving c while runs blow up and doubling it while they survive (at most MAX_SCANS
-    runs), finds the bracket; bisect_steps halvings narrow it to (initial width) * 2^{-bisect_steps}.
+    runs), finds the bracket; bisect_steps halvings narrow it to (initial width) * 2^{-bisect_steps}, or
+    stop early once its ends are adjacent floats, so no c runs twice.
     A barenblatt profile has no amplitude and raises ValueError before the first run.
     """
     if bisect_steps < MIN_BISECT_STEPS:
@@ -124,6 +125,8 @@ def threshold_sweep(
     lo, hi = (c, prev) if first_blew else (prev, c)
     for _ in range(bisect_steps):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: every further midpoint is one of them, already run
+            break
         if blew(mid):
             hi = mid
         else:

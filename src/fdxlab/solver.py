@@ -14,11 +14,17 @@ One time step is the Strang split S(dt/2) D(dt) S(dt/2):
   second-order solution, for u' = A(u^m) with the exact Jacobian
   J = A diag(m u^{m-1}).  It runs in the transformed form (Hairer & Wanner,
   Solving ODEs II, IV.7), which needs no J v products: one tridiagonal
-  I - gamma dt J per step, factored once with LAPACK gttrf, serves the four
-  stages and the error filter as five gttrs solves.  Every stage is in flux
-  form, so zero-flux runs conserve mass to rounding.  The band copy, the
-  stages and the other work rows are one workspace per run, allocated when
-  the run starts and rewritten in place by every attempt.
+  I - gamma dt J per step serves the four stages and the error filter as
+  five solves.  With the cell volumes V, S = V(-A) is symmetric (its face
+  weights are area / dr), and D = diag(m u^{m-1}) gives I - gamma dt J =
+  V^{-1} M D with M = V D^{-1} + gamma dt S: symmetric, positive definite
+  and strictly diagonally dominant, with every pivot of its LDL^T
+  factorization at least V_i / D_i > 0.  LAPACK pttrf factors M once per
+  step without pivoting, and each solve is z = D^{-1} M^{-1} (V r), a pttrs
+  solve between the two diagonal scalings.  Every stage is in flux form, so
+  zero-flux runs conserve mass to rounding.  The factors, the stages and
+  the other work rows are one workspace per run, allocated when the run
+  starts and rewritten in place by every attempt.
 
 Diffusion is linearly implicit and L-stable, so the singular diffusivity
 m u^{m-1} sets no step bound.  The step is
@@ -54,7 +60,7 @@ from typing import Generator, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .exponents import ProblemParams, check_finite_positive, derive_exponents
 from .profiles import BALL_VOLUME, SPHERE_AREA, RadialProfile, cell_averages, lens_volume
@@ -207,7 +213,9 @@ class SolverConfig:
             raise ValueError(f"u_blowup must be > 1, got {self.u_blowup!r}")
         if not self.u_floor >= 0.0:
             raise ValueError(f"u_floor must be >= 0, got {self.u_floor!r}")
-        if not self.n_cells >= 3:  # scipy's dgttrf wrapper rejects a 2 x 2 system
+        # dpttrf takes 2 cells (it rejects 1), but a 2-cell grid has no interior cell, so no row of A carries
+        # the full three-point stencil, and the pivoted dgttrf oracle of the tests rejects a 2 x 2 system
+        if not self.n_cells >= 3:
             raise ValueError(f"n_cells must be >= 3, got {self.n_cells!r}")
         if self.r_dom is not None:
             check_finite_positive("r_dom", self.r_dom)
@@ -282,35 +290,34 @@ class _Stepper:
     def __init__(self, field: GridField, cfg: SolverConfig):
         areas = field.edges ** (field.N - 1)
         areas[0] = 0.0  # symmetry at the origin, also forces N=1 inner face off
-        scale = 1.0 / (field.dr * field.volumes)
+        self.vol = field.volumes
+        scale = 1.0 / (field.dr * self.vol)
         self.coef_r = areas[1:] * scale  # multiplies flux through the outer face of cell i
         self.coef_l = areas[:-1] * scale
         self.cfg = cfg
         self.m, self.p = cfg.params.m, cfg.params.p
         self.q = 1.0 - self.p if cfg.source_on else 1.0  # samples interpolate w = u^q
         self.floor = cfg.u_floor if cfg.boundary == "fixedfloor" else None
+        faces = areas / field.dr  # the face weights a_{i+1/2} / dr of S = V(-A)
         if self.floor is None:
-            self.coef_r[-1] = 0.0  # zero flux through the domain boundary
+            self.coef_r[-1] = faces[-1] = 0.0  # zero flux through the domain boundary
         self.coef_c = self.coef_r + self.coef_l  # the diagonal of -A
-        # -A by diagonals, each entry in the column of the cell whose u^{m-1} it multiplies in J:
-        # the sub-diagonal -coef_l[1:] in row 0, the diagonal in row 1, the super-diagonal -coef_r[:-1] in row 2
-        n = len(field.u)
-        self.bands = np.zeros((3, n))
-        self.bands[0, :-1] = -self.coef_l[1:]
-        self.bands[1] = self.coef_c
-        self.bands[2, 1:] = -self.coef_r[:-1]
+        # S = V(-A) by diagonals, symmetric by construction: its diagonal holds both faces of each cell (the
+        # fixed-floor face included), its off-diagonal the inner faces with a minus sign
+        self.s_diag = faces[:-1] + faces[1:]
+        self.s_off = -faces[1:-1]
         self.ghost_v = cfg.u_floor**self.m if self.floor is not None else 0.0
         self.flow_cap = cfg.u_blowup ** (1.0 - self.p)
         # the workspace, rewritten by every div and diffuse: face differences g with the view of its inner
-        # faces, the inner-face fluxes, the band copy that dgttrf factors in place with its three diagonals,
-        # the transformed stages z (one per row), the step scales h _COEFS, and the stage, u^m, d and
-        # estimate rows; only the new state of an attempt is allocated, since the caller keeps it
+        # faces, the inner-face fluxes, the diagonal and off-diagonal that dpttrf factors in place, the
+        # transformed stages z (one per row), the step scales h _COEFS, and the stage, u^m, d and estimate
+        # rows; only the new state of an attempt is allocated, since the caller keeps it
+        n = len(field.u)
         self.coef_l_in = self.coef_l[1:].copy()
         self.g = np.empty(n)
         self.g_in = self.g[:-1]
         self.flux_in = np.empty(n - 1)
-        self.lu_bands = np.empty((3, n))
-        self.lu_diagonals = (self.lu_bands[0, :-1], self.lu_bands[1], self.lu_bands[2, 1:])
+        self.ldl_d, self.ldl_e = np.empty(n), np.empty(n - 1)
         self.z = np.empty((4, n))
         self.hc = np.empty(len(_COEFS))
         self.stage, self.v, self.d, self.est = np.empty((4, n))
@@ -369,22 +376,31 @@ class _Stepper:
         None and the norm inf when a stage leaves positivity (zeroflux), while
         fixedfloor clamps every stage at the floor.  u must be positive, since
         the diffusivity m u^{m-1} is unbounded at a zero cell: _steps checks
-        the initial state, and the stages keep it.  The work arrays are the
-        stepper's workspace, so only the returned state is new.
+        the initial state, and the stages keep it.
+
+        With D = diag(m u^{m-1}) and the cell volumes V, I - gamma h J =
+        V^{-1} M D, where M = V D^{-1} + gamma h S and S = V(-A) is symmetric.
+        M is then symmetric, positive definite and strictly diagonally
+        dominant, and every pivot of its LDL^T factorization is at least
+        V_i / D_i > 0, so LAPACK dpttrf factors it once without pivoting, and
+        each of the five solves is z = D^{-1} M^{-1} (V r): a scaling by V, a
+        dpttrs solve and a division by D.  A pivot that rounding leaves at or
+        below zero raises LinAlgError.  The work arrays are the stepper's
+        workspace, so only the returned state is new.
         """
         m, floor, z, stage, v = self.m, self.floor, self.z, self.stage, self.v
         v[:] = u
         v **= m  # in place, as u**m would be computed
         d = np.multiply(m, v, out=self.d)
         d /= u
-        w = np.multiply(self.bands, _GAMMA * h, out=self.lu_bands)  # I - gamma h J by diagonals
-        w *= d
-        w[1] += 1.0
-        *lu, info = dgttrf(*self.lu_diagonals, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        gh = _GAMMA * h
+        diagonal = np.divide(self.vol, d, out=self.ldl_d)  # M = V/D + gamma h S by diagonals
+        diagonal += np.multiply(self.s_diag, gh, out=stage)
+        *ldl, info = dpttrf(diagonal, np.multiply(self.s_off, gh, out=self.ldl_e), overwrite_d=True, overwrite_e=True)
         if info != 0:
-            raise LinAlgError(f"I - gamma h J is singular (dgttrf info={info})")
+            raise LinAlgError(f"I - gamma h J is numerically singular: pivot {info} of M is not positive (dpttrf)")
         hc = np.multiply(_COEFS, h, out=self.hc)
-        dgttrs(*lu, self.div(v, out=z[0]), overwrite_b=True)  # every solve is in place in a contiguous row
+        self._solve(ldl, self.div(v, out=z[0]))  # every solve is in place in a contiguous row
         for ha, z_prev, c, zi in self.stage_views:
             np.dot(ha, z_prev, out=stage)
             stage += u
@@ -395,18 +411,24 @@ class _Stepper:
             stage **= m
             self.div(stage, out=zi)
             zi += np.dot(c, z_prev, out=stage)  # div has read the stage, so its row is free
-            dgttrs(*lu, zi, overwrite_b=True)
+            self._solve(ldl, zi)
         new = np.dot(hc[_M_ROW], z)
         new += u
         if floor is not None:
             np.maximum(new, floor, out=new)
         elif new.min() <= 0.0:
             return None, math.inf
-        est = np.dot(hc[_E_ROW], z, out=self.est)
-        dgttrs(*lu, est, overwrite_b=True)
+        est = self._solve(ldl, np.dot(hc[_E_ROW], z, out=self.est))
         np.abs(est, out=est)
         est /= np.add(new, 1e-8 * new.max(), out=stage)
         return new, float(est.max())
+
+    def _solve(self, ldl: list, r: np.ndarray) -> np.ndarray:
+        """r <- D^{-1} M^{-1} (V r) = (I - gamma h J)^{-1} r in place, with diffuse's LDL^T factors of M and D."""
+        r *= self.vol
+        dpttrs(*ldl, r, overwrite_b=True)
+        r /= self.d
+        return r
 
     def apply(self, u: np.ndarray, dt: float) -> tuple[Optional[np.ndarray], float]:
         """One Strang step S(dt/2) D(dt) S(dt/2) from u (left unchanged).

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fdxlab.exponents import ProblemParams
-from fdxlab.profiles import barenblatt, constant
-from fdxlab.solver import STATUS_COMPLETED, GridField, SolverConfig, SolverTrace, simulate
+from fdxlab.profiles import barenblatt, constant, power_law
+from fdxlab.solver import STATUS_BLEW_UP, STATUS_COMPLETED, GridField, SolverConfig, SolverTrace, simulate
 from fdxlab.experiments import decay_fit, decay_proxy, threshold_sweep
 
 P2 = ProblemParams(N=1, m=0.5, p=2.0)
@@ -84,6 +84,37 @@ def test_bracket_scan_run_order_is_pinned(c_start, expected):
     # the scan doubles c from a survivor and halves it from a blow-up, then bisects 4 times
     res = threshold_sweep(constant(1.0, 1), _control_cfg(P2), 4, c_start=c_start)
     assert [s.c for s in res.history] == expected
+
+
+def test_bisection_stops_at_adjacent_floats(monkeypatch):
+    # a sharp label at c_star: 60 halvings of [0.125, 0.25] pass the float spacing after 52, where the loop that
+    # halved bisect_steps times ran the bracket's ends again; the bracket does not change
+    c_star, cfg = 0.13526832491755664, _control_cfg(P2)
+    runs = []
+
+    def labelled(profile, cfg, probes):
+        runs.append(profile.c)
+        status = STATUS_BLEW_UP if profile.c > c_star else STATUS_COMPLETED
+        return SolverTrace(np.array([0.0, cfg.t_end]), np.ones(2), (), np.empty((2, 0)), status)
+
+    monkeypatch.setattr("fdxlab.experiments.simulate", labelled)
+    res = threshold_sweep(constant(1.0, 1), cfg, 60)
+    lo, hi = 0.125, 0.25  # halving from c_start = 1 blows up down to 0.25; 0.125 survives
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid > c_star else (mid, hi)
+    assert (res.c_low, res.c_high) == (lo, hi) == (c_star, np.nextafter(c_star, 1.0))
+    assert runs == [s.c for s in res.history] and len(set(runs)) == len(runs) == 4 + 52
+
+
+def test_bisection_past_the_float_spacing_runs_no_c_twice():
+    # the 64-cell CI threshold config at 60 halvings: the bracket's ends become adjacent floats after 52
+    cfg = SolverConfig(params=P3, t_end=0.05, n_cells=64, r_dom=4.0)
+    res = threshold_sweep(power_law(1.0, 0.8, 1), cfg, 60)
+    cs = [s.c for s in res.history]
+    assert len(set(cs)) == len(cs) == 4 + 52
+    assert res.c_high == np.nextafter(res.c_low, 1.0)
+    assert all((s.status == STATUS_COMPLETED) == (s.c <= res.c_low) for s in res.history)
 
 
 def test_threshold_requires_minimum_bisection():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse import diags
 
 from fdxlab.exponents import ProblemParams
@@ -318,19 +318,28 @@ def _plain_admissible(stepper: _Stepper, u: np.ndarray):
     return None if u.min() <= 0.0 else u
 
 
-def _plain_diffuse(stepper: _Stepper, u: np.ndarray, h: float):
-    if u.min() <= 0.0:
-        return None, np.inf
-    m, gh = stepper.m, _GAMMA * h
-    v = u**m
-    d = m * v / u
+def _symmetric_solve(stepper: _Stepper, d: np.ndarray, gh: float):
+    """(I - gamma h J)^{-1} = D^{-1} M^{-1} V with M = V/D + gamma h S factored by dpttrf, as in the solver."""
+    *ldl, info = dpttrf(stepper.vol / d + gh * stepper.s_diag, gh * stepper.s_off)
+    assert info == 0
+    return lambda b: dpttrs(*ldl, stepper.vol * b)[0] / d
+
+
+def _pivoted_solve(stepper: _Stepper, d: np.ndarray, gh: float):
+    """(I - gamma h J)^{-1} by the pivoted general tridiagonal dgttrf, the solver's solve before the symmetric one."""
     *lu, info = dgttrf(-gh * stepper.coef_l[1:] * d[:-1], 1.0 + gh * stepper.coef_c * d,
                        -gh * stepper.coef_r[:-1] * d[1:], overwrite_dl=True, overwrite_d=True, overwrite_du=True)
     assert info == 0
+    return lambda b: dgttrs(*lu, b, overwrite_b=True)[0]
 
-    def solve(b):
-        return dgttrs(*lu, b, overwrite_b=True)[0]
 
+def _plain_diffuse(stepper: _Stepper, u: np.ndarray, h: float, factor=_symmetric_solve):
+    if u.min() <= 0.0:
+        return None, np.inf
+    m = stepper.m
+    v = u**m
+    d = m * v / u
+    solve = factor(stepper, d, _GAMMA * h)
     z = np.empty((4, len(u)))
     z[0] = solve(_plain_div(stepper, v))
     for i in range(1, 4):
@@ -437,7 +446,7 @@ def test_workspace_reuse_keeps_the_bits(monkeypatch):
     # one stepper's workspace serves every attempt: an attempt that returns early leaves it half written, and
     # the next attempts must not read what it left; under zeroflux h = 1 leaves positivity at the first stage
     solves = []
-    monkeypatch.setattr("fdxlab.solver.dgttrs", lambda *a, **kw: solves.append(1) or dgttrs(*a, **kw))
+    monkeypatch.setattr("fdxlab.solver.dpttrs", lambda *a, **kw: solves.append(1) or dpttrs(*a, **kw))
     cfg = _cfg(P3, n_cells=40, r_dom=2.0, u_floor=1e-3)
     grid = GridField(1, 0.05, np.ones(40), 2.0)
     stepper = _Stepper(grid, cfg)
@@ -459,6 +468,128 @@ def test_workspace_reuse_keeps_the_bits(monkeypatch):
     assert len(buffers[0]) >= 8
     assert not any(np.shares_memory(a, b) for a in buffers[0] for b in buffers[1])
     assert not any(np.shares_memory(new, a) for a in buffers[0])
+
+
+def _thomas(sub: list, diag: list, sup: list, b: list) -> list:
+    """The tridiagonal system with sub-diagonal sub[1:], diagonal diag and super-diagonal sup[:-1], solved by
+    elimination without pivoting, one cell at a time in the scalars' own precision."""
+    n = len(b)
+    sup_p, b_p = [sup[0] / diag[0]], [b[0] / diag[0]]
+    for i in range(1, n):
+        pivot = diag[i] - sub[i] * sup_p[-1]
+        sup_p.append(sup[i] / pivot)
+        b_p.append((b[i] - sub[i] * b_p[-1]) / pivot)
+    x = [b_p[-1]]
+    for i in range(n - 2, -1, -1):
+        x.append(b_p[i] - sup_p[i] * x[-1])
+    return x[::-1]
+
+
+def _longdouble_diffuse(field: GridField, cfg: SolverConfig, u: np.ndarray, h: float):
+    """The step of _Stepper.diffuse in np.longdouble: the flux operator from the grid's edges, and every solve
+    with I - gamma h J = I - gamma h A diag(m u^{m-1}) a Thomas sweep.  Returns the new state, or None where a
+    zero-flux stage leaves positivity."""
+    ld = np.longdouble
+    n, N, m = len(u), field.N, ld(cfg.params.m)
+    edges = np.arange(n + 1, dtype=ld) * ld(field.dr)
+    vol = (edges[1:] ** N - edges[:-1] ** N) / N
+    faces = edges ** (N - 1) / ld(field.dr)  # face area / dr; the origin face has none
+    faces[0] = 0.0
+    floor = ld(cfg.u_floor) if cfg.boundary == "fixedfloor" else None
+    if floor is None:
+        faces[-1] = 0.0
+    ghost = floor**m if floor is not None else ld(0.0)
+
+    def div(v):
+        return np.diff(faces * np.diff(np.concatenate([v[:1], v, [ghost]]))) / vol
+
+    u, h = u.astype(ld), ld(h)
+    d = m * u ** (m - ld(1.0))
+    gh = ld(_GAMMA) * h
+    sub = list(-gh * faces[:-1] * np.concatenate([[ld(0.0)], d[:-1]]) / vol)
+    diag = list(1.0 + gh * (faces[:-1] + faces[1:]) * d / vol)
+    sup = list(-gh * faces[1:] * np.concatenate([d[1:], [ld(0.0)]]) / vol)
+
+    def admissible(x):
+        if floor is not None:
+            return np.maximum(x, floor)
+        return None if x.min() <= 0.0 else x
+
+    z = np.empty((4, n), dtype=ld)
+    z[0] = _thomas(sub, diag, sup, list(div(u**m)))
+    for i in range(1, 4):
+        stage = admissible(u + (h * _A[i, :i].astype(ld)) @ z[:i])
+        if stage is None:
+            return None
+        z[i] = _thomas(sub, diag, sup, list(div(stage**m) + _C[i, :i].astype(ld) @ z[:i]))
+    return admissible(u + (h * _M.astype(ld)) @ z)
+
+
+def _worst_errors_against_long_double(boundary: str, u_floor: float, states, hs) -> tuple:
+    """The worst relative state error of the pivoted and the symmetric step against _longdouble_diffuse over the
+    states and steps h, and the number of steps all three took to a state (a zero-flux stage may leave positivity)."""
+    worst, compared = [0.0, 0.0], 0
+    for params, u in states:
+        n = len(u)
+        cfg = SolverConfig(params, t_end=1.0, n_cells=n, r_dom=8.0, boundary=boundary, u_floor=u_floor)
+        field = GridField(params.N, 8.0 / n, u, 8.0)
+        stepper = _Stepper(field, cfg)
+        for h in hs:
+            new = stepper.diffuse(u, h)[0]
+            pivoted = _plain_diffuse(stepper, u, h, factor=_pivoted_solve)[0]
+            ref = _longdouble_diffuse(field, cfg, u, h)
+            assert (new is None) == (pivoted is None) == (ref is None)
+            if ref is None:
+                continue
+            compared += 1
+            for k, x in enumerate((pivoted, new)):
+                worst[k] = max(worst[k], float(np.max(np.abs(x - ref) / ref)))
+    return worst, compared
+
+
+_ORACLE_STEPS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1)
+
+
+@pytest.mark.parametrize("boundary", ["zeroflux", "fixedfloor"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_stage_solves_match_a_long_double_reference(N, boundary):
+    # seeded bumps on the floor 1e-8 with peaks 1e-2 to 1e5, 200 cells, as a half source step at the source bound
+    # leaves them for p = 2, 3 and 5; the worst relative errors measured over the six cases were 1.6e-11 (pivoted)
+    # and 1.35e-11 (symmetric, N = 3 fixedfloor), so the bound is about twice that
+    rng = np.random.default_rng(38 + N)
+    r = (np.arange(200) + 0.5) * 0.04
+    states = []
+    for p in (2.0, 3.0, 5.0):
+        params = ProblemParams(N=N, m=0.5, p=p)
+        cfg = SolverConfig(params, t_end=1.0, n_cells=200, r_dom=8.0, boundary=boundary, u_floor=1e-8)
+        for _ in range(2):
+            bump = 10.0 ** rng.uniform(-2.0, 5.0) * np.exp(-rng.uniform(0.5, 8.0) * r**2)
+            u = 1e-8 + bump * (1.0 + 0.1 * rng.random(200))
+            half_source_step = 0.5 * stable_dt(u.max(), cfg)
+            states.append((params, _Stepper(GridField(N, 0.04, u, 8.0), cfg).source_flow(u, half_source_step)))
+    (pivoted, symmetric), compared = _worst_errors_against_long_double(boundary, 1e-8, states, _ORACLE_STEPS)
+    print(f"\n[oracle] N={N} {boundary}: worst relative error against the long-double step over {compared} steps: "
+          f"pivoted dgttrf {pivoted:.2e}, symmetric dpttrf {symmetric:.2e}")
+    assert compared >= len(states) * len(_ORACLE_STEPS) // 2
+    assert symmetric <= 3e-11
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_unfloored_tails_factor_and_are_reported(N):
+    # u_floor = 0: seeded bumps whose tails fall to 1e-300 are finite and positive, so M is positive definite and
+    # dpttrf must factor it; the errors of these tails are reported, not bounded
+    rng = np.random.default_rng(138 + N)
+    r = (np.arange(200) + 0.5) * 0.04
+    params = ProblemParams(N=N, m=0.5, p=3.0)
+    # the tail exponent k gives u = peak 10^{-k (r/8)^2} down to 1e-300 at the edge, flat at 1e-300 where it
+    # would fall below
+    states = [(params, np.maximum(10.0 ** rng.uniform(-2.0, 5.0) * 10.0 ** (-k * (r / 8.0) ** 2), 1e-300))
+              for k in (30.0, 150.0, 300.0, 600.0)]
+    steps = _ORACLE_STEPS + (1.0,)
+    (pivoted, symmetric), compared = _worst_errors_against_long_double("zeroflux", 0.0, states, steps)
+    print(f"\n[oracle] N={N} zeroflux, u_floor 0, tails to 1e-300: worst relative error over {compared} steps: "
+          f"pivoted dgttrf {pivoted:.2e}, symmetric dpttrf {symmetric:.2e}")
+    assert compared > 0
 
 
 _SAMPLED = [(power_law(0.1, 0.8, N, cutoff=2.0), N, boundary, source_on)
@@ -552,12 +683,13 @@ def test_ros34pw2_tableau():
 
 
 def test_singular_diffusion_matrix_raises(monkeypatch):
-    # a valid factorization reported with a zero pivot (info > 0), as LAPACK does for a singular matrix
+    # a valid factorization reported with a non-positive pivot (info > 0), as dpttrf does for a matrix that rounding
+    # has left singular or indefinite
     def singular(*args, **kw):
-        *lu, _ = dgttrf(*args, **kw)
-        return (*lu, 2)
+        *ldl, _ = dpttrf(*args, **kw)
+        return (*ldl, 2)
 
-    monkeypatch.setattr("fdxlab.solver.dgttrf", singular)
+    monkeypatch.setattr("fdxlab.solver.dpttrf", singular)
     cfg = _cfg()
     field = project_initial(constant(1.0, 1), cfg)
     with pytest.raises(LinAlgError, match="singular"):
@@ -783,13 +915,13 @@ def test_flat_data_samples_follow_the_reaction_closed_form(p):
 def _radau_reference(prof, cfg: SolverConfig):
     """scipy's Radau on simulate's semi-discrete system u' = A(u^m) + u^p, from the same projection.
 
-    The Jacobian -bands diag(m u^{m-1}) + diag(p u^{p-1}) is tridiagonal and
+    The Jacobian A diag(m u^{m-1}) + diag(p u^{p-1}) is tridiagonal and
     sparse; the run stops when the sup reaches u_blowup.  Returns solve_ivp's
     solution.
     """
     field = project_initial(prof, cfg)
     stepper = _Stepper(field, cfg)
-    m, p, bands = stepper.m, stepper.p, stepper.bands
+    m, p = stepper.m, stepper.p
     source = 1.0 if cfg.source_on else 0.0
 
     def rhs(t, u):
@@ -797,8 +929,8 @@ def _radau_reference(prof, cfg: SolverConfig):
 
     def jac(t, u):
         d = m * u ** (m - 1.0)
-        diagonal = source * p * u ** (p - 1.0) - bands[1] * d
-        return diags([-bands[0, :-1] * d[:-1], diagonal, -bands[2, 1:] * d[1:]], [-1, 0, 1], format="csc")
+        diagonal = source * p * u ** (p - 1.0) - stepper.coef_c * d
+        return diags([stepper.coef_l[1:] * d[:-1], diagonal, stepper.coef_r[:-1] * d[1:]], [-1, 0, 1], format="csc")
 
     def blowup(t, u):
         return u.max() - cfg.u_blowup
